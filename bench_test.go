@@ -205,7 +205,8 @@ func BenchmarkHessianQuality(b *testing.B) {
 // --- Monte-Carlo engine microbenchmarks -------------------------------------
 //
 // BenchmarkMCRun and BenchmarkMCRunSeries track the parallel engine's
-// speedup over its serial path (workers=1) at 1/2/4/8 workers. The trial body
+// speedup over its serial path (workers=1) at 1/2/4/8 workers, through
+// mc.MapCtx with a scalar and a four-point trial body. The trial body
 // mirrors a real Monte-Carlo trial in miniature — a few thousand deterministic
 // RNG draws — so the numbers isolate engine scheduling from workload noise.
 // On a 4-core runner workers=4 is expected to be ≥ 2× workers=1; on fewer
@@ -223,7 +224,7 @@ func BenchmarkMCRun(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.RunCtx(context.Background(), 1, 256, workers, mcTrialWork); err != nil {
+				if _, err := mc.MapCtx(context.Background(), 1, 256, workers, func(_ int, r *rng.Source) float64 { return mcTrialWork(r) }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -232,13 +233,13 @@ func BenchmarkMCRun(b *testing.B) {
 }
 
 func BenchmarkMCRunSeries(b *testing.B) {
-	trial := func(r *rng.Source) []float64 {
+	trial := func(_ int, r *rng.Source) []float64 {
 		return []float64{mcTrialWork(r), mcTrialWork(r), mcTrialWork(r), mcTrialWork(r)}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.RunSeriesCtx(context.Background(), 1, 64, 4, workers, trial); err != nil {
+				if _, err := mc.MapCtx(context.Background(), 1, 64, workers, trial); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,8 +4,8 @@
 // flows do not read degraded weights raw — they probe the array with known
 // inputs, fit a cheap parametric error model, and undo the systematic
 // component of the error digitally at the ADC output. This package provides
-// that stage as a registry of calibration models (Register / Lookup / Parse,
-// the same spec grammar as packages nonideal, cost and kernel).
+// that stage as a spec registry of calibration models (Register / Parse,
+// see package spec).
 //
 // # Fit contract
 //

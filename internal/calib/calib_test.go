@@ -295,11 +295,3 @@ func TestFromFlagConventions(t *testing.T) {
 		t.Fatalf("Probes() = %d, want 16", m.Probes())
 	}
 }
-
-func TestLookupUnknown(t *testing.T) {
-	if _, err := Lookup("definitely-not-registered"); err == nil {
-		t.Fatal("Lookup of unknown model succeeded")
-	} else if !strings.Contains(err.Error(), "definitely-not-registered") {
-		t.Fatalf("error %v does not name the model", err)
-	}
-}

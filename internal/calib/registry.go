@@ -3,194 +3,37 @@ package calib
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+
+	"swim/internal/spec"
 )
 
-// Params carries the numeric parameters of one model spec (e.g.
-// {"probes": 16} for "gainoffset:probes=16"). Builders reject unknown keys so
-// a mistyped parameter reads as a usage error, not a silent default.
-type Params map[string]float64
+// models is the calibration-model registry (see package spec for the
+// grammar).
+var models = spec.New[Model]("calib", "model")
 
-// Builder constructs a configured Model from parameters. Missing keys take
-// the preset's defaults; unknown keys are an error.
-type Builder func(p Params) (Model, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
-
-// Register adds a model builder under name. Registering a name twice is an
-// error, mirroring the nonideal/cost/kernel registries: silently replacing a
-// model would make calibration specs depend on package-initialization order.
-func Register(name string, b Builder) error {
-	if b == nil {
-		return fmt.Errorf("calib: register nil builder")
-	}
-	if name == "" {
-		return fmt.Errorf("calib: register builder with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("calib: model %q already registered", name)
-	}
-	registry[name] = b
-	return nil
-}
-
-// MustRegister is Register for package-init use; it panics on error.
-func MustRegister(name string, b Builder) {
-	if err := Register(name, b); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup resolves a model builder by name. Unknown names return an error
-// listing what is registered, so a mistyped -calib flag reads as a usage
-// hint.
-func Lookup(name string) (Builder, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("calib: unknown model %q (registered: %v)", name, registeredLocked())
-	}
-	return b, nil
-}
+// Register adds a model builder under name; registering a name twice is an
+// error.
+func Register(name string, b spec.Builder[Model]) error { return models.Register(name, b) }
 
 // Registered returns the registered model names, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registeredLocked()
-}
-
-func registeredLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Registered() []string { return models.Names() }
 
 // Parse builds one model from a spec string: a registered name optionally
 // followed by colon-separated parameters, e.g. "gainoffset" or
 // "pertile:probes=16,tilerows=64". Every model's Spec() round-trips through
 // Parse to an identical model — the canonical spec spells out every resolved
 // parameter, so two daemons that parse the same spec agree bit-for-bit.
-func Parse(spec string) (Model, error) {
-	name, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	b, err := Lookup(name)
-	if err != nil {
-		return Model{}, err
-	}
-	p := Params{}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return Model{}, fmt.Errorf("calib: bad parameter %q in spec %q (want key=value)", kv, spec)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return Model{}, fmt.Errorf("calib: bad value for %q in spec %q: %v", k, spec, err)
-			}
-			p[strings.TrimSpace(k)] = f
-		}
-	}
-	m, err := b(p)
-	if err != nil {
-		return Model{}, fmt.Errorf("calib: spec %q: %w", spec, err)
-	}
-	return m, nil
-}
+func Parse(s string) (Model, error) { return models.Parse(s) }
 
 // FromFlag resolves the CLIs' shared -calib flag convention: the literal
 // "list" requests the registered-model listing (returned in listing, with no
 // model); the empty string and the literal "none" disable calibration (ok
 // reports false); anything else parses as a model spec.
-func FromFlag(spec string) (m Model, ok bool, listing string, err error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "list" {
-		return Model{}, false, strings.Join(Registered(), "\n"), nil
-	}
-	if spec == "" || spec == "none" {
-		return Model{}, false, "", nil
-	}
-	m, err = Parse(spec)
-	if err != nil {
-		return Model{}, false, "", err
-	}
-	return m, true, "", nil
-}
-
-// params tracks parameter resolution for one builder: explicit values win,
-// defaults fill the rest, and every consumed key lands in resolved so the
-// canonical spec can spell the whole model out.
-type params struct {
-	p        Params
-	used     map[string]bool
-	resolved map[string]float64
-}
-
-func newParams(p Params) *params {
-	return &params{p: p, used: map[string]bool{}, resolved: map[string]float64{}}
-}
-
-func (ps *params) get(key string, def float64) float64 {
-	ps.used[key] = true
-	v := def
-	if x, ok := ps.p[key]; ok {
-		v = x
-	}
-	ps.resolved[key] = v
-	return v
-}
-
-// leftover returns an error naming any parameter the builder did not
-// consume.
-func (ps *params) leftover(name string) error {
-	for k := range ps.p {
-		if !ps.used[k] {
-			return fmt.Errorf("unknown parameter %q for model %q", k, name)
-		}
-	}
-	return nil
-}
-
-// spec renders the canonical spec string: the model name plus every resolved
-// parameter in sorted key order. strconv's 'g' formatting emits the shortest
-// digit string that round-trips exactly, so Parse(spec) rebuilds bit-identical
-// values.
-func (ps *params) spec(name string) string {
-	keys := make([]string, 0, len(ps.resolved))
-	for k := range ps.resolved {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString(name)
-	for i, k := range keys {
-		if i == 0 {
-			sb.WriteByte(':')
-		} else {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.FormatFloat(ps.resolved[k], 'g', -1, 64))
-	}
-	return sb.String()
-}
+func FromFlag(s string) (m Model, ok bool, listing string, err error) { return models.FromFlag(s) }
 
 // probeBudget validates the shared probes parameter.
-func probeBudget(name string, ps *params) (int, error) {
-	probes := ps.get("probes", 8)
+func probeBudget(name string, p *spec.Params) (int, error) {
+	probes := p.Get("probes", 8)
 	if probes < 2 || probes != math.Trunc(probes) || probes > 1<<20 {
 		return 0, fmt.Errorf("model %q needs integer probes >= 2 (got %g)", name, probes)
 	}
@@ -202,17 +45,12 @@ func init() {
 	// row of the mapped matrix), fitted from `probes` one-hot probe reads
 	// per matrix. The default budget of 8 probes matches a sub-percent
 	// read overhead on every built-in workload.
-	MustRegister("gainoffset", func(p Params) (Model, error) {
-		ps := newParams(p)
-		probes, err := probeBudget("gainoffset", ps)
+	models.MustRegister("gainoffset", func(p *spec.Params) (Model, error) {
+		probes, err := probeBudget("gainoffset", p)
 		if err != nil {
 			return Model{}, err
 		}
-		if err := ps.leftover("gainoffset"); err != nil {
-			return Model{}, err
-		}
-		m := Model{name: "gainoffset", probes: probes}
-		m.spec = ps.spec("gainoffset")
+		m := Model{name: "gainoffset", probes: probes, spec: p.Spec()}
 		return m, m.Validate()
 	})
 	// pertile: the same affine fit at crossbar-tile granularity — one
@@ -220,22 +58,17 @@ func init() {
 	// (word lines × bit lines, defaulting to the 128×128 fabric of
 	// crossbar.DefaultConfig). Coarser groups pool more probe samples per
 	// fit, trading spatial resolution for estimator variance.
-	MustRegister("pertile", func(p Params) (Model, error) {
-		ps := newParams(p)
-		probes, err := probeBudget("pertile", ps)
+	models.MustRegister("pertile", func(p *spec.Params) (Model, error) {
+		probes, err := probeBudget("pertile", p)
 		if err != nil {
 			return Model{}, err
 		}
-		tr := ps.get("tilerows", 128)
-		tc := ps.get("tilecols", 128)
+		tr := p.Get("tilerows", 128)
+		tc := p.Get("tilecols", 128)
 		if tr < 1 || tr != math.Trunc(tr) || tc < 1 || tc != math.Trunc(tc) {
 			return Model{}, fmt.Errorf("model %q needs integer tilerows/tilecols >= 1 (got %gx%g)", "pertile", tr, tc)
 		}
-		if err := ps.leftover("pertile"); err != nil {
-			return Model{}, err
-		}
-		m := Model{name: "pertile", probes: probes, tileRows: int(tr), tileCols: int(tc)}
-		m.spec = ps.spec("pertile")
+		m := Model{name: "pertile", probes: probes, tileRows: int(tr), tileCols: int(tc), spec: p.Spec()}
 		return m, m.Validate()
 	})
 }

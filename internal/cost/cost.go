@@ -23,8 +23,8 @@
 //     (derived from the folded write-cycle aggregates — see below), static
 //     per-sample inference energy/latency, and total array area.
 //
-// Models are registered by name (Register / Lookup / Parse, the same
-// registry grammar as package nonideal), with built-in presets seeded from
+// Models are registered by name (Register / Parse, a spec registry — see
+// package spec), with built-in presets seeded from
 // the cost tables of published accelerators; "rram" matches the programming
 // numbers of device.DefaultCost.
 //

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"swim/internal/spec"
 	"swim/internal/stat"
 )
 
@@ -125,10 +126,10 @@ func TestFromFlag(t *testing.T) {
 }
 
 func TestDuplicateRegister(t *testing.T) {
-	if err := Register("rram", func(Params) (Model, error) { return Model{}, nil }); err == nil {
+	if err := Register("rram", func(*spec.Params) (Model, error) { return Model{}, nil }); err == nil {
 		t.Fatal("duplicate Register succeeded, want error")
 	}
-	if err := Register("", func(Params) (Model, error) { return Model{}, nil }); err == nil {
+	if err := Register("", func(*spec.Params) (Model, error) { return Model{}, nil }); err == nil {
 		t.Fatal("empty-name Register succeeded, want error")
 	}
 	if err := Register("x", nil); err == nil {

@@ -3,198 +3,40 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+
+	"swim/internal/spec"
 )
 
-// Params carries the numeric parameters of one model spec (e.g.
-// {"write_pj": 12} for "rram:write_pj=12"). Builders reject unknown keys so
-// a mistyped parameter reads as a usage error, not a silent default.
-type Params map[string]float64
+// models is the cost-preset registry (see package spec for the grammar).
+var models = spec.New[Model]("cost", "model")
 
-// Builder constructs a configured Model from parameters. Missing keys take
-// the preset's defaults; unknown keys are an error.
-type Builder func(p Params) (Model, error)
+// Register adds a model builder under name; registering a name twice is an
+// error.
+func Register(name string, b spec.Builder[Model]) error { return models.Register(name, b) }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
-
-// Register adds a model builder under name. Registering a name twice is an
-// error, mirroring the nonideal registry: silently replacing a preset would
-// make cost specs depend on package-initialization order.
-func Register(name string, b Builder) error {
-	if b == nil {
-		return fmt.Errorf("cost: register nil builder")
-	}
-	if name == "" {
-		return fmt.Errorf("cost: register builder with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("cost: model %q already registered", name)
-	}
-	registry[name] = b
-	return nil
-}
-
-// MustRegister is Register for package-init use; it panics on error.
-func MustRegister(name string, b Builder) {
-	if err := Register(name, b); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup resolves a model builder by name. Unknown names return an error
-// listing what is registered, so a mistyped -cost flag reads as a usage
-// hint.
-func Lookup(name string) (Builder, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("cost: unknown model %q (registered: %v)", name, registeredLocked())
-	}
-	return b, nil
-}
-
-// Registered returns the registered model names, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registeredLocked()
-}
-
-func registeredLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Registered returns the registered preset names, sorted.
+func Registered() []string { return models.Names() }
 
 // Parse builds one model from a spec string: a registered preset name
 // optionally followed by colon-separated parameters, e.g. "rram" or
 // "rram:write_pj=12,par=64". Every model's Spec() round-trips through Parse
 // to an identical model — the canonical spec spells out every resolved
 // parameter, so two daemons that parse the same spec agree bit-for-bit.
-func Parse(spec string) (Model, error) {
-	name, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	b, err := Lookup(name)
-	if err != nil {
-		return Model{}, err
-	}
-	p := Params{}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return Model{}, fmt.Errorf("cost: bad parameter %q in spec %q (want key=value)", kv, spec)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return Model{}, fmt.Errorf("cost: bad value for %q in spec %q: %v", k, spec, err)
-			}
-			p[strings.TrimSpace(k)] = f
-		}
-	}
-	m, err := b(p)
-	if err != nil {
-		return Model{}, fmt.Errorf("cost: spec %q: %w", spec, err)
-	}
-	return m, nil
-}
+func Parse(s string) (Model, error) { return models.Parse(s) }
 
 // FromFlag resolves the CLIs' shared -cost flag convention: the literal
 // "list" requests the registered-preset listing (returned in listing, with
 // no model); the empty string and the literal "none" disable cost
 // accounting (ok reports false); anything else parses as a model spec.
-func FromFlag(spec string) (m Model, ok bool, listing string, err error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "list" {
-		return Model{}, false, strings.Join(Registered(), "\n"), nil
-	}
-	if spec == "" || spec == "none" {
-		return Model{}, false, "", nil
-	}
-	m, err = Parse(spec)
-	if err != nil {
-		return Model{}, false, "", err
-	}
-	return m, true, "", nil
-}
-
-// params tracks parameter resolution for one builder: explicit values win,
-// defaults fill the rest, and every consumed key lands in resolved so the
-// canonical spec can spell the whole model out.
-type params struct {
-	p        Params
-	used     map[string]bool
-	resolved map[string]float64
-}
-
-func newParams(p Params) *params {
-	return &params{p: p, used: map[string]bool{}, resolved: map[string]float64{}}
-}
-
-func (ps *params) get(key string, def float64) float64 {
-	ps.used[key] = true
-	v := def
-	if x, ok := ps.p[key]; ok {
-		v = x
-	}
-	ps.resolved[key] = v
-	return v
-}
-
-// leftover returns an error naming any parameter the builder did not
-// consume.
-func (ps *params) leftover(name string) error {
-	for k := range ps.p {
-		if !ps.used[k] {
-			return fmt.Errorf("unknown parameter %q for model %q", k, name)
-		}
-	}
-	return nil
-}
-
-// spec renders the canonical spec string: the preset name plus every
-// resolved parameter in sorted key order. strconv's 'g' formatting emits
-// the shortest digit string that round-trips exactly, so Parse(spec)
-// rebuilds bit-identical values.
-func (ps *params) spec(name string) string {
-	keys := make([]string, 0, len(ps.resolved))
-	for k := range ps.resolved {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString(name)
-	for i, k := range keys {
-		if i == 0 {
-			sb.WriteByte(':')
-		} else {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.FormatFloat(ps.resolved[k], 'g', -1, 64))
-	}
-	return sb.String()
-}
+func FromFlag(s string) (m Model, ok bool, listing string, err error) { return models.FromFlag(s) }
 
 // componentModel assembles a Model from the flat parameter scheme every
 // preset shares — write_/verify_/dac_/adc_/read_ energies and latencies,
 // dac_/adc_/cell areas, and the programming parallelism — with per-preset
 // defaults supplied by the caller (which may pre-resolve derived keys such
 // as lightening's bits/fs_gsps before delegating here).
-func componentModel(name string, ps *params, def map[string]float64) (Model, error) {
-	d := func(key string) float64 { return ps.get(key, def[key]) }
+func componentModel(name string, p *spec.Params, def map[string]float64) (Model, error) {
+	d := func(key string) float64 { return p.Get(key, def[key]) }
 	m := Model{
 		Write:       Component{EnergyPJ: d("write_pj"), LatencyNS: d("write_ns")},
 		Verify:      Component{EnergyPJ: d("verify_pj"), LatencyNS: d("verify_ns")},
@@ -203,15 +45,12 @@ func componentModel(name string, ps *params, def map[string]float64) (Model, err
 		Read:        Component{EnergyPJ: d("read_pj"), LatencyNS: d("read_ns")},
 		CellAreaUM2: d("cell_um2"),
 	}
-	par := ps.get("par", def["par"])
+	par := d("par")
 	if par < 1 || par != math.Trunc(par) {
 		return Model{}, fmt.Errorf("model %q needs integer par >= 1 (got %g)", name, par)
 	}
 	m.Parallelism = int(par)
-	if err := ps.leftover(name); err != nil {
-		return Model{}, err
-	}
-	m.spec = ps.spec(name)
+	m.spec = p.Spec()
 	if err := m.Validate(); err != nil {
 		return Model{}, err
 	}
@@ -228,8 +67,8 @@ func init() {
 	// device.DefaultCost (100 ns / 10 pJ write pulse, 10 ns verify read,
 	// serial programming), with mid-range 6-bit DAC / 8-bit SAR ADC
 	// peripheral costs and a 4F² 0.04 µm² 1T1R cell.
-	MustRegister("rram", func(p Params) (Model, error) {
-		return componentModel("rram", newParams(p), map[string]float64{
+	models.MustRegister("rram", func(p *spec.Params) (Model, error) {
+		return componentModel("rram", p, map[string]float64{
 			"write_pj": 10, "write_ns": 100,
 			"verify_pj": 1, "verify_ns": 10,
 			"dac_pj": 2, "dac_ns": 1, "dac_um2": 500,
@@ -244,10 +83,9 @@ func init() {
 	// 3.57 pJ per conversion and 1/14 ns per sample — with the
 	// bits/fs_gsps knobs rescaling power through the 2^N/(N+1) figure of
 	// merit. The crossbar write path and ADC side keep the rram defaults.
-	MustRegister("lightening", func(p Params) (Model, error) {
-		ps := newParams(p)
-		bits := ps.get("bits", 8)
-		fs := ps.get("fs_gsps", 14)
+	models.MustRegister("lightening", func(p *spec.Params) (Model, error) {
+		bits := p.Get("bits", 8)
+		fs := p.Get("fs_gsps", 14)
 		if bits < 1 || bits > 16 || bits != math.Trunc(bits) {
 			return Model{}, fmt.Errorf("model %q needs integer bits in [1, 16] (got %g)", "lightening", bits)
 		}
@@ -255,7 +93,7 @@ func init() {
 			return Model{}, fmt.Errorf("model %q needs fs_gsps > 0 (got %g)", "lightening", fs)
 		}
 		dacMW := 50 * fom(bits) / fom(8) // FoM-scaled dynamic power at 50 mW for 8 bits
-		return componentModel("lightening", ps, map[string]float64{
+		return componentModel("lightening", p, map[string]float64{
 			"write_pj": 10, "write_ns": 100,
 			"verify_pj": 1, "verify_ns": 10,
 			"dac_pj": dacMW / fs, "dac_ns": 1 / fs, "dac_um2": 11000,
@@ -269,8 +107,8 @@ func init() {
 	// config — 1-cycle (1 ns) latency, 3.50625 mW dynamic power (so
 	// 3.50625 pJ per conversion) in 1.67e-7 mm² = 0.167 µm² — over the
 	// same rram write path.
-	MustRegister("ramwich", func(p Params) (Model, error) {
-		return componentModel("ramwich", newParams(p), map[string]float64{
+	models.MustRegister("ramwich", func(p *spec.Params) (Model, error) {
+		return componentModel("ramwich", p, map[string]float64{
 			"write_pj": 10, "write_ns": 100,
 			"verify_pj": 1, "verify_ns": 10,
 			"dac_pj": 3.50625, "dac_ns": 1, "dac_um2": 0.167,

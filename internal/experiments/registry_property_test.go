@@ -1,11 +1,11 @@
 package experiments
 
-// Cross-registry property test. The nonideality, cost, kernel and
-// calibration registries were built to the same contract — spec strings
+// Cross-registry property test. The nonideality, cost, kernel, calibration
+// and policy registries are all instances of spec.Registry — spec strings
 // canonicalize through Parse, unknown names fail with a usage hint listing
-// what IS registered — but each package only tests its own corner. This
-// file pins the shared contract in one place, so a new registry (or a
-// refactor of an old one) that drifts from the conventions fails loudly.
+// what IS registered — but each package only tests its own builders. This
+// file pins the shared contract through every package's public entry
+// points, so a registry that drifts from the conventions fails loudly.
 
 import (
 	"strings"
@@ -15,16 +15,17 @@ import (
 	"swim/internal/cost"
 	"swim/internal/kernel"
 	"swim/internal/nonideal"
+	"swim/internal/program"
 )
 
 // registryContract adapts one registry to the shared shape: its registered
-// names, a parse returning the canonical spec, and the error for an
-// unknown lookup.
+// names, a parse returning the canonical spec, and a valid spec with an
+// exponent-valued parameter ("" for a registry without parameters).
 type registryContract struct {
 	pkg        string
 	registered []string
 	canonical  func(spec string) (string, error)
-	lookupErr  func(name string) error
+	exponent   string
 }
 
 func contracts() []registryContract {
@@ -39,7 +40,7 @@ func contracts() []registryContract {
 				}
 				return n.String(), nil
 			},
-			lookupErr: func(name string) error { _, err := nonideal.Lookup(name); return err },
+			exponent: "retention:tau=1e+07",
 		},
 		{
 			pkg:        "cost",
@@ -51,7 +52,7 @@ func contracts() []registryContract {
 				}
 				return m.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := cost.Lookup(name); return err },
+			exponent: "rram:write_ns=1e6",
 		},
 		{
 			pkg:        "kernel",
@@ -63,7 +64,7 @@ func contracts() []registryContract {
 				}
 				return k.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := kernel.Lookup(name); return err },
+			exponent: "parallel:workers=1e+03",
 		},
 		{
 			pkg:        "calib",
@@ -75,7 +76,20 @@ func contracts() []registryContract {
 				}
 				return m.Spec(), nil
 			},
-			lookupErr: func(name string) error { _, err := calib.Lookup(name); return err },
+			exponent: "gainoffset:probes=1e6",
+		},
+		{
+			pkg:        "program",
+			registered: program.Names(),
+			// Policies take no parameters; ResolveNames is the CLIs' entry
+			// point and trims each name before its Lookup.
+			canonical: func(spec string) (string, error) {
+				names, err := program.ResolveNames(spec)
+				if err != nil {
+					return "", err
+				}
+				return strings.Join(names, ","), nil
+			},
 		},
 	}
 }
@@ -117,13 +131,36 @@ func TestRegistriesCanonicalizeBuiltins(t *testing.T) {
 	}
 }
 
+// A parameter written with an exponent canonicalizes to a fixed point with
+// no '+' in it: every registry renders floats through spec.FormatFloat
+// ("1e06", never "1e+06"), so a canonical spec can sit in a '+'-joined
+// nonideality stack and every cache key has one spelling.
+func TestRegistriesCanonicalizeExponents(t *testing.T) {
+	for _, c := range contracts() {
+		if c.exponent == "" {
+			continue
+		}
+		canon, err := c.canonical(c.exponent)
+		if err != nil {
+			t.Errorf("%s: %q rejected: %v", c.pkg, c.exponent, err)
+			continue
+		}
+		if strings.Contains(canon, "e+") {
+			t.Errorf("%s: canonical spec %q of %q contains \"e+\"", c.pkg, canon, c.exponent)
+		}
+		if again, err := c.canonical(canon); err != nil || again != canon {
+			t.Errorf("%s: canonical spec not a fixed point: %q -> (%q, %v)", c.pkg, canon, again, err)
+		}
+	}
+}
+
 // Unknown names fail the same way everywhere: a non-nil error that names
 // the package, echoes the offending name, and lists every registered
 // built-in as a usage hint. CLIs print these errors verbatim.
 func TestRegistriesRejectUnknownNames(t *testing.T) {
 	const bogus = "no-such-model-xyz"
 	for _, c := range contracts() {
-		err := c.lookupErr(bogus)
+		_, err := c.canonical(bogus)
 		if err == nil {
 			t.Errorf("%s: unknown name %q looked up", c.pkg, bogus)
 			continue
@@ -140,7 +177,7 @@ func TestRegistriesRejectUnknownNames(t *testing.T) {
 				t.Errorf("%s: usage hint omits built-in %q: %q", c.pkg, name, msg)
 			}
 		}
-		// Parse goes through Lookup, so a bogus spec fails identically.
+		// A bogus name with parameters fails too.
 		if _, err := c.canonical(bogus + ":x=1"); err == nil {
 			t.Errorf("%s: spec with unknown name parsed", c.pkg)
 		}

@@ -47,7 +47,7 @@
 // but excludes it from cache keys (see internal/serialize).
 //
 // A future GOAMD64/assembly backend slots in behind the same interface via
-// Register, exactly like the nonideality and cost-model registries.
+// Register, a spec registry like every other tier's (see package spec).
 package kernel
 
 import (

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"swim/internal/rng"
+	"swim/internal/spec"
 	"swim/internal/tensor"
 )
 
@@ -311,7 +312,7 @@ func TestRegistry(t *testing.T) {
 	if err := Register("", nil); err == nil {
 		t.Fatal("Register with empty name and nil builder should fail")
 	}
-	if err := Register("scalar", func(Params) (Backend, error) { return Default(), nil }); err == nil {
+	if err := Register("scalar", func(*spec.Params) (Backend, error) { return Default(), nil }); err == nil {
 		t.Fatal("duplicate Register should fail")
 	}
 	if _, err := Parse("nope"); err == nil || !strings.Contains(err.Error(), "registered") {

@@ -2,168 +2,46 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
+
+	"swim/internal/spec"
 )
 
-// Params carries the numeric parameters of one backend spec (e.g.
-// {"workers": 4} for "parallel:workers=4"). Builders reject unknown keys so
-// a mistyped parameter reads as a usage error, not a silent default.
-type Params map[string]float64
+// backends is the backend registry (see package spec for the grammar).
+var backends = spec.New[Backend]("kernel", "backend")
 
-// Builder constructs a configured Backend from parameters. Missing keys take
-// the backend's defaults; unknown keys are an error.
-type Builder func(p Params) (Backend, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
-
-// Register adds a backend builder under name. Registering a name twice is an
-// error, mirroring the nonideality and cost-model registries: silently
-// replacing a backend would make kernel specs depend on package-
-// initialization order.
-func Register(name string, b Builder) error {
-	if b == nil {
-		return fmt.Errorf("kernel: register nil builder")
-	}
-	if name == "" {
-		return fmt.Errorf("kernel: register builder with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("kernel: backend %q already registered", name)
-	}
-	registry[name] = b
-	return nil
-}
-
-// MustRegister is Register for package-init use; it panics on error.
-func MustRegister(name string, b Builder) {
-	if err := Register(name, b); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup resolves a backend builder by name. Unknown names return an error
-// listing what is registered, so a mistyped -kernel flag reads as a usage
-// hint.
-func Lookup(name string) (Builder, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("kernel: unknown backend %q (registered: %v)", name, registeredLocked())
-	}
-	return b, nil
-}
+// Register adds a backend builder under name; registering a name twice is an
+// error.
+func Register(name string, b spec.Builder[Backend]) error { return backends.Register(name, b) }
 
 // Registered returns the registered backend names, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registeredLocked()
-}
-
-func registeredLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Registered() []string { return backends.Names() }
 
 // Parse builds one backend from a spec string: a registered name optionally
 // followed by colon-separated parameters, e.g. "blocked" or
 // "parallel:workers=4". Every built-in's Spec() round-trips through Parse.
-func Parse(spec string) (Backend, error) {
-	name, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	b, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := Params{}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("kernel: bad parameter %q in spec %q (want key=value)", kv, spec)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, fmt.Errorf("kernel: bad value for %q in spec %q: %v", k, spec, err)
-			}
-			p[strings.TrimSpace(k)] = f
-		}
-	}
-	k, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: spec %q: %w", spec, err)
-	}
-	return k, nil
-}
+func Parse(s string) (Backend, error) { return backends.Parse(s) }
 
 // FromFlag resolves the CLIs' shared -kernel flag convention: the literal
 // "list" requests the registered-backend listing (returned in listing, with
 // no backend); the empty string selects the scalar default; anything else
-// parses as a backend spec. Keeping the convention here means every binary
-// stays in sync when the grammar grows.
-func FromFlag(spec string) (k Backend, listing string, err error) {
-	switch strings.TrimSpace(spec) {
-	case "list":
-		return nil, strings.Join(Registered(), "\n"), nil
-	case "":
+// parses as a backend spec.
+func FromFlag(s string) (k Backend, listing string, err error) {
+	if listing, ok := backends.Listing(s); ok {
+		return nil, listing, nil
+	}
+	if strings.TrimSpace(s) == "" {
 		return Default(), "", nil
 	}
-	k, err = Parse(spec)
+	k, err = Parse(s)
 	return k, "", err
 }
 
-// pick reads one parameter with a default, recording consumption so the
-// builder can reject leftovers.
-func pick(p Params, used map[string]bool, key string, def float64) float64 {
-	used[key] = true
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// leftover returns an error naming any parameter the builder did not
-// consume.
-func leftover(name string, p Params, used map[string]bool) error {
-	for k := range p {
-		if !used[k] {
-			return fmt.Errorf("unknown parameter %q for backend %q", k, name)
-		}
-	}
-	return nil
-}
-
 func init() {
-	MustRegister("scalar", func(p Params) (Backend, error) {
-		if err := leftover("scalar", p, map[string]bool{}); err != nil {
-			return nil, err
-		}
-		return scalarBackend, nil
-	})
-	MustRegister("blocked", func(p Params) (Backend, error) {
-		if err := leftover("blocked", p, map[string]bool{}); err != nil {
-			return nil, err
-		}
-		return blocked{}, nil
-	})
-	MustRegister("parallel", func(p Params) (Backend, error) {
-		used := map[string]bool{}
-		w := pick(p, used, "workers", 0)
-		if err := leftover("parallel", p, used); err != nil {
-			return nil, err
-		}
+	backends.MustRegister("scalar", func(*spec.Params) (Backend, error) { return scalarBackend, nil })
+	backends.MustRegister("blocked", func(*spec.Params) (Backend, error) { return blocked{}, nil })
+	backends.MustRegister("parallel", func(p *spec.Params) (Backend, error) {
+		w := p.Get("workers", 0)
 		if w < 0 || w != float64(int(w)) || w > 1<<16 {
 			return nil, fmt.Errorf("parallel needs integer workers in [0, 65536], 0 = all CPUs (got %g)", w)
 		}

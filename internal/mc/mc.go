@@ -8,23 +8,27 @@
 //
 // Trials are embarrassingly parallel: one trial programs one simulated device
 // instance and never touches another trial's state. The engine pre-splits one
-// child stream per trial with rng.Source.SplitN, fans the trials out over a
-// worker pool (SWIM_WORKERS / -workers / runtime.NumCPU), and keeps one
-// stat.Welford accumulator per trial, folding them together afterwards with
-// Welford.Merge in trial order.
+// child stream per trial with rng.Source.SplitN and fans the trials out over
+// a worker pool (SWIM_WORKERS / -workers / runtime.NumCPU). Map, MapCtx and
+// MapGate return one result per trial in trial order; RunSeriesShard returns
+// the raw series values of a trial range [lo, hi), and FoldSeriesRows folds
+// the rows of a whole run into per-point stat.Welford aggregates, one
+// singleton merge per trial in trial order. A single-node series run is the
+// range [0, trials) folded the same way.
 //
 // Determinism contract: the trial streams depend only on (seed, trials), and
-// the merge order depends only on the trial indices — never on which worker
-// ran which trial or when it finished. Means and standard deviations are
-// therefore bit-for-bit identical for every worker count, including 1 (the
-// serial path). Note that per-worker accumulators merged in completion order
-// would NOT have this property; per-trial accumulators merged in index order
-// are what makes the reduction schedule-independent.
+// the fold order depends only on the trial indices — never on which worker
+// ran which trial or when it finished, nor on how the trial space was cut
+// into ranges. Means and standard deviations are therefore bit-for-bit
+// identical for every worker count, including 1 (the serial path), and for
+// every partition into shards. Note that per-worker accumulators merged in
+// completion order would NOT have this property; per-trial observations
+// folded in index order are what makes the reduction schedule-independent.
 //
 // For multi-tenant callers (the serving daemon), a run can additionally
 // carry a cooperative worker cap — a Gate consulted between trials — so
 // concurrent runs split the machine instead of each claiming every CPU
-// (RunSeriesGate, MapGate). The same contract makes gates result-neutral.
+// (MapGate, RunSeriesShard). The same contract makes gates result-neutral.
 package mc
 
 import (
@@ -71,8 +75,8 @@ func Fast() bool { return os.Getenv("SWIM_FAST") != "" }
 // The cmd binaries set it from their -workers flag.
 var forcedWorkers atomic.Int64
 
-// SetWorkers pins the default worker count used by Run, RunSeries and Map.
-// n <= 0 restores the SWIM_WORKERS / runtime.NumCPU default.
+// SetWorkers pins Workers(), the worker count a run uses when it is given
+// workers <= 0. n <= 0 restores the SWIM_WORKERS / runtime.NumCPU default.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -163,54 +167,19 @@ func awaitGate(ctx context.Context, w int, gate Gate, drained <-chan struct{}, o
 	}
 }
 
-// trialFn evaluates one trial from its pre-split stream. agg holds the
-// trial's point accumulators (len points; nil when the caller aggregates
-// nothing). A non-nil error aborts the whole run.
-type trialFn func(t int, r *rng.Source, agg []*stat.Welford) error
-
-func newAgg(points int) []*stat.Welford {
-	agg := make([]*stat.Welford, points)
-	for i := range agg {
-		agg[i] = &stat.Welford{}
-	}
-	return agg
-}
-
-// runTrials is the engine shared by Run, RunSeries and Map: it executes the
-// full trial range and folds the per-trial accumulators in trial order (see
-// the package comment for why this — and not per-worker folding — keeps
-// results worker-count invariant). A non-nil gate cooperatively caps how
-// many of the workers are active at once; workers is the ceiling the gate
-// can admit up to.
-func runTrials(ctx context.Context, seed uint64, trials, points, workers int, gate Gate, trial trialFn) ([]*stat.Welford, error) {
-	perTrial, err := runTrialRange(ctx, seed, trials, 0, trials, points, workers, gate, trial)
-	if err != nil {
-		return nil, err
-	}
-	out := newAgg(points)
-	// No trial errored and the parent context is live, so every trial ran to
-	// completion. Fold in trial order.
-	for _, agg := range perTrial {
-		for i := range out {
-			out[i].Merge(agg[i])
-		}
-	}
-	return out, nil
-}
+// trialFn evaluates trial t from its pre-split stream. A non-nil error
+// aborts the whole run.
+type trialFn func(t int, r *rng.Source) error
 
 // runTrialRange pre-splits one stream per trial of the full (seed, trials)
-// space, executes only the trials in [lo, hi) on workers goroutines, and
-// returns their accumulators in trial order (index t-lo). Trial t's stream
-// depends only on (seed, trials, t) — never on the range boundaries — which
-// is what lets a distributed coordinator partition the trial space across
-// machines and still merge bit-identical aggregates.
-func runTrialRange(ctx context.Context, seed uint64, trials, lo, hi, points, workers int, gate Gate, trial trialFn) ([][]*stat.Welford, error) {
-	if trials < 0 {
-		return nil, fmt.Errorf("mc: negative trial count %d", trials)
-	}
-	if lo < 0 || hi > trials || lo > hi {
-		return nil, fmt.Errorf("mc: trial range [%d,%d) outside [0,%d)", lo, hi, trials)
-	}
+// space and executes only the trials in [lo, hi) (0 <= lo <= hi <= trials)
+// on workers goroutines. Trial t's stream depends only on (seed, trials, t)
+// — never on the range boundaries — which is what lets a distributed
+// coordinator partition the trial space across machines and still fold
+// bit-identical aggregates. A non-nil gate cooperatively caps how many of
+// the workers are active at once; workers is the ceiling it can admit up
+// to.
+func runTrialRange(ctx context.Context, seed uint64, trials, lo, hi, workers int, gate Gate, trial trialFn) error {
 	count := hi - lo
 	if workers <= 0 {
 		workers = Workers()
@@ -219,11 +188,10 @@ func runTrialRange(ctx context.Context, seed uint64, trials, lo, hi, points, wor
 		workers = count
 	}
 	if count == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 
 	streams := rng.New(seed).SplitN(trials)
-	perTrial := make([][]*stat.Welford, count)
 	errs := make([]error, count)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -254,13 +222,11 @@ func runTrialRange(ctx context.Context, seed uint64, trials, lo, hi, points, wor
 				if runCtx.Err() != nil {
 					return
 				}
-				agg := newAgg(points)
-				if err := safeTrial(trial, t, streams[t], agg); err != nil {
+				if err := safeTrial(trial, t, streams[t]); err != nil {
 					errs[t-lo] = err
 					cancel()
 					return
 				}
-				perTrial[t-lo] = agg
 				if obsv != nil {
 					obsv.TrialDone(t)
 				}
@@ -281,101 +247,30 @@ feed:
 
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return perTrial, nil
+	return ctx.Err()
 }
 
 // safeTrial runs one trial, converting a panic in the trial body into an
 // error. Trials execute on worker goroutines, where an unrecovered panic
 // would kill the whole process and bypass the caller's deferred cleanup;
 // surfacing it through the error path keeps long sweeps failing cleanly.
-func safeTrial(trial trialFn, t int, r *rng.Source, agg []*stat.Welford) (err error) {
+func safeTrial(trial trialFn, t int, r *rng.Source) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("mc: trial %d panicked: %v", t, p)
 		}
 	}()
-	return trial(t, r, agg)
-}
-
-// Run executes trials Monte-Carlo trials of f, each with an independent
-// stream split from seed, and returns the aggregated statistics of the
-// returned metric. Trials run on Workers() goroutines; the aggregate is
-// bit-for-bit independent of the worker count.
-func Run(seed uint64, trials int, f func(r *rng.Source) float64) *stat.Welford {
-	w, err := RunCtx(context.Background(), seed, trials, 0, f)
-	if err != nil {
-		// Unreachable: a scalar trial cannot mismatch and the background
-		// context cannot be cancelled.
-		panic(err)
-	}
-	return w
-}
-
-// RunCtx is Run with an explicit context and worker count (0 = Workers()).
-// It returns the context's error if the run is cancelled mid-flight.
-func RunCtx(ctx context.Context, seed uint64, trials, workers int, f func(r *rng.Source) float64) (*stat.Welford, error) {
-	agg, err := runTrials(ctx, seed, trials, 1, workers, nil, func(t int, r *rng.Source, agg []*stat.Welford) error {
-		agg[0].Add(f(r))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return agg[0], nil
-}
-
-// RunSeries executes trials Monte-Carlo trials of f, where each trial
-// returns one value per series point (e.g. accuracy at every NWC grid
-// value), and aggregates each point separately. All points within a trial
-// share the trial's stream, mirroring the paper's protocol in which one
-// Monte-Carlo run programs one device instance and measures the whole
-// sweep on it.
-//
-// A trial returning the wrong number of values aborts the run with a
-// descriptive error (long sweeps must not panic mid-experiment).
-func RunSeries(seed uint64, trials, points int, f func(r *rng.Source) []float64) ([]*stat.Welford, error) {
-	return RunSeriesCtx(context.Background(), seed, trials, points, 0, f)
-}
-
-// RunSeriesCtx is RunSeries with an explicit context and worker count
-// (0 = Workers()). Cancelling the context aborts outstanding trials and
-// returns the context's error.
-func RunSeriesCtx(ctx context.Context, seed uint64, trials, points, workers int, f func(r *rng.Source) []float64) ([]*stat.Welford, error) {
-	return RunSeriesGate(ctx, seed, trials, points, workers, nil, f)
-}
-
-// RunSeriesGate is RunSeriesCtx with a cooperative worker Gate: up to workers
-// goroutines are spawned, but only Gate.Limit() of them pick up trials at any
-// moment (nil gate = no cap). Results are bit-identical whatever the gate
-// does — see the Gate contract.
-func RunSeriesGate(ctx context.Context, seed uint64, trials, points, workers int, gate Gate, f func(r *rng.Source) []float64) ([]*stat.Welford, error) {
-	if points < 0 {
-		return nil, fmt.Errorf("mc: negative series length %d", points)
-	}
-	return runTrials(ctx, seed, trials, points, workers, gate, func(t int, r *rng.Source, agg []*stat.Welford) error {
-		vals := f(r)
-		if len(vals) != points {
-			return fmt.Errorf("mc: trial %d returned %d series values, want %d", t, len(vals), points)
-		}
-		for i, v := range vals {
-			agg[i].Add(v)
-		}
-		return nil
-	})
+	return trial(t, r)
 }
 
 // Map evaluates f(i, stream_i) for i in [0, n) on Workers() goroutines and
 // returns the results in index order. Each item owns an independent pre-split
 // stream, so the output is deterministic in seed and independent of the
-// worker count — the parallel-map counterpart of Run for experiments that
-// need per-item results rather than an aggregate (e.g. Fig. 1's per-weight
-// perturbation study).
+// worker count — for experiments that need per-item results rather than an
+// aggregate (e.g. Fig. 1's per-weight perturbation study).
 func Map[T any](seed uint64, n int, f func(i int, r *rng.Source) T) []T {
 	out, err := MapCtx(context.Background(), seed, n, 0, f)
 	if err != nil {
@@ -389,10 +284,13 @@ func MapCtx[T any](ctx context.Context, seed uint64, n, workers int, f func(i in
 	return MapGate(ctx, seed, n, workers, nil, f)
 }
 
-// MapGate is MapCtx with a cooperative worker Gate (see RunSeriesGate).
+// MapGate is MapCtx with a cooperative worker Gate: up to workers goroutines
+// are spawned, but only Gate.Limit() of them pick up items at any moment
+// (nil gate = no cap). Results are bit-identical whatever the gate does —
+// see the Gate contract.
 func MapGate[T any](ctx context.Context, seed uint64, n, workers int, gate Gate, f func(i int, r *rng.Source) T) ([]T, error) {
 	out := make([]T, n)
-	_, err := runTrials(ctx, seed, n, 0, workers, gate, func(t int, r *rng.Source, _ []*stat.Welford) error {
+	err := runTrialRange(ctx, seed, n, 0, n, workers, gate, func(t int, r *rng.Source) error {
 		out[t] = f(t, r)
 		return nil
 	})
@@ -403,14 +301,18 @@ func MapGate[T any](ctx context.Context, seed uint64, n, workers int, gate Gate,
 }
 
 // RunSeriesShard executes only the trial range [lo, hi) of the full
-// (seed, trials) series run and returns the raw per-trial series values in
-// trial order: rows[t-lo][i] is trial t's i-th series value. Trial streams
-// depend only on (seed, trials, t), never on the range boundaries, so the
-// rows of any partition of [0, trials), concatenated in trial order and
-// folded with FoldSeriesRows, reproduce RunSeriesGate's aggregates bit for
-// bit — the primitive behind distributed trial-range sharding: each shard
-// is a serializable slice of per-trial observations (singleton Welford
-// moments), and the coordinator replays the engine's exact reduction.
+// (seed, trials) series run, where each trial returns one value per series
+// point (e.g. accuracy at every NWC grid value), and returns the raw values
+// in trial order: rows[t-lo][i] is trial t's i-th series value. All points
+// within a trial share the trial's stream, mirroring the paper's protocol in
+// which one Monte-Carlo run programs one device instance and measures the
+// whole sweep on it. Trial streams depend only on (seed, trials, t), never
+// on the range boundaries, so the rows of any partition of [0, trials),
+// concatenated in trial order and folded with FoldSeriesRows, reproduce the
+// full range's aggregates bit for bit — each shard is a serializable slice
+// of per-trial observations, and any process can replay the exact fold. A
+// nil gate means no cap (see MapGate); a trial returning the wrong number of
+// values aborts the run with a descriptive error.
 func RunSeriesShard(ctx context.Context, seed uint64, trials, lo, hi, points, workers int, gate Gate, f func(r *rng.Source) []float64) ([][]float64, error) {
 	if points < 0 {
 		return nil, fmt.Errorf("mc: negative series length %d", points)
@@ -419,7 +321,7 @@ func RunSeriesShard(ctx context.Context, seed uint64, trials, lo, hi, points, wo
 		return nil, fmt.Errorf("mc: trial range [%d,%d) outside [0,%d)", lo, hi, trials)
 	}
 	rows := make([][]float64, hi-lo)
-	_, err := runTrialRange(ctx, seed, trials, lo, hi, 0, workers, gate, func(t int, r *rng.Source, _ []*stat.Welford) error {
+	err := runTrialRange(ctx, seed, trials, lo, hi, workers, gate, func(t int, r *rng.Source) error {
 		vals := f(r)
 		if len(vals) != points {
 			return fmt.Errorf("mc: trial %d returned %d series values, want %d", t, len(vals), points)
@@ -434,12 +336,15 @@ func RunSeriesShard(ctx context.Context, seed uint64, trials, lo, hi, points, wo
 }
 
 // FoldSeriesRows folds per-trial series rows — a full trial space's rows
-// concatenated in trial order — into per-point aggregates, using the same
-// reduction the engine applies (a singleton Merge per trial, never Add), so
-// the result is bit-identical to the RunSeriesGate aggregates of the run
-// the rows came from. Every row must have exactly points values.
+// concatenated in trial order — into per-point aggregates: one singleton
+// merge per trial (Welford.MergeObs, never Add), in trial order, so the
+// aggregates depend only on the rows and never on how they were computed.
+// Every row must have exactly points values.
 func FoldSeriesRows(points int, rows [][]float64) ([]*stat.Welford, error) {
-	out := newAgg(points)
+	out := make([]*stat.Welford, points)
+	for i := range out {
+		out[i] = &stat.Welford{}
+	}
 	for t, row := range rows {
 		if len(row) != points {
 			return nil, fmt.Errorf("mc: row %d has %d series values, want %d", t, len(row), points)

@@ -11,7 +11,30 @@ import (
 	"testing"
 
 	"swim/internal/rng"
+	"swim/internal/stat"
 )
+
+// series runs the whole trial range [0, trials) and folds its rows: the
+// path every single-node series run takes.
+func series(ctx context.Context, seed uint64, trials, points, workers int, gate Gate, f func(r *rng.Source) []float64) ([]*stat.Welford, error) {
+	rows, err := RunSeriesShard(ctx, seed, trials, 0, trials, points, workers, gate, f)
+	if err != nil {
+		return nil, err
+	}
+	return FoldSeriesRows(points, rows)
+}
+
+// scalar runs a one-value trial body as a one-point series.
+func scalar(t *testing.T, seed uint64, trials, workers int, f func(r *rng.Source) float64) *stat.Welford {
+	t.Helper()
+	agg, err := series(context.Background(), seed, trials, 1, workers, nil, func(r *rng.Source) []float64 {
+		return []float64{f(r)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg[0]
+}
 
 func TestTrialsDefaultAndOverride(t *testing.T) {
 	os.Unsetenv("SWIM_MC")
@@ -78,7 +101,7 @@ func TestWorkersEnvAndOverride(t *testing.T) {
 }
 
 func TestRunAggregates(t *testing.T) {
-	w := Run(1, 2000, func(r *rng.Source) float64 { return r.Gauss(5, 1) })
+	w := scalar(t, 1, 2000, 0, func(r *rng.Source) float64 { return r.Gauss(5, 1) })
 	if w.N() != 2000 {
 		t.Fatalf("n = %d", w.N())
 	}
@@ -89,12 +112,12 @@ func TestRunAggregates(t *testing.T) {
 
 func TestRunDeterministicInSeed(t *testing.T) {
 	f := func(r *rng.Source) float64 { return r.Float64() }
-	a := Run(9, 50, f)
-	b := Run(9, 50, f)
+	a := scalar(t, 9, 50, 0, f)
+	b := scalar(t, 9, 50, 0, f)
 	if a.Mean() != b.Mean() {
 		t.Fatal("same seed gave different aggregate")
 	}
-	c := Run(10, 50, f)
+	c := scalar(t, 10, 50, 0, f)
 	if a.Mean() == c.Mean() {
 		t.Fatal("different seed gave identical aggregate")
 	}
@@ -111,15 +134,9 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 		}
 		return s
 	}
-	serial, err := RunCtx(context.Background(), 11, 300, 1, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := scalar(t, 11, 300, 1, f)
 	for _, workers := range []int{2, 3, 8, runtime.NumCPU()} {
-		w, err := RunCtx(context.Background(), 11, 300, workers, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := scalar(t, 11, 300, workers, f)
 		if w.Mean() != serial.Mean() || w.Std() != serial.Std() || w.N() != serial.N() {
 			t.Fatalf("workers=%d: mean/std (%v, %v) != serial (%v, %v)",
 				workers, w.Mean(), w.Std(), serial.Mean(), serial.Std())
@@ -128,13 +145,13 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 }
 
 // TestRunHonoursSWIMWorkers pins the acceptance criterion: SWIM_WORKERS=4
-// through the public Run must match the serial path bit for bit.
+// as the default worker count must match the serial path bit for bit.
 func TestRunHonoursSWIMWorkers(t *testing.T) {
 	f := func(r *rng.Source) float64 { return r.Gauss(0, 1) }
 	t.Setenv("SWIM_WORKERS", "1")
-	serial := Run(7, 257, f)
+	serial := scalar(t, 7, 257, 0, f)
 	t.Setenv("SWIM_WORKERS", "4")
-	parallel := Run(7, 257, f)
+	parallel := scalar(t, 7, 257, 0, f)
 	if serial.Mean() != parallel.Mean() || serial.Std() != parallel.Std() {
 		t.Fatalf("SWIM_WORKERS=4 (%v, %v) != serial (%v, %v)",
 			parallel.Mean(), parallel.Std(), serial.Mean(), serial.Std())
@@ -142,7 +159,7 @@ func TestRunHonoursSWIMWorkers(t *testing.T) {
 }
 
 func TestRunSeries(t *testing.T) {
-	agg, err := RunSeries(3, 100, 3, func(r *rng.Source) []float64 {
+	agg, err := series(context.Background(), 3, 100, 3, 0, nil, func(r *rng.Source) []float64 {
 		return []float64{1, r.Float64(), 10}
 	})
 	if err != nil {
@@ -163,12 +180,12 @@ func TestRunSeriesWorkerCountInvariance(t *testing.T) {
 	f := func(r *rng.Source) []float64 {
 		return []float64{r.Float64(), r.Gauss(2, 3), r.Norm() * r.Norm()}
 	}
-	serial, err := RunSeriesCtx(context.Background(), 21, 211, 3, 1, f)
+	serial, err := series(context.Background(), 21, 211, 3, 1, nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, runtime.NumCPU()} {
-		agg, err := RunSeriesCtx(context.Background(), 21, 211, 3, workers, f)
+		agg, err := series(context.Background(), 21, 211, 3, workers, nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +199,7 @@ func TestRunSeriesWorkerCountInvariance(t *testing.T) {
 }
 
 func TestRunSeriesLengthMismatchError(t *testing.T) {
-	_, err := RunSeries(1, 8, 3, func(r *rng.Source) []float64 { return []float64{1} })
+	_, err := RunSeriesShard(context.Background(), 1, 8, 0, 8, 3, 0, nil, func(r *rng.Source) []float64 { return []float64{1} })
 	if err == nil {
 		t.Fatal("length mismatch not reported")
 	}
@@ -195,7 +212,7 @@ func TestRunSeriesLengthMismatchError(t *testing.T) {
 func TestRunSeriesCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	_, err := RunSeriesCtx(ctx, 1, 10000, 1, 2, func(r *rng.Source) []float64 {
+	_, err := RunSeriesShard(ctx, 1, 10000, 0, 10000, 1, 2, nil, func(r *rng.Source) []float64 {
 		if calls.Add(1) == 5 {
 			cancel()
 		}
@@ -212,7 +229,7 @@ func TestRunSeriesCtxCancel(t *testing.T) {
 func TestTrialPanicBecomesError(t *testing.T) {
 	// Trials execute on worker goroutines, where an unrecovered panic would
 	// kill the process; the engine must convert it into a returned error.
-	_, err := RunSeriesCtx(context.Background(), 1, 20, 1, 2, func(r *rng.Source) []float64 {
+	_, err := RunSeriesShard(context.Background(), 1, 20, 0, 20, 1, 2, nil, func(r *rng.Source) []float64 {
 		panic("device model exploded")
 	})
 	if err == nil || !strings.Contains(err.Error(), "device model exploded") {
@@ -223,7 +240,7 @@ func TestTrialPanicBecomesError(t *testing.T) {
 func TestRunSeriesCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSeriesCtx(ctx, 1, 10, 1, 2, func(r *rng.Source) []float64 {
+	_, err := RunSeriesShard(ctx, 1, 10, 0, 10, 1, 2, nil, func(r *rng.Source) []float64 {
 		return []float64{1}
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -232,7 +249,7 @@ func TestRunSeriesCtxPreCancelled(t *testing.T) {
 }
 
 func TestRunZeroTrials(t *testing.T) {
-	w := Run(1, 0, func(r *rng.Source) float64 { t.Fatal("trial ran"); return 0 })
+	w := scalar(t, 1, 0, 0, func(r *rng.Source) float64 { t.Fatal("trial ran"); return 0 })
 	if w.N() != 0 || w.Mean() != 0 {
 		t.Fatalf("zero-trial aggregate: n=%d mean=%v", w.N(), w.Mean())
 	}
@@ -304,11 +321,11 @@ func TestGateInvariance(t *testing.T) {
 	f := func(r *rng.Source) []float64 {
 		return []float64{r.Norm(), r.Float64()}
 	}
-	serial, err := RunSeriesCtx(context.Background(), 77, 25, 2, 1, f)
+	serial, err := series(context.Background(), 77, 25, 2, 1, nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := RunSeriesGate(context.Background(), 77, 25, 2, 4, newFlappyGate(4), f)
+	gated, err := series(context.Background(), 77, 25, 2, 4, newFlappyGate(4), f)
 	if err != nil {
 		t.Fatal(err)
 	}

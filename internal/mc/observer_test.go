@@ -39,12 +39,12 @@ func TestObserverEvents(t *testing.T) {
 	f := func(r *rng.Source) []float64 {
 		return []float64{r.Norm(), r.Float64()}
 	}
-	serial, err := RunSeriesCtx(context.Background(), 91, trials, 2, 1, f)
+	serial, err := series(context.Background(), 91, trials, 2, 1, nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := newObsGate(newFlappyGate(4))
-	observed, err := RunSeriesGate(context.Background(), 91, trials, 2, 4, g, f)
+	observed, err := series(context.Background(), 91, trials, 2, 4, g, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"swim/internal/rng"
+	"swim/internal/stat"
 )
 
 // randomPartition cuts [0, n) into contiguous non-empty ranges at random
@@ -36,15 +37,25 @@ func randomPartition(r *rand.Rand, n int) [][2]int {
 
 // The distributed-execution contract at the engine layer: the rows of ANY
 // contiguous partition of the trial space, computed at any worker counts,
-// fold back into the exact bits the single-node gated path produces.
+// fold back into the exact bits of an independent serial reduction — one
+// Welford per trial fed with Add, merged into the aggregate in trial order.
 func TestRunSeriesShardPartitionBitIdentity(t *testing.T) {
 	const seed, trials, points = 91, 57, 3
 	f := func(r *rng.Source) []float64 {
 		return []float64{r.Float64(), r.Gauss(2, 3), r.Norm() * r.Norm()}
 	}
-	want, err := RunSeriesGate(context.Background(), seed, trials, points, 1, nil, f)
+	serial, err := MapCtx(context.Background(), seed, trials, 1, func(_ int, r *rng.Source) []float64 { return f(r) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]*stat.Welford, points)
+	for i := range want {
+		want[i] = &stat.Welford{}
+		for _, row := range serial {
+			var one stat.Welford
+			one.Add(row[i])
+			want[i].Merge(&one)
+		}
 	}
 
 	r := rand.New(rand.NewSource(7))

@@ -3,11 +3,10 @@ package nonideal
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"swim/internal/device"
 	"swim/internal/rng"
+	"swim/internal/spec"
 )
 
 // Drift is the power-law conductance decay ubiquitous in phase-change and
@@ -27,20 +26,12 @@ type Drift struct {
 	T0 float64
 }
 
-// fnum renders a spec parameter value. It is %g with one amendment: the
-// '+' that %g writes into large exponents ("1e+06") is dropped ("1e06"),
-// because '+' is the stack separator in ParseStack's grammar and a
-// canonical spec must re-parse to itself.
-func fnum(v float64) string {
-	return strings.ReplaceAll(strconv.FormatFloat(v, 'g', -1, 64), "e+", "e")
-}
-
 // Name implements Nonideality.
 func (d Drift) Name() string { return "drift" }
 
 // String implements Nonideality.
 func (d Drift) String() string {
-	return fmt.Sprintf("drift:nu=%s,nustd=%s,t0=%s", fnum(d.Nu), fnum(d.NuStd), fnum(d.T0))
+	return fmt.Sprintf("drift:nu=%s,nustd=%s,t0=%s", spec.FormatFloat(d.Nu), spec.FormatFloat(d.NuStd), spec.FormatFloat(d.T0))
 }
 
 // NewTrial implements Nonideality: one key draw, per-device ν by hashing.
@@ -82,7 +73,7 @@ func (d Retention) Name() string { return "retention" }
 
 // String implements Nonideality.
 func (d Retention) String() string {
-	return fmt.Sprintf("retention:tau=%s,spread=%s", fnum(d.Tau), fnum(d.Spread))
+	return fmt.Sprintf("retention:tau=%s,spread=%s", spec.FormatFloat(d.Tau), spec.FormatFloat(d.Spread))
 }
 
 // NewTrial implements Nonideality.
@@ -121,7 +112,9 @@ type StuckAt struct {
 func (d StuckAt) Name() string { return "stuckat" }
 
 // String implements Nonideality.
-func (d StuckAt) String() string { return fmt.Sprintf("stuckat:p=%s,high=%s", fnum(d.P), fnum(d.High)) }
+func (d StuckAt) String() string {
+	return fmt.Sprintf("stuckat:p=%s,high=%s", spec.FormatFloat(d.P), spec.FormatFloat(d.High))
+}
 
 // NewTrial implements Nonideality.
 func (d StuckAt) NewTrial(m device.Model, r *rng.Source) Instance {
@@ -160,7 +153,7 @@ type D2D struct {
 func (d D2D) Name() string { return "d2d" }
 
 // String implements Nonideality.
-func (d D2D) String() string { return fmt.Sprintf("d2d:spread=%s", fnum(d.Spread)) }
+func (d D2D) String() string { return fmt.Sprintf("d2d:spread=%s", spec.FormatFloat(d.Spread)) }
 
 // NewTrial implements Nonideality.
 func (d D2D) NewTrial(m device.Model, r *rng.Source) Instance {

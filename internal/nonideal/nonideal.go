@@ -5,8 +5,8 @@
 // conductance-level quantization.
 //
 // The package mirrors the program.Policy pattern: a Nonideality is a named,
-// configured model resolved through a string registry (Register / Lookup /
-// Parse), and every Monte-Carlo trial mints its own Instance from the
+// configured model resolved through a spec registry (Register / Parse, see
+// package spec), and every Monte-Carlo trial mints its own Instance from the
 // trial's pre-split RNG stream. Instances are applied at READ time: the
 // mapping and crossbar layers keep the programmed (time-0) conductance of
 // every bit-slice device and pass it through Instance.Apply whenever the

@@ -2,7 +2,6 @@ package nonideal
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"swim/internal/device"
@@ -15,11 +14,7 @@ func testModel() device.Model { return device.Default(8, 0.5) } // 2 bit-slices
 // yield the identical configured value.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, name := range Registered() {
-		b, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := b(nil)
+		n, err := Parse(name)
 		if err != nil {
 			t.Fatalf("%s: defaults rejected: %v", name, err)
 		}
@@ -248,12 +243,5 @@ func TestNewTrialsStreamDiscipline(t *testing.T) {
 	NewTrials(other, m, rD)
 	if rC.Uint64() != rD.Uint64() {
 		t.Fatal("equal-size stacks consumed different amounts of the parent stream")
-	}
-}
-
-func TestLookupErrorListsRegistered(t *testing.T) {
-	_, err := Lookup("bogus")
-	if err == nil || !strings.Contains(err.Error(), "drift") {
-		t.Fatalf("Lookup error should list registered models, got: %v", err)
 	}
 }

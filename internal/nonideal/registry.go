@@ -2,123 +2,37 @@ package nonideal
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
+
+	"swim/internal/spec"
 )
 
-// Params carries the numeric parameters of one model spec (e.g.
-// {"nu": 0.05} for "drift:nu=0.05"). Builders reject unknown keys so a
-// mistyped parameter reads as a usage error, not a silent default.
-type Params map[string]float64
+// models is the nonideality registry (see package spec for the grammar).
+var models = spec.New[Nonideality]("nonideal", "model")
 
-// Builder constructs a configured Nonideality from parameters. Missing keys
-// take the model's defaults; unknown keys are an error.
-type Builder func(p Params) (Nonideality, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
-
-// Register adds a model builder under name. Registering a name twice is an
-// error, mirroring the program-policy registry: silently replacing a model
-// would make scenario specs depend on package-initialization order.
-func Register(name string, b Builder) error {
-	if b == nil {
-		return fmt.Errorf("nonideal: register nil builder")
-	}
-	if name == "" {
-		return fmt.Errorf("nonideal: register builder with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("nonideal: model %q already registered", name)
-	}
-	registry[name] = b
-	return nil
-}
-
-// MustRegister is Register for package-init use; it panics on error.
-func MustRegister(name string, b Builder) {
-	if err := Register(name, b); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup resolves a model builder by name. Unknown names return an error
-// listing what is registered, so a mistyped -nonideal flag reads as a usage
-// hint.
-func Lookup(name string) (Builder, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("nonideal: unknown model %q (registered: %v)", name, registeredLocked())
-	}
-	return b, nil
-}
+// Register adds a model builder under name; registering a name twice is an
+// error.
+func Register(name string, b spec.Builder[Nonideality]) error { return models.Register(name, b) }
 
 // Registered returns the registered model names, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registeredLocked()
-}
-
-func registeredLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Registered() []string { return models.Names() }
 
 // Parse builds one model from a spec string: a registered name optionally
 // followed by colon-separated parameters, e.g. "drift" or
 // "drift:nu=0.05,nustd=0.01". Every built-in's String() round-trips through
 // Parse.
-func Parse(spec string) (Nonideality, error) {
-	name, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	b, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := Params{}
-	if rest != "" {
-		for _, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("nonideal: bad parameter %q in spec %q (want key=value)", kv, spec)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, fmt.Errorf("nonideal: bad value for %q in spec %q: %v", k, spec, err)
-			}
-			p[strings.TrimSpace(k)] = f
-		}
-	}
-	n, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("nonideal: spec %q: %w", spec, err)
-	}
-	return n, nil
-}
+func Parse(s string) (Nonideality, error) { return models.Parse(s) }
 
 // ParseStack parses a '+'-joined stack of model specs, applied in order at
 // read time, e.g. "quantlevels+drift:nu=0.05+stuckat:p=0.001". The empty
 // string and the literal "none" yield an empty stack (the ideal-device
 // baseline), so scenario lists can include the control case.
-func ParseStack(spec string) ([]Nonideality, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
+func ParseStack(s string) ([]Nonideality, error) {
+	if spec.None(s) {
 		return nil, nil
 	}
 	var out []Nonideality
-	for _, one := range strings.Split(spec, "+") {
+	for _, one := range strings.Split(strings.TrimSpace(s), "+") {
 		n, err := Parse(one)
 		if err != nil {
 			return nil, err
@@ -131,107 +45,55 @@ func ParseStack(spec string) ([]Nonideality, error) {
 // FromFlag resolves the CLIs' shared -nonideal flag convention: the
 // literal "list" requests the registered-model listing (returned in
 // listing, with no models); anything else parses as a '+'-stacked
-// scenario via ParseStack. Keeping the convention here means every binary
-// stays in sync when the grammar grows.
-func FromFlag(spec string) (models []Nonideality, listing string, err error) {
-	if strings.TrimSpace(spec) == "list" {
-		return nil, strings.Join(Registered(), "\n"), nil
+// scenario via ParseStack.
+func FromFlag(s string) (stack []Nonideality, listing string, err error) {
+	if listing, ok := models.Listing(s); ok {
+		return nil, listing, nil
 	}
-	models, err = ParseStack(spec)
-	return models, "", err
+	stack, err = ParseStack(s)
+	return stack, "", err
 }
 
 // StackString renders a model stack back to its '+'-joined spec ("none" for
 // an empty stack) — the inverse of ParseStack.
-func StackString(models []Nonideality) string {
-	if len(models) == 0 {
+func StackString(stack []Nonideality) string {
+	if len(stack) == 0 {
 		return "none"
 	}
-	return strings.Join(Names(models), "+")
-}
-
-// pick reads one parameter with a default, recording consumption so the
-// builder can reject leftovers.
-func pick(p Params, used map[string]bool, key string, def float64) float64 {
-	used[key] = true
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// leftover returns an error naming any parameter the builder did not
-// consume.
-func leftover(name string, p Params, used map[string]bool) error {
-	for k := range p {
-		if !used[k] {
-			return fmt.Errorf("unknown parameter %q for model %q", k, name)
-		}
-	}
-	return nil
+	return strings.Join(Names(stack), "+")
 }
 
 func init() {
-	MustRegister("drift", func(p Params) (Nonideality, error) {
-		used := map[string]bool{}
-		d := Drift{
-			Nu:    pick(p, used, "nu", 0.02),
-			NuStd: pick(p, used, "nustd", 0.005),
-			T0:    pick(p, used, "t0", 1),
-		}
-		if err := leftover("drift", p, used); err != nil {
-			return nil, err
-		}
+	models.MustRegister("drift", func(p *spec.Params) (Nonideality, error) {
+		d := Drift{Nu: p.Get("nu", 0.02), NuStd: p.Get("nustd", 0.005), T0: p.Get("t0", 1)}
 		if d.Nu < 0 || d.NuStd < 0 || d.T0 <= 0 {
 			return nil, fmt.Errorf("drift needs nu >= 0, nustd >= 0, t0 > 0 (got nu=%g nustd=%g t0=%g)", d.Nu, d.NuStd, d.T0)
 		}
 		return d, nil
 	})
-	MustRegister("retention", func(p Params) (Nonideality, error) {
-		used := map[string]bool{}
-		d := Retention{
-			Tau:    pick(p, used, "tau", 1e6),
-			Spread: pick(p, used, "spread", 0.5),
-		}
-		if err := leftover("retention", p, used); err != nil {
-			return nil, err
-		}
+	models.MustRegister("retention", func(p *spec.Params) (Nonideality, error) {
+		d := Retention{Tau: p.Get("tau", 1e6), Spread: p.Get("spread", 0.5)}
 		if d.Tau <= 0 || d.Spread < 0 {
 			return nil, fmt.Errorf("retention needs tau > 0 and spread >= 0 (got tau=%g spread=%g)", d.Tau, d.Spread)
 		}
 		return d, nil
 	})
-	MustRegister("stuckat", func(p Params) (Nonideality, error) {
-		used := map[string]bool{}
-		d := StuckAt{
-			P:    pick(p, used, "p", 1e-3),
-			High: pick(p, used, "high", 0.5),
-		}
-		if err := leftover("stuckat", p, used); err != nil {
-			return nil, err
-		}
+	models.MustRegister("stuckat", func(p *spec.Params) (Nonideality, error) {
+		d := StuckAt{P: p.Get("p", 1e-3), High: p.Get("high", 0.5)}
 		if d.P < 0 || d.P > 1 || d.High < 0 || d.High > 1 {
 			return nil, fmt.Errorf("stuckat needs p and high in [0, 1] (got p=%g high=%g)", d.P, d.High)
 		}
 		return d, nil
 	})
-	MustRegister("d2d", func(p Params) (Nonideality, error) {
-		used := map[string]bool{}
-		d := D2D{Spread: pick(p, used, "spread", 0.3)}
-		if err := leftover("d2d", p, used); err != nil {
-			return nil, err
-		}
+	models.MustRegister("d2d", func(p *spec.Params) (Nonideality, error) {
+		d := D2D{Spread: p.Get("spread", 0.3)}
 		if d.Spread < 0 {
 			return nil, fmt.Errorf("d2d needs spread >= 0 (got %g)", d.Spread)
 		}
 		return d, nil
 	})
-	MustRegister("quantlevels", func(p Params) (Nonideality, error) {
-		used := map[string]bool{}
-		bits := pick(p, used, "bits", 4)
-		if err := leftover("quantlevels", p, used); err != nil {
-			return nil, err
-		}
+	models.MustRegister("quantlevels", func(p *spec.Params) (Nonideality, error) {
+		bits := p.Get("bits", 4)
 		if bits < 1 || bits != float64(int(bits)) || bits > 16 {
 			return nil, fmt.Errorf("quantlevels needs integer bits in [1, 16] (got %g)", bits)
 		}

@@ -62,8 +62,8 @@ func costGeometry(net *nn.Network, dev device.Model) cost.Geometry {
 
 // applyCost composes the model over a grid Result's folded cycle
 // aggregates, pricing the calibration probe pass when one is configured
-// (calibSpec and probes both set). Shared by runGrid and MergeShards so the
-// local and the distributed path run the identical composition.
+// (calibSpec and probes both set). Shard.fold calls it for both a local Run
+// and MergeShards, so the two paths run the identical composition.
 func applyCost(res *Result, m cost.Model, geom cost.Geometry, calibSpec string, probes *cost.ProbeOps) {
 	targets := make([]float64, len(res.Points))
 	cycles := make([]*stat.Welford, len(res.Points))

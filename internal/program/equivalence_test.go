@@ -34,14 +34,37 @@ func eqDeviceAndTable(seed uint64) (device.Model, []float64) {
 	return dm, dm.CycleTable(300, rng.New(seed^0x5eed))
 }
 
+// legacySeries runs eqTrials trials of f on the pipeline's trial streams
+// (mc.MapCtx splits them exactly like the pipeline) and reduces the values
+// independently of the pipeline's row fold: one Welford per trial and point
+// fed with Add, merged into the point's aggregate in trial order.
+func legacySeries(t *testing.T, points, workers int, f func(r *rng.Source) []float64) []*stat.Welford {
+	t.Helper()
+	rows, err := mc.MapCtx(context.Background(), eqSeed, eqTrials, workers,
+		func(_ int, r *rng.Source) []float64 { return f(r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := make([]*stat.Welford, points)
+	for i := range agg {
+		agg[i] = &stat.Welford{}
+		for _, row := range rows {
+			var one stat.Welford
+			one.Add(row[i])
+			agg[i].Merge(&one)
+		}
+	}
+	return agg
+}
+
 // legacySweep is the pre-redesign Sweep trial loop: selector order, then
 // device programming, then cumulative WriteVerifyToNWC per grid point (or
-// the in-situ write loop), aggregated with the mc engine.
+// the in-situ write loop), aggregated by legacySeries.
 func legacySweep(t *testing.T, w *testWorkload, method string, grid []float64, workers int) ([]*stat.Welford, []*stat.Welford) {
 	t.Helper()
 	dm, table := eqDeviceAndTable(eqSeed)
 	points := len(grid)
-	agg, err := mc.RunSeriesCtx(context.Background(), eqSeed, eqTrials, 2*points, workers,
+	agg := legacySeries(t, 2*points, workers,
 		func(r *rng.Source) []float64 {
 			out := make([]float64, 2*points)
 			var order []int
@@ -76,9 +99,6 @@ func legacySweep(t *testing.T, w *testWorkload, method string, grid []float64, w
 			}
 			return out
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return agg[:points], agg[points:]
 }
 
@@ -131,7 +151,7 @@ func TestInSituEquivalenceWithInSituToNWC(t *testing.T) {
 	const target = 0.2
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		dm, table := eqDeviceAndTable(eqSeed)
-		want, err := mc.RunSeriesCtx(context.Background(), eqSeed, eqTrials, 2, workers,
+		want := legacySeries(t, 2, workers,
 			func(r *rng.Source) []float64 {
 				mp, err := mapping.New(w.net, dm, table, r)
 				if err != nil {
@@ -140,9 +160,6 @@ func TestInSituEquivalenceWithInSituToNWC(t *testing.T) {
 				swim.InSituToNWC(mp, w.ds.TrainX, w.ds.TrainY, target, swim.DefaultInSitu(), r)
 				return []float64{mp.Accuracy(w.ds.TestX, w.ds.TestY, 64), mp.NWC()}
 			})
-		if err != nil {
-			t.Fatal(err)
-		}
 		res := runPipelineGrid(t, w, "insitu", []float64{target}, workers)
 		if err := sameWelford(res.Points[0].Accuracy, want[0]); err != nil {
 			t.Errorf("workers=%d accuracy: %v", workers, err)

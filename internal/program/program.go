@@ -458,7 +458,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	switch b := p.budget.(type) {
 	case NWCGrid:
-		return p.runGrid(ctx, &env, table, b)
+		sh, err := p.runShard(ctx, &env, table, b)
+		if err != nil {
+			return nil, err
+		}
+		return sh.fold(sh.Rows, p.costModel)
 	case DropTarget:
 		return p.runDrop(ctx, &env, table, b)
 	}
@@ -568,46 +572,6 @@ func (p *Pipeline) gridTrial(env *Env, table []float64, b NWCGrid) func(r *rng.S
 	}
 }
 
-// runGrid walks the cumulative NWC grid on one device instance per trial.
-// With a trial range configured it executes (and folds) only that range.
-func (p *Pipeline) runGrid(ctx context.Context, env *Env, table []float64, b NWCGrid) (*Result, error) {
-	points := len(b.Targets)
-	var agg []*stat.Welford
-	var err error
-	trials := p.trials
-	if p.ranged {
-		trials = p.rangeHi - p.rangeLo
-	}
-	gate, ps := p.wrapGate(trials)
-	if p.ranged {
-		var rows [][]float64
-		rows, err = mc.RunSeriesShard(ctx, p.seed, p.trials, p.rangeLo, p.rangeHi, 3*points, p.workers, gate, p.gridTrial(env, table, b))
-		if err == nil {
-			agg, err = mc.FoldSeriesRows(3*points, rows)
-		}
-	} else {
-		agg, err = mc.RunSeriesGate(ctx, p.seed, p.trials, 3*points, p.workers, gate, p.gridTrial(env, table, b))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
-	}
-	ps.complete()
-	res := &Result{
-		Policy: p.policy.Name(), Budget: p.budget, Trials: trials,
-		Nonidealities: nonideal.Names(p.nonideal), ReadTime: p.readTime,
-		Calibration: p.calibSpec(),
-	}
-	for i, target := range b.Targets {
-		res.Points = append(res.Points, Point{
-			Target: target, Accuracy: agg[i], NWC: agg[points+i], Cycles: agg[2*points+i],
-		})
-	}
-	if p.costModel != nil {
-		applyCost(res, *p.costModel, costGeometry(env.Net, env.Device), p.calibSpec(), p.calibProbes(env))
-	}
-	return res, nil
-}
-
 // dropOut is one trial's outcome under a drop budget.
 type dropOut struct {
 	accs     []float64 // accuracy after each granule, including step 0
@@ -712,6 +676,6 @@ func (p *Pipeline) runDrop(ctx context.Context, env *Env, table []float64, b Dro
 	return res, nil
 }
 
-// addObs folds one observation into w as a singleton merge, mirroring the mc
-// engine's per-trial-accumulator reduction bit for bit.
+// addObs folds one observation into w as a singleton merge, the reduction
+// mc.FoldSeriesRows applies to grid rows.
 func addObs(w *stat.Welford, v float64) { w.MergeObs(v) }

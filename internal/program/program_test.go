@@ -97,16 +97,6 @@ func TestRegistryBuiltinsResolvable(t *testing.T) {
 	}
 }
 
-func TestRegistryUnknownName(t *testing.T) {
-	_, err := Lookup("no-such-policy")
-	if err == nil {
-		t.Fatal("unknown policy resolved")
-	}
-	if !strings.Contains(err.Error(), "no-such-policy") || !strings.Contains(err.Error(), "swim") {
-		t.Fatalf("error %q should name the miss and list registered policies", err)
-	}
-}
-
 func TestRegistryDuplicateRegistration(t *testing.T) {
 	p := SelectorPolicy("test-dup", func(env *Env) (swim.Selector, error) {
 		return swim.NewMagnitudeSelector(env.Weights), nil

@@ -1,35 +1,23 @@
 package program
 
 import (
-	"fmt"
-	"sort"
+	"errors"
 	"strings"
-	"sync"
+
+	"swim/internal/spec"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Policy{}
-)
+// policies is the policy registry (see package spec). A policy takes no
+// parameters, so each entry's builder returns the registered value.
+var policies = spec.New[Policy]("program", "policy")
 
 // Register adds a policy to the registry under its Name. Registering a name
-// twice is an error: silently replacing a policy would make experiment
-// results depend on package-initialization order.
+// twice is an error.
 func Register(p Policy) error {
 	if p == nil {
-		return fmt.Errorf("program: register nil policy")
+		return errors.New("program: register nil policy")
 	}
-	name := p.Name()
-	if name == "" {
-		return fmt.Errorf("program: register policy with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("program: policy %q already registered", name)
-	}
-	registry[name] = p
-	return nil
+	return policies.Register(p.Name(), func(*spec.Params) (Policy, error) { return p, nil })
 }
 
 // MustRegister is Register for package-init use; it panics on error.
@@ -42,13 +30,11 @@ func MustRegister(p Policy) {
 // Lookup resolves a policy by name. Unknown names return an error listing
 // what is registered, so a mistyped -policy flag reads as a usage hint.
 func Lookup(name string) (Policy, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("program: unknown policy %q (registered: %v)", name, namesLocked())
+	b, err := policies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return b(nil)
 }
 
 // ResolveNames parses a comma-separated policy list (the CLIs' -policies
@@ -70,17 +56,4 @@ func ResolveNames(csv string) ([]string, error) {
 }
 
 // Names returns the registered policy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return policies.Names() }

@@ -18,7 +18,6 @@ import (
 	"swim/internal/cost"
 	"swim/internal/mc"
 	"swim/internal/nonideal"
-	"swim/internal/stat"
 )
 
 // Shard is one trial range's partial grid-budget result: the raw per-trial
@@ -75,18 +74,25 @@ func (p *Pipeline) RunShard(ctx context.Context) (*Shard, error) {
 	if !ok {
 		return nil, fmt.Errorf("program: RunShard requires a grid budget, got %T", p.budget)
 	}
-	lo, hi := 0, p.trials
-	if p.ranged {
-		lo, hi = p.rangeLo, p.rangeHi
-	}
 	env := p.env // shallow copy: RunShard never mutates the Pipeline
 	table, err := p.prepare(&env)
 	if err != nil {
 		return nil, err
 	}
+	return p.runShard(ctx, &env, table, b)
+}
+
+// runShard walks the cumulative NWC grid on one device instance per trial
+// over the configured trial range — the body of both RunShard and a grid
+// budget's Run, which folds the rows it returns.
+func (p *Pipeline) runShard(ctx context.Context, env *Env, table []float64, b NWCGrid) (*Shard, error) {
+	lo, hi := 0, p.trials
+	if p.ranged {
+		lo, hi = p.rangeLo, p.rangeHi
+	}
 	points := len(b.Targets)
 	gate, ps := p.wrapGate(hi - lo)
-	rows, err := mc.RunSeriesShard(ctx, p.seed, p.trials, lo, hi, 3*points, p.workers, gate, p.gridTrial(&env, table, b))
+	rows, err := mc.RunSeriesShard(ctx, p.seed, p.trials, lo, hi, 3*points, p.workers, gate, p.gridTrial(env, table, b))
 	if err != nil {
 		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
 	}
@@ -105,7 +111,7 @@ func (p *Pipeline) RunShard(ctx context.Context) (*Shard, error) {
 	if p.costModel != nil {
 		geom := costGeometry(env.Net, env.Device)
 		sh.Cost, sh.Geom = p.costModel.Spec(), &geom
-		sh.Probes = p.calibProbes(&env)
+		sh.Probes = p.calibProbes(env)
 	}
 	return sh, nil
 }
@@ -123,7 +129,6 @@ func MergeShards(shards []*Shard) (*Result, error) {
 	sorted := append([]*Shard(nil), shards...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
 	first := sorted[0]
-	points := len(first.Targets)
 	covered := 0
 	for _, sh := range sorted {
 		if err := compatibleShards(first, sh); err != nil {
@@ -140,40 +145,46 @@ func MergeShards(shards []*Shard) (*Result, error) {
 	if covered != first.Trials {
 		return nil, fmt.Errorf("program: shards cover [0,%d) of %d trials", covered, first.Trials)
 	}
-
-	agg := make([]*stat.Welford, 3*points)
-	for i := range agg {
-		agg[i] = &stat.Welford{}
-	}
+	rows := make([][]float64, 0, first.Trials)
 	for _, sh := range sorted {
-		for t, row := range sh.Rows {
-			if len(row) != 3*points {
-				return nil, fmt.Errorf("program: shard [%d,%d) row %d has %d values, want %d", sh.Lo, sh.Hi, t, len(row), 3*points)
-			}
-			for i, v := range row {
-				agg[i].MergeObs(v)
-			}
-		}
+		rows = append(rows, sh.Rows...)
 	}
-	res := &Result{
-		Policy: first.Policy, Budget: GridBudget(first.Targets...), Trials: first.Trials,
-		Nonidealities: append([]string(nil), first.Nonidealities...), ReadTime: first.ReadTime,
-		Calibration: first.Calib,
-	}
-	for i, target := range first.Targets {
-		res.Points = append(res.Points, Point{
-			Target: target, Accuracy: agg[i], NWC: agg[points+i], Cycles: agg[2*points+i],
-		})
-	}
+	var m *cost.Model
 	if first.Cost != "" {
-		m, err := cost.Parse(first.Cost)
+		parsed, err := cost.Parse(first.Cost)
 		if err != nil {
 			return nil, fmt.Errorf("program: shard cost model: %w", err)
 		}
 		if first.Geom == nil {
 			return nil, fmt.Errorf("program: shard carries cost spec %q but no geometry", first.Cost)
 		}
-		applyCost(res, m, *first.Geom, first.Calib, first.Probes)
+		m = &parsed
+	}
+	return first.fold(rows, m)
+}
+
+// fold builds the Result of a grid run from its per-trial rows in trial
+// order, taking the run metadata from sh: the one reduction behind both a
+// local Run and MergeShards. A non-nil cost model composes a cost report
+// over sh's geometry.
+func (sh *Shard) fold(rows [][]float64, m *cost.Model) (*Result, error) {
+	points := len(sh.Targets)
+	agg, err := mc.FoldSeriesRows(3*points, rows)
+	if err != nil {
+		return nil, fmt.Errorf("program: %w", err)
+	}
+	res := &Result{
+		Policy: sh.Policy, Budget: GridBudget(sh.Targets...), Trials: len(rows),
+		Nonidealities: append([]string(nil), sh.Nonidealities...), ReadTime: sh.ReadTime,
+		Calibration: sh.Calib,
+	}
+	for i, target := range sh.Targets {
+		res.Points = append(res.Points, Point{
+			Target: target, Accuracy: agg[i], NWC: agg[points+i], Cycles: agg[2*points+i],
+		})
+	}
+	if m != nil {
+		applyCost(res, *m, *sh.Geom, sh.Calib, sh.Probes)
 	}
 	return res, nil
 }
