@@ -27,6 +27,7 @@ import (
 	"sync"
 	"testing"
 
+	"swim/internal/calib"
 	"swim/internal/data"
 	"swim/internal/device"
 	"swim/internal/eval"
@@ -36,9 +37,11 @@ import (
 	"swim/internal/mc"
 	"swim/internal/models"
 	"swim/internal/nn"
+	"swim/internal/nonideal"
 	"swim/internal/obs"
 	"swim/internal/program"
 	"swim/internal/rng"
+	"swim/internal/swim"
 	"swim/internal/tensor"
 )
 
@@ -500,6 +503,55 @@ func BenchmarkMapNetwork(b *testing.B) {
 		if _, err := mapping.New(net, dm, table, r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrialSetup measures one Monte-Carlo trial's set-up as the
+// pipeline performs it — policy state, programming, nonideality and
+// calibration instances — on LeNet read one day after programming under
+// drift:nu=0.1 with gainoffset calibration. The trials of each policy share
+// one Env, as a run's trials do: swim's once-per-run ranking happens before
+// the timer, random draws a permutation per trial.
+func BenchmarkTrialSetup(b *testing.B) {
+	ds := data.MNISTLike(128, 64, 42)
+	net := models.LeNet(10, 4, rng.New(1))
+	dm := device.Default(4, 0.5)
+	table := dm.CycleTable(50, rng.New(2))
+	drift, err := nonideal.Parse("drift:nu=0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, err := calib.Parse("gainoffset")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hess := swim.Sensitivity(net.Clone(), ds.TrainX, ds.TrainY, 64)
+	weights := swim.FlatWeights(net)
+	for _, name := range []string{"swim", "random"} {
+		pol, err := program.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env := &program.Env{Net: net, Device: dm, Hess: hess, Weights: weights}
+		if _, err := pol.NewTrial(env, rng.New(3)); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			r := rng.New(4)
+			for i := 0; i < b.N; i++ {
+				tr := r.Split()
+				if _, err := pol.NewTrial(env, tr); err != nil {
+					b.Fatal(err)
+				}
+				mp, err := mapping.New(net, dm, table, tr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mp.SetNonideal(nonideal.NewTrials([]nonideal.Nonideality{drift}, dm, tr.Split()), 86400)
+				mp.SetCalibration(cal.NewTrial(tr.Split()))
+			}
+		})
 	}
 }
 

@@ -111,6 +111,7 @@ type TieBreakResult struct {
 type noTieSelector struct{ hess []float64 }
 
 func (s *noTieSelector) Name() string { return "swim-no-tiebreak" }
+func (s *noTieSelector) FixedOrder()  {}
 func (s *noTieSelector) Order(*rng.Source) []int {
 	idx := make([]int, len(s.hess))
 	for i := range idx {

@@ -52,10 +52,8 @@ func TestCalibrationRecoversGainDegradation(t *testing.T) {
 		}
 	}
 
-	// Removing the stage keeps the last corrected values but the next full
-	// sync reverts to the raw degraded read-out.
+	// Removing the stage reverts to the raw degraded read-out.
 	mp.SetCalibration(nil)
-	mp.needFull = true
 	mp.SyncRead()
 	raw := 0.0
 	for _, e := range mp.ProgrammedError() {
@@ -134,4 +132,80 @@ func TestCalibrationWithoutNonideality(t *testing.T) {
 	if after > 2*before {
 		t.Fatalf("calibration amplified programming error: %g -> %g", before, after)
 	}
+}
+
+// countingInstance wraps an Instance and counts its device reads.
+type countingInstance struct {
+	inner nonideal.Instance
+	reads int
+}
+
+func (ci *countingInstance) Apply(dev int, g float64, t float64) float64 {
+	ci.reads++
+	return ci.inner.Apply(dev, g, t)
+}
+
+// networkWeights snapshots the network's mapped weights in flat order.
+func networkWeights(mp *Mapped) []float64 {
+	out := make([]float64, mp.total)
+	for i := range out {
+		p, off, _ := mp.locate(i)
+		out[i] = p.Data.Data[off]
+	}
+	return out
+}
+
+// requireFullResyncMatches forces a full resync and checks it leaves want,
+// bit for bit, in the network.
+func requireFullResyncMatches(t *testing.T, mp *Mapped, want []float64) {
+	t.Helper()
+	mp.needFull = true
+	mp.SyncRead()
+	for i, v := range networkWeights(mp) {
+		if v != want[i] {
+			t.Fatalf("weight %d: calibrated set-up %v != forced full resync %v", i, want[i], v)
+		}
+	}
+}
+
+// countedDriftMapping programs LeNet on two 2-bit devices per weight under
+// a counted drift instance.
+func countedDriftMapping(t *testing.T) (*Mapped, device.Model, *countingInstance) {
+	t.Helper()
+	dm := device.Default(4, 0.5)
+	dm.DeviceBits = 2
+	mp := mustNew(t, models.LeNet(10, 4, rng.New(1)), dm, dm.CycleTable(50, rng.New(2)), rng.New(3))
+	ci := &countingInstance{inner: nonideal.Drift{Nu: 0.1, NuStd: 0.02, T0: 1}.NewTrial(dm, rng.New(41))}
+	mp.SetNonideal(ci, 86400)
+	return mp, dm, ci
+}
+
+// Trial set-up installs a nonideality and then a calibration. The
+// calibration fits from the raw read-out the nonideality's sync left in the
+// network, so set-up reads every device exactly once, and the result equals
+// a full resync bit for bit.
+func TestCalibrationSetupReadsEachDeviceOnce(t *testing.T) {
+	mp, dm, ci := countedDriftMapping(t)
+	mp.SetCalibration(mustCalibrator(t, "gainoffset", 43))
+	if want := mp.TotalWeights() * dm.NumDevices(); ci.reads != want {
+		t.Fatalf("set-up made %d device reads, want %d (one per device)", ci.reads, want)
+	}
+	requireFullResyncMatches(t, mp, networkWeights(mp))
+}
+
+// Weights reprogrammed between the nonideality and the calibration are
+// re-read before the fit (only they are), and the fit still equals a full
+// resync bit for bit.
+func TestCalibrationSetupAfterReprogram(t *testing.T) {
+	mp, dm, ci := countedDriftMapping(t)
+	r := rng.New(42)
+	const reprogrammed = 50
+	for i := 0; i < reprogrammed; i++ {
+		mp.WriteVerifyAt(7*i, r)
+	}
+	mp.SetCalibration(mustCalibrator(t, "gainoffset", 43))
+	if want := (mp.TotalWeights() + reprogrammed) * dm.NumDevices(); ci.reads != want {
+		t.Fatalf("set-up made %d device reads, want %d", ci.reads, want)
+	}
+	requireFullResyncMatches(t, mp, networkWeights(mp))
 }

@@ -372,19 +372,39 @@ func (mp *Mapped) SetNonideal(inst nonideal.Instance, readTime float64) {
 // correction from its probe budget, and writes the corrected weights into
 // the network. Calibration sits strictly after nonideality application:
 // the fit sees exactly what a probe read at the configured read time would
-// measure. A nil c removes the stage; the weights keep their last-synced
-// values until the next programming operation or SetNonideal rewrites them.
+// measure.
+//
+// Installed over a nonideality with no calibration in place, the first
+// fit reads only the devices reprogrammed since the last sync: the network
+// already holds every other weight's raw read-out, and Apply is pure, so a
+// second read would return the same bits. A nil c removes the stage and
+// puts the raw read-out back into the network.
 func (mp *Mapped) SetCalibration(c *calib.Calibrator) {
-	mp.cal = c
-	mp.dirty = mp.dirty[:0]
 	if c == nil {
-		mp.rawRead, mp.corr = nil, nil
+		if mp.cal != nil {
+			// The network holds corrected values: re-read every weight.
+			mp.cal, mp.rawRead, mp.corr = nil, nil, nil
+			mp.dirty, mp.needFull = mp.dirty[:0], false
+			for i := 0; i < mp.total; i++ {
+				mp.syncWeight(i)
+			}
+		}
 		return
 	}
 	if mp.rawRead == nil {
 		mp.rawRead = make([]float64, mp.total)
 		mp.corr = make([]calib.Correction, len(mp.loc.params))
 	}
+	if mp.inst != nil && mp.cal == nil {
+		mp.SyncRead() // lands pending reprograms' raw read-out in the network
+		mp.cal = c
+		for pi, p := range mp.loc.params {
+			copy(mp.rawRead[mp.loc.offsets[pi]:], p.Data.Data)
+		}
+		mp.recalibrate()
+		return
+	}
+	mp.cal = c
 	mp.needFull = true
 	mp.SyncRead()
 }

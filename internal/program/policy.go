@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"swim/internal/device"
 	"swim/internal/mapping"
@@ -17,6 +18,13 @@ import (
 // Pipeline assembles it from the functional options; Hess and Weights are
 // filled lazily (from WithSensitivity or the WithCalibration pass) before
 // any trial runs.
+//
+// An Env must not change once a trial has been minted from it: selector
+// policies rank a fixed-order selector (swim.FixedOrder) once per Env and
+// every later trial shares that order. To vary the context, build a new
+// Env, or copy one that has not minted a trial yet (copies share the
+// cache). Pipeline.Run and RunShard take such a copy per run, so a run
+// ranks once and never reuses another run's order.
 type Env struct {
 	Net     *nn.Network
 	Device  device.Model
@@ -25,6 +33,31 @@ type Env struct {
 	TrainX  *tensor.Tensor
 	TrainY  []int
 	InSitu  swim.InSituConfig
+
+	// ranks maps each selector policy to its once-per-Env ranking (see
+	// fixedOrder). Guarded by ranksMu.
+	ranks map[*selectorPolicy]func() ([]int, error)
+}
+
+// ranksMu guards every Env's ranks map. A run's trials mint their state
+// concurrently from one *Env, and a lock held in Env itself would turn the
+// per-run copies Pipeline takes into lock copies.
+var ranksMu sync.Mutex
+
+// fixedOrder returns p's fixed order over env, ranking it on first use; nil
+// when p's selector draws its order per trial.
+func (env *Env) fixedOrder(p *selectorPolicy) ([]int, error) {
+	ranksMu.Lock()
+	rank := env.ranks[p]
+	if rank == nil {
+		if env.ranks == nil {
+			env.ranks = make(map[*selectorPolicy]func() ([]int, error))
+		}
+		rank = sync.OnceValues(func() ([]int, error) { return p.rankFixed(env) })
+		env.ranks[p] = rank
+	}
+	ranksMu.Unlock()
+	return rank()
 }
 
 // Policy is a named strategy for spending a write budget on a mapped
@@ -81,7 +114,11 @@ type SelectorBacked interface {
 
 // SelectorPolicy adapts a swim.Selector factory into a Policy, so custom
 // rankings (tie-break ablations, Fisher sensitivities, ...) run on the same
-// pipeline as the built-ins. The build function is called once per trial.
+// pipeline as the built-ins. build must depend on nothing but env. A
+// selector carrying swim.FixedOrder is built and ranked once per Env, with
+// a nil rng, and every trial minted from that Env shares the order; any
+// other selector is built once per trial and draws its order from the
+// trial's stream.
 func SelectorPolicy(name string, build func(env *Env) (swim.Selector, error)) SelectorBacked {
 	return &selectorPolicy{name: name, build: build}
 }
@@ -101,19 +138,46 @@ func (p *selectorPolicy) validateEnv(env *Env) error {
 }
 
 func (p *selectorPolicy) NewTrial(env *Env, r *rng.Source) (Trial, error) {
+	order, err := env.fixedOrder(p)
+	if err != nil {
+		return nil, err
+	}
+	if order == nil {
+		sel, err := p.build(env)
+		if err != nil {
+			return nil, err
+		}
+		order = sel.Order(r)
+	}
+	return &selectorTrial{order: order}, nil
+}
+
+// rankFixed builds the selector over env and, when it carries
+// swim.FixedOrder, ranks it with a nil rng; otherwise it returns a nil
+// order. A selector that claims the mark but reads its rng panics there,
+// which becomes the returned error.
+func (p *selectorPolicy) rankFixed(env *Env) (order []int, err error) {
 	sel, err := p.build(env)
 	if err != nil {
 		return nil, err
 	}
-	return &selectorTrial{order: sel.Order(r)}, nil
+	if _, ok := sel.(swim.FixedOrder); !ok {
+		return nil, nil
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("selector %q is marked swim.FixedOrder but Order(nil) panicked: %v", sel.Name(), v)
+		}
+	}()
+	return sel.Order(nil), nil
 }
 
 // selectorTrial spends budget by write-verifying along a fixed priority
 // order, replicating swim.WriteVerifyToNWC (SpendTo) and the granule loop of
 // swim.Algorithm1 (Step) exactly.
 type selectorTrial struct {
-	order    []int
-	frontier int // weights advanced past by Step
+	order    []int // read-only: fixed orders are shared across trials
+	frontier int   // weights advanced past by Step
 }
 
 func (t *selectorTrial) SpendTo(mp *mapping.Mapped, nwc float64, r *rng.Source) {

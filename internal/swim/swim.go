@@ -61,6 +61,7 @@ func FlatWeights(net *nn.Network) []float64 {
 }
 
 // Selector produces a write-verify priority order (most critical first).
+// Selectors whose Order ignores its rng say so by implementing FixedOrder.
 type Selector interface {
 	// Name identifies the selector in reports.
 	Name() string
@@ -68,6 +69,20 @@ type Selector interface {
 	// stochastic selectors (Random) reshuffle per Monte-Carlo trial;
 	// deterministic selectors ignore it.
 	Order(r *rng.Source) []int
+}
+
+// FixedOrder marks a Selector whose Order ignores its rng, so one order
+// serves every Monte-Carlo trial: the program pipeline ranks such a
+// selector once per run and shares the result read-only across trials
+// instead of re-sorting per trial. Callers computing a shared order pass a
+// nil rng, so a selector that claims the mark but draws from its stream
+// panics instead of silently reusing one draw. SWIMSelector (which
+// NewFisherSelector also returns) and MagnitudeSelector carry it;
+// RandomSelector does not.
+type FixedOrder interface {
+	Selector
+	// FixedOrder is the marker method; it does nothing.
+	FixedOrder()
 }
 
 // SWIMSelector ranks by second derivative, breaking ties by |w| (paper
@@ -89,6 +104,9 @@ func NewSWIMSelector(hess, weights []float64) *SWIMSelector {
 
 // Name implements Selector.
 func (s *SWIMSelector) Name() string { return "swim" }
+
+// FixedOrder implements FixedOrder: the ranking ignores the rng.
+func (s *SWIMSelector) FixedOrder() {}
 
 // Order implements Selector.
 func (s *SWIMSelector) Order(*rng.Source) []int {
@@ -116,6 +134,9 @@ func NewMagnitudeSelector(weights []float64) *MagnitudeSelector {
 
 // Name implements Selector.
 func (s *MagnitudeSelector) Name() string { return "magnitude" }
+
+// FixedOrder implements FixedOrder: the ranking ignores the rng.
+func (s *MagnitudeSelector) FixedOrder() {}
 
 // Order implements Selector.
 func (s *MagnitudeSelector) Order(*rng.Source) []int {
