@@ -5,13 +5,12 @@
 // once, so `go test -bench=. -benchmem` doubles as the reproduction run.
 //
 // Allocation benchmarks: the BenchmarkEvalPlan* family measures the compiled
-// evaluation engine (internal/eval) with -benchmem and must report 0
-// allocs/op in steady state — CI's allocation-regression step parses the
-// benchmark output and fails the build if the plan path ever allocates. The
-// BenchmarkEvalLegacy* twins keep the allocating per-layer Forward path
-// measured for comparison (the before/after numbers are recorded in
-// EXPERIMENTS.md), and BenchmarkEvalParallel tracks plan-based evaluation
-// under concurrent per-worker evaluators at 1 and NumCPU workers.
+// evaluation engine (internal/eval), the only inference path, with
+// -benchmem and must report 0 allocs/op in steady state — CI's
+// allocation-regression step parses the benchmark output and fails the
+// build if the plan path ever allocates. BenchmarkEvalParallel tracks
+// plan-based evaluation under every kernel backend at 1 and NumCPU
+// concurrent per-worker evaluators.
 //
 // Scale: by default the harness forces SWIM_FAST workloads so the whole
 // suite completes on a laptop core in minutes. Set SWIM_FULL=1 (and
@@ -305,12 +304,11 @@ func BenchmarkForwardLeNet(b *testing.B) {
 	}
 }
 
-// --- compiled evaluation engine: plan vs legacy Forward ---------------------
+// --- compiled evaluation engine ---------------------------------------------
 //
 // BenchmarkEvalPlan* runs full-dataset accuracy through the compiled
 // zero-allocation engine (internal/eval); the allocation-regression CI step
-// pins its steady state at 0 allocs/op. BenchmarkEvalLegacy* is the same
-// workload on the allocating per-layer Forward path, kept for comparison.
+// pins its steady state at 0 allocs/op.
 
 // obsPlanObserver mirrors the serving daemon's metrics wiring: per-backend
 // compiled-plan latency observed into an obs histogram vector.
@@ -360,17 +358,6 @@ func benchEvalPlan(b *testing.B, model string) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.Accuracy(x, y, 32); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func benchEvalLegacy(b *testing.B, model string) {
-	net, x, y := evalWorkload(model)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bt := range data.Batches(x, y, 32) {
-			net.CountCorrect(bt.X, bt.Y)
 		}
 	}
 }
@@ -438,15 +425,14 @@ func BenchmarkEvalPlanCostAccounting(b *testing.B) {
 		costAccountingSink = mp.Accuracy(ds.TrainX, ds.TrainY, 32) + mp.CyclesUsed + mp.NWC()
 	}
 }
-func BenchmarkEvalLegacyLeNet(b *testing.B)  { benchEvalLegacy(b, "lenet") }
-func BenchmarkEvalLegacyResNet(b *testing.B) { benchEvalLegacy(b, "resnet") }
 
 // BenchmarkEvalParallel measures plan-based evaluation under the pipeline's
 // concurrency model: W workers, each owning one network clone, one evaluator
 // and one scratch arena (plans are not goroutine-safe; arenas are
-// per-worker). Compare workers=1 against workers=NumCPU for scaling, and
-// against BenchmarkEvalLegacy* for the allocation win under contention —
-// the legacy path's per-Forward garbage serializes workers in the GC.
+// per-worker), under every registered kernel backend. workers=1 leaves
+// cores idle, which is where the parallel backend's batch-row fan-out can
+// help; workers=NumCPU keeps every core busy, as Monte-Carlo runs do, so
+// its pool competes with the other evaluators for the same cores.
 func BenchmarkEvalParallel(b *testing.B) {
 	workerCounts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -454,32 +440,44 @@ func BenchmarkEvalParallel(b *testing.B) {
 	}
 	for _, model := range []string{"lenet", "resnet"} {
 		master, x, y := evalWorkload(model)
-		for _, workers := range workerCounts {
-			evs := make([]*eval.Evaluator, workers)
-			for w := range evs {
-				evs[w] = eval.NewEvaluator(master.Clone(), nil)
-				if _, err := evs[w].Accuracy(x, y, 32); err != nil {
-					b.Fatal(err)
-				}
+		for _, spec := range kernel.Registered() {
+			k, err := kernel.Parse(spec)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/workers=%d", model, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							if _, err := evs[w].Accuracy(x, y, 32); err != nil {
-								panic(err)
-							}
-						}(w)
-					}
-					wg.Wait()
-				}
-			})
+			for _, workers := range workerCounts {
+				benchEvalWorkers(b, fmt.Sprintf("%s/%s/workers=%d", model, spec, workers), master, x, y, k, workers)
+			}
 		}
 	}
+}
+
+// benchEvalWorkers runs one BenchmarkEvalParallel cell: workers concurrent
+// full-dataset evaluations per op, each on its own clone and evaluator.
+func benchEvalWorkers(b *testing.B, name string, master *nn.Network, x *tensor.Tensor, y []int, k kernel.Backend, workers int) {
+	evs := make([]*eval.Evaluator, workers)
+	for w := range evs {
+		evs[w] = eval.NewEvaluatorKernel(master.Clone(), nil, k)
+		if _, err := evs[w].Accuracy(x, y, 32); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					if _, err := evs[w].Accuracy(x, y, 32); err != nil {
+						panic(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+		}
+	})
 }
 
 // BenchmarkWriteVerifyWeight measures the per-weight write-verify simulation.

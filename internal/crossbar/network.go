@@ -3,17 +3,10 @@ package crossbar
 import (
 	"fmt"
 
+	"swim/internal/kernel"
 	"swim/internal/nn"
 	"swim/internal/rng"
 	"swim/internal/tensor"
-)
-
-// The analog layers satisfy the compiled-evaluation contract so plan-based
-// inference (package eval) reuses the per-worker scratch arena for analog
-// networks too.
-var (
-	_ nn.PlanLayer = (*AnalogLinear)(nil)
-	_ nn.PlanLayer = (*AnalogConv2D)(nil)
 )
 
 // AnalogLinear is an inference-only fully connected layer whose weights live
@@ -32,11 +25,11 @@ func (a *AnalogLinear) Name() string { return a.name }
 func (a *AnalogLinear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out, _ := a.arr.Shape()
 	y := tensor.New(x.Shape[0], out)
-	a.ForwardInto(y, x, nil)
+	a.ForwardInto(y, x, nil, kernel.Default())
 	return y
 }
 
-// OutShape implements nn.PlanLayer.
+// OutShape implements nn.Layer.
 func (a *AnalogLinear) OutShape(in []int) ([]int, error) {
 	out, fanIn := a.arr.Shape()
 	if len(in) != 2 || in[1] != fanIn {
@@ -45,10 +38,11 @@ func (a *AnalogLinear) OutShape(in []int) ([]int, error) {
 	return []int{in[0], out}, nil
 }
 
-// ForwardInto implements nn.PlanLayer: analog inference with the DAC scratch
-// and output rows carved from the arena (heap when scratch is nil), so plan
-// execution over the crossbar fabric stays allocation-free.
-func (a *AnalogLinear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
+// ForwardInto implements nn.Layer: analog inference with the DAC scratch and
+// output rows carved from the arena (heap when scratch is nil), so plan
+// execution over the crossbar fabric stays allocation-free. The arithmetic is
+// the device model's, not a dense matmul, so the kernel backend is unused.
+func (a *AnalogLinear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ kernel.Backend) {
 	b := x.Shape[0]
 	out, in := a.arr.Shape()
 	xq := tensor.ScratchFloats(s, in)
@@ -97,11 +91,11 @@ func (a *AnalogConv2D) Name() string { return a.name }
 func (a *AnalogConv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	g := a.geom
 	out := tensor.New(x.Shape[0], a.outC, g.OutH, g.OutW)
-	a.ForwardInto(out, x, nil)
+	a.ForwardInto(out, x, nil, kernel.Default())
 	return out
 }
 
-// OutShape implements nn.PlanLayer.
+// OutShape implements nn.Layer.
 func (a *AnalogConv2D) OutShape(in []int) ([]int, error) {
 	g := a.geom
 	if len(in) != 4 || in[1] != g.InC || in[2] != g.InH || in[3] != g.InW {
@@ -110,10 +104,11 @@ func (a *AnalogConv2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], a.outC, g.OutH, g.OutW}, nil
 }
 
-// ForwardInto implements nn.PlanLayer: every im2col patch streams through
-// the crossbar with all temporaries (lowered columns, patch vector, DAC
-// scratch, ADC output row) carved from the arena.
-func (a *AnalogConv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
+// ForwardInto implements nn.Layer: every im2col patch streams through the
+// crossbar with all temporaries (lowered columns, patch vector, DAC scratch,
+// ADC output row) carved from the arena; like AnalogLinear it ignores the
+// kernel backend.
+func (a *AnalogConv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ kernel.Backend) {
 	b := x.Shape[0]
 	g := a.geom
 	var cols *tensor.Tensor

@@ -94,7 +94,7 @@ func TestBuildAnalogSharesNoState(t *testing.T) {
 
 // TestAnalogPlanMatchesLegacyForward pins compiled-plan evaluation of an
 // analog network bit-for-bit against the legacy per-layer Forward: the
-// analog layers implement the same PlanLayer contract as the digital ones,
+// analog layers implement the same nn.Layer contract as the digital ones,
 // so crossbar inference reuses the scratch arena too.
 func TestAnalogPlanMatchesLegacyForward(t *testing.T) {
 	dev := device.Default(4, 0.1)

@@ -1,7 +1,6 @@
 package eval_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -235,38 +234,9 @@ func TestPlanSteps(t *testing.T) {
 	}
 }
 
-// legacyOnly is an nn.Layer that deliberately does not implement PlanLayer.
-type legacyOnly struct{ nn.Layer }
-
-func (l legacyOnly) Name() string { return "legacy-only" }
-
-// TestCompileUnsupportedLayer pins the typed error contract: a network with
-// a non-PlanLayer layer fails compilation with eval.ErrUnsupported, which is
-// what callers (mapping.Mapped.Accuracy) use to pin the legacy fallback.
-func TestCompileUnsupportedLayer(t *testing.T) {
-	r := rng.New(4)
-	trunk := nn.NewSequential("t",
-		nn.NewLinear("fc", 4, 2, r),
-		legacyOnly{nn.NewReLU()},
-	)
-	net := nn.NewNetwork("stub", trunk, nn.NewSoftmaxCrossEntropy())
-	_, err := eval.Compile(net, []int{3, 4}, nil)
-	if err == nil {
-		t.Fatal("compile of a non-PlanLayer network succeeded")
-	}
-	if !errors.Is(err, eval.ErrUnsupported) {
-		t.Fatalf("error %v is not eval.ErrUnsupported", err)
-	}
-	// The evaluator surfaces the same sentinel.
-	x := tensor.New(3, 4)
-	if _, err := eval.NewEvaluator(net, nil).Accuracy(x, []int{0, 1, 0}, 2); !errors.Is(err, eval.ErrUnsupported) {
-		t.Fatalf("evaluator error %v is not eval.ErrUnsupported", err)
-	}
-}
-
-// TestEvaluatorRejectsEmptySet guards the empty-evaluation-set edge (the
-// legacy loop divided 0/0 into NaN; the evaluator reports an error instead
-// of panicking on the integer division).
+// TestEvaluatorRejectsEmptySet guards the empty-evaluation-set edge: the
+// evaluator reports an error instead of dividing 0/0 into a NaN accuracy or
+// panicking on the per-sample integer division.
 func TestEvaluatorRejectsEmptySet(t *testing.T) {
 	r := rng.New(4)
 	net := models.LeNet(10, 4, r)

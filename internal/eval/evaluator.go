@@ -65,18 +65,17 @@ func NewEvaluator(net *nn.Network, arena *tensor.Arena) *Evaluator {
 }
 
 // NewEvaluatorKernel is NewEvaluator with an explicit kernel backend for the
-// dense primitives of every plan the evaluator compiles; nil selects the
-// scalar default. Backends are bit-identical, so accuracy results never
+// dense primitives of every plan the evaluator compiles; nil selects
+// kernel.Default(). Backends are bit-identical, so accuracy results never
 // depend on the choice.
 func NewEvaluatorKernel(net *nn.Network, arena *tensor.Arena, k kernel.Backend) *Evaluator {
 	if arena == nil {
 		arena = tensor.NewArena()
 	}
-	backend := "scalar"
-	if k != nil {
-		backend = k.Name()
+	if k == nil {
+		k = kernel.Default()
 	}
-	return &Evaluator{net: net, scratch: arena, plans: make(map[int]*Plan), kern: k, backend: backend}
+	return &Evaluator{net: net, scratch: arena, plans: make(map[int]*Plan), kern: k, backend: k.Name()}
 }
 
 // Plan returns the compiled plan for the given batched input shape,

@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,10 +11,23 @@ import (
 	"swim/internal/kernel"
 	"swim/internal/mapping"
 	"swim/internal/models"
+	"swim/internal/nn"
 	"swim/internal/rng"
+	"swim/internal/tensor"
 )
 
-// kernelVariants enumerates every non-default backend pinned bit-for-bit
+// scalarKernel returns the reference backend every other backend is pinned
+// against.
+func scalarKernel(t testing.TB) kernel.Backend {
+	t.Helper()
+	k, err := kernel.Parse("scalar")
+	if err != nil {
+		t.Fatalf("kernel.Parse(scalar): %v", err)
+	}
+	return k
+}
+
+// kernelVariants enumerates every non-reference backend pinned bit-for-bit
 // against scalar, covering the parallel pool at one worker and at the full
 // CPU count (the two ends of its partitioning space).
 func kernelVariants(t testing.TB) []kernel.Backend {
@@ -38,7 +52,7 @@ func kernelVariants(t testing.TB) []kernel.Backend {
 // contract at the plan level: for every registered model and every batch
 // size (1 exercises single-row paths, 7 the tile tails, 64 the steady
 // state), a plan compiled with blocked or parallel produces logits
-// bit-identical to the scalar default.
+// bit-identical to the scalar reference.
 func TestPlanKernelBackendsBitIdentical(t *testing.T) {
 	for _, b := range builders {
 		for _, batch := range []int{1, 7, 64} {
@@ -47,7 +61,7 @@ func TestPlanKernelBackendsBitIdentical(t *testing.T) {
 				net := b.build(r)
 				x := randomInput(batch, b.sample, r)
 
-				ref, err := eval.Compile(net, x.Shape, nil)
+				ref, err := eval.CompileKernel(net, x.Shape, nil, scalarKernel(t))
 				if err != nil {
 					t.Fatalf("Compile: %v", err)
 				}
@@ -89,7 +103,7 @@ func TestPlanKernelBackendsAnalogTwin(t *testing.T) {
 			}
 			x := randomInput(7, b.sample, r)
 
-			ref, err := eval.Compile(mp.Net, x.Shape, nil)
+			ref, err := eval.CompileKernel(mp.Net, x.Shape, nil, scalarKernel(t))
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
@@ -112,6 +126,52 @@ func TestPlanKernelBackendsAnalogTwin(t *testing.T) {
 	}
 }
 
+// TestContainerForwardIntoMatchesPlan runs ResNet-18's trunk through
+// Sequential.ForwardInto directly, which recurses into Residual.ForwardInto
+// for its identity and projection skips and passes the backend down to every
+// child. Compiled plans flatten the containers instead, so this is the only
+// caller of the container path: under every registered backend, with and
+// without a scratch arena, its logits must match the plan's bit for bit.
+func TestContainerForwardIntoMatchesPlan(t *testing.T) {
+	r := rng.New(43)
+	net := models.ResNet18(10, 4, 6, r)
+	skips := map[bool]int{}
+	nn.Walk(net.Trunk, func(l nn.Layer) {
+		if res, ok := l.(*nn.Residual); ok {
+			skips[res.Shortcut == nil]++
+		}
+	})
+	if skips[true] == 0 || skips[false] == 0 {
+		t.Fatalf("ResNet-18 has %d identity and %d projection residuals; want both kinds", skips[true], skips[false])
+	}
+	x := randomInput(7, []int{3, 32, 32}, r)
+	shape, err := net.Trunk.OutShape(x.Shape)
+	if err != nil {
+		t.Fatalf("OutShape: %v", err)
+	}
+	for _, spec := range kernel.Registered() {
+		k, err := kernel.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := eval.CompileKernel(net, x.Shape, nil, k)
+		if err != nil {
+			t.Fatalf("CompileKernel(%s): %v", spec, err)
+		}
+		want := pl.Forward(x).Data
+		for _, scratch := range []*tensor.Arena{tensor.NewArena(), nil} {
+			got := tensor.New(shape...)
+			net.Trunk.ForwardInto(got, x, scratch, k)
+			for i := range want {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s (arena %v): container logit [%d] = %v, plan %v",
+						spec, scratch != nil, i, got.Data[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestEvaluatorKernelCountsMatch pins the dataset-level walk (full batches
 // plus tail batch) across backends: CountCorrect, being a function of
 // bit-identical logits, must agree exactly.
@@ -124,7 +184,7 @@ func TestEvaluatorKernelCountsMatch(t *testing.T) {
 	for i := range y {
 		y[i] = r.Intn(10)
 	}
-	want, err := eval.NewEvaluator(net, nil).CountCorrect(x, y, 16)
+	want, err := eval.NewEvaluatorKernel(net, nil, scalarKernel(t)).CountCorrect(x, y, 16)
 	if err != nil {
 		t.Fatalf("scalar CountCorrect: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"swim/internal/eval"
+	"swim/internal/kernel"
 	"swim/internal/models"
 	"swim/internal/obs"
 	"swim/internal/rng"
@@ -25,8 +26,9 @@ func (o *recordingObserver) ObservePlan(backend string, seconds float64) {
 }
 
 // TestPlanObserverReportsBatches: with an observer installed, CountCorrect
-// reports one latency sample per executed batch labeled with the backend,
-// and the count itself is unchanged by instrumentation.
+// reports one latency sample per executed batch labeled with the backend (an
+// evaluator built without one runs, and is labeled, kernel.Default()), and
+// the count itself is unchanged by instrumentation.
 func TestPlanObserverReportsBatches(t *testing.T) {
 	r := rng.New(17)
 	net := models.LeNet(10, 4, r)
@@ -55,9 +57,10 @@ func TestPlanObserverReportsBatches(t *testing.T) {
 	if len(rec.backends) != 3 { // batches of 8, 8, 4
 		t.Fatalf("observer saw %d batches, want 3", len(rec.backends))
 	}
+	want := kernel.Default().Name()
 	for i, b := range rec.backends {
-		if b != "scalar" {
-			t.Fatalf("batch %d labeled backend %q, want scalar", i, b)
+		if b != want {
+			t.Fatalf("batch %d labeled backend %q, want %s", i, b, want)
 		}
 		if rec.seconds[i] < 0 {
 			t.Fatalf("batch %d has negative latency %v", i, rec.seconds[i])

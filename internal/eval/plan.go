@@ -1,13 +1,13 @@
 // Package eval implements the compiled, zero-allocation evaluation engine
-// behind every accuracy measurement in the repository. The Monte-Carlo loops
-// of the SWIM reproduction re-run the full network forward pass over the
-// evaluation set after every programming granule; with the legacy
-// Layer.Forward path each of those passes allocates fresh output tensors,
-// im2col scratch and residual clones, so the hot loop is dominated by GC
-// pressure rather than arithmetic.
+// behind every accuracy measurement in the repository; it is the only
+// inference path. The Monte-Carlo loops of the SWIM reproduction re-run the
+// full network forward pass over the evaluation set after every programming
+// granule; through the training-side Layer.Forward each of those passes
+// would allocate fresh output tensors, im2col scratch and residual clones,
+// so the hot loop would be dominated by GC pressure rather than arithmetic.
 //
 // A Plan fixes that: Compile walks a nn.Network once for a fixed batch
-// shape, infers every intermediate shape via nn.PlanLayer.OutShape, flattens
+// shape, infers every intermediate shape via nn.Layer.OutShape, flattens
 // the Sequential/Residual structure into a linear step program, and binds
 // one persistent activation buffer per step. Executing the plan then runs
 // each layer's ForwardInto kernel into its pre-bound buffer, drawing
@@ -17,10 +17,11 @@
 // heap allocations (pinned by BenchmarkEvalPlan and the
 // allocation-regression CI step).
 //
-// Plans are bit-for-bit equivalent to the legacy evaluation-mode
-// Network.Forward — the same kernels run in the same order — so Table 1 /
-// Fig. 1 / Fig. 2 numbers cannot drift (pinned by the equivalence tests in
-// this package for every model in internal/models, digital and analog).
+// Plans are bit-for-bit equivalent to the evaluation-mode Network.Forward
+// — the same kernels run in the same order — so Table 1 / Fig. 1 / Fig. 2
+// numbers cannot drift (pinned by the equivalence tests in this package for
+// every model in internal/models, digital and analog). Forward itself stays
+// for training, the Hessian pass and as that reference.
 //
 // A Plan is bound to the layer instances of one network clone and reads the
 // current weights at execution time: re-programming weights (write-verify,
@@ -40,16 +41,10 @@ import (
 	"swim/internal/tensor"
 )
 
-// ErrUnsupported reports that a network contains a layer outside the
-// nn.PlanLayer contract and therefore cannot be compiled. Callers use it
-// (via errors.Is) to distinguish "this network can never compile — pin the
-// legacy path" from transient input errors.
-var ErrUnsupported = errors.New("eval: layer does not support compiled evaluation")
-
 type opKind uint8
 
 const (
-	// opForward runs step.layer.ForwardInto(buf[dst], buf[src], scratch).
+	// opForward runs step.layer.ForwardInto(buf[dst], buf[src], scratch, kern).
 	opForward opKind = iota
 	// opAdd accumulates buf[operand] into buf[dst] (residual branch sum).
 	opAdd
@@ -58,11 +53,10 @@ const (
 // step is one instruction of the compiled plan.
 type step struct {
 	kind    opKind
-	layer   nn.PlanLayer   // opForward only
-	klayer  nn.KernelLayer // opForward, non-nil when layer routes through a kernel backend
-	src     int            // input buffer index (opForward)
-	dst     int            // output buffer index
-	operand int            // opAdd: buffer accumulated into dst
+	layer   nn.Layer // opForward only
+	src     int      // input buffer index (opForward)
+	dst     int      // output buffer index
+	operand int      // opAdd: buffer accumulated into dst
 }
 
 // StepInfo describes one compiled step for diagnostics and tests.
@@ -99,7 +93,7 @@ func Compile(net *nn.Network, inShape []int, scratch *tensor.Arena) (*Plan, erro
 
 // CompileKernel is Compile with an explicit kernel backend executing the
 // dense primitives (matmul, fused bias+matmul, convolution) of the layers
-// that support one; nil selects the scalar default. Every registered backend
+// that have them; nil selects kernel.Default(). Every registered backend
 // is bit-identical to scalar, so the backend never changes plan results —
 // only how fast the steps run.
 func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kernel.Backend) (*Plan, error) {
@@ -133,12 +127,8 @@ func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kern
 
 // compile flattens the layer tree rooted at l, reading from buffer src, and
 // returns the buffer index holding l's output. Sequential and Residual are
-// decomposed into leaf steps; every other PlanLayer becomes one opForward.
+// decomposed into leaf steps; every other layer becomes one opForward.
 func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
-	pl, ok := l.(nn.PlanLayer)
-	if !ok {
-		return 0, fmt.Errorf("layer %s (%T): %w", l.Name(), l, ErrUnsupported)
-	}
 	switch v := l.(type) {
 	case *nn.Sequential:
 		cur, curShape := src, srcShape
@@ -152,7 +142,7 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		return cur, nil
 	case *nn.Residual:
 		// Body first, then the shortcut, then the branch sum — the exact
-		// execution order (and floating-point result) of the legacy Forward.
+		// execution order (and floating-point result) of Residual.Forward.
 		dst, err := p.compile(v.Body, src, srcShape)
 		if err != nil {
 			return 0, err
@@ -177,15 +167,14 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		p.infos = append(p.infos, StepInfo{Name: "+", OutShape: dstShape})
 		return dst, nil
 	default:
-		outShape, err := pl.OutShape(srcShape)
+		outShape, err := l.OutShape(srcShape)
 		if err != nil {
 			return 0, err
 		}
 		p.bufs = append(p.bufs, tensor.New(outShape...))
 		dst := len(p.bufs) - 1
-		kl, _ := l.(nn.KernelLayer)
-		p.steps = append(p.steps, step{kind: opForward, layer: pl, klayer: kl, src: src, dst: dst})
-		p.infos = append(p.infos, StepInfo{Name: pl.Name(), OutShape: append([]int(nil), outShape...)})
+		p.steps = append(p.steps, step{kind: opForward, layer: l, src: src, dst: dst})
+		p.infos = append(p.infos, StepInfo{Name: l.Name(), OutShape: append([]int(nil), outShape...)})
 		return dst, nil
 	}
 }
@@ -233,11 +222,7 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, st := range p.steps {
 		switch st.kind {
 		case opForward:
-			if st.klayer != nil {
-				st.klayer.ForwardIntoKernel(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
-			} else {
-				st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch)
-			}
+			st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
 		case opAdd:
 			p.bufs[st.dst].Add(p.bufs[st.operand])
 		}
@@ -246,7 +231,7 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // CountCorrect runs inference and returns how many samples are classified
-// correctly, sharing the top-1 argmax (and its tie-breaking) with the legacy
+// correctly, sharing the top-1 argmax (and its tie-breaking) with
 // Network.CountCorrect.
 func (p *Plan) CountCorrect(x *tensor.Tensor, labels []int) int {
 	return nn.CountCorrectLogits(p.Forward(x), labels)

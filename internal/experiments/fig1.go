@@ -48,7 +48,7 @@ type Fig1Config struct {
 	Nonideal []nonideal.Nonideality
 	ReadTime float64
 	// Kernel is a kernel-backend spec for the per-clone compiled
-	// evaluators; "" = scalar. Bit-identical across backends.
+	// evaluators; "" = kernel.Default(). Bit-identical across backends.
 	Kernel string
 }
 
@@ -187,23 +187,16 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 			base = train.Evaluate(net, evalX, evalY, batch)
 		}
 		// One compiled evaluator per clone: plans read live weights, so the
-		// per-repeat perturbations are visible without recompiling. If the
-		// compiled path ever fails (it cannot for the internal/models
-		// networks), pin the legacy path for the remaining repeats instead of
-		// re-attempting a doomed compile per repeat.
+		// per-repeat perturbations are visible without recompiling.
 		ev := eval.NewEvaluatorKernel(net, nil, kern)
-		useEval := true
 		var acc stat.Welford
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			p.Data.Data[off] = orig + r.Gauss(0, cfg.SigmaPerturb*scales[pi])
-			if useEval {
-				if a, err := ev.Accuracy(evalX, evalY, batch); err == nil {
-					acc.Add(a)
-					continue
-				}
-				useEval = false
+			a, err := ev.Accuracy(evalX, evalY, batch)
+			if err != nil {
+				return fig1Out{err: err}
 			}
-			acc.Add(train.Evaluate(net, evalX, evalY, batch))
+			acc.Add(a)
 		}
 		return fig1Out{drop: base - acc.Mean()}
 	})

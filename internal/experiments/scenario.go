@@ -28,10 +28,11 @@ type ReadScenario struct {
 	// ReadTime is when accuracy is measured, in seconds after programming.
 	ReadTime float64
 	// Kernel optionally overrides the kernel backend executing the dense
-	// primitives of the scenario's compiled evaluation plans (nil = scalar
-	// default). Backends are bit-identical, so this never changes results;
-	// it rides here so every pipeline-backed experiment and ablation that
-	// threads a ReadScenario picks the backend up without signature churn.
+	// primitives of the scenario's compiled evaluation plans (nil =
+	// kernel.Default()). Backends are bit-identical, so this never changes
+	// results; it rides here so every pipeline-backed experiment and
+	// ablation that threads a ReadScenario picks the backend up without
+	// signature churn.
 	Kernel kernel.Backend
 }
 
@@ -122,7 +123,7 @@ type ScenarioConfig struct {
 	Calib string
 	// Kernel is a kernel-backend spec (package kernel grammar) selecting
 	// how every cell's compiled evaluation plans execute their dense
-	// primitives. Empty selects the scalar default. Backends are
+	// primitives. Empty selects kernel.Default(). Backends are
 	// bit-identical, so this never changes results — it is a throughput
 	// knob only, and the serving tier excludes it from cache keys.
 	Kernel string

@@ -43,8 +43,9 @@ type SweepConfig struct {
 	// SetScenario). Zero value = ideal devices.
 	Scenario ReadScenario
 	// Kernel is a kernel-backend spec (package kernel grammar) for the
-	// sweep's compiled evaluation plans; "" = scalar. Bit-identical across
-	// backends — a throughput knob, never a results axis.
+	// sweep's compiled evaluation plans; "" = kernel.Default().
+	// Bit-identical across backends — a throughput knob, never a results
+	// axis.
 	Kernel string
 	// Calib is a calibration-model spec (package calib grammar); every cell
 	// then fits a digital read-out correction from a probe pass and applies

@@ -28,7 +28,7 @@ var convShapes = []struct {
 // plan. SetBytes carries the flop-proportional volume so ns/op comparisons
 // across shapes stay meaningful.
 func BenchmarkConv2DBackends(b *testing.B) {
-	for _, back := range []Backend{Default(), blocked{}} {
+	for _, back := range []Backend{scalar{}, blocked{}} {
 		for _, s := range convShapes {
 			g := tensor.NewConv2DGeom(s.inC, s.h, s.w, s.kh, s.kw, s.stride, s.pad)
 			const batch = 8
@@ -69,7 +69,7 @@ func BenchmarkConv2DBackends(b *testing.B) {
 // register-tiling sweet spot and at a skinny shape.
 func BenchmarkMatMulBackends(b *testing.B) {
 	sizes := []struct{ m, k, n int }{{64, 128, 128}, {64, 512, 10}}
-	for _, back := range []Backend{Default(), blocked{}} {
+	for _, back := range []Backend{scalar{}, blocked{}} {
 		for _, sz := range sizes {
 			r := rng.New(13)
 			a := tensor.New(sz.m, sz.k)

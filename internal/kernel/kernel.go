@@ -12,13 +12,13 @@
 // bias+matmul for fully connected layers, im2col lowering, and a batched
 // (optionally im2col-free) convolution. Three backends ship:
 //
-//   - "scalar": today's single-threaded loops, extracted verbatim from
-//     package tensor and internal/nn. This is the default everywhere and the
-//     reference the other backends are pinned against.
+//   - "scalar": the original single-threaded loops, extracted verbatim from
+//     package tensor and internal/nn. It is the reference the other
+//     backends are pinned against.
 //   - "blocked": register-tiled matmul loops and a sparse direct
 //     convolution that skips the exact zeros ReLU and quantization leave in
 //     hidden feature maps. Same accumulation order per output element, so
-//     results are bit-identical to scalar.
+//     results are bit-identical to scalar. This is the default everywhere.
 //   - "parallel": batch-row parallelism over a bounded shared worker pool,
 //     with the blocked loop bodies inside each unit of work. Batch rows are
 //     written to disjoint destination regions, so results are bit-identical
@@ -94,7 +94,9 @@ type Backend interface {
 	UsesIm2Col() bool
 }
 
-// Default returns the default backend, scalar — the reference loops every
-// other backend is pinned against. It is the backend used anywhere no
-// explicit selection is threaded through.
-func Default() Backend { return scalarBackend }
+// Default returns the default backend, blocked: bit-identical to the scalar
+// reference and faster on both models BENCH_kernels.json records. It is the
+// backend used anywhere no explicit selection is threaded through — the
+// layers' Forward passes, plans compiled without one, and an empty -kernel
+// flag or request axis.
+func Default() Backend { return blocked{} }

@@ -165,7 +165,7 @@ func TestLinearFusedMatchesUnfused(t *testing.T) {
 				row[j] += bias[j]
 			}
 		}
-		backends := append([]Backend{Default()}, variants(t)...)
+		backends := append([]Backend{scalar{}}, variants(t)...)
 		for _, back := range backends {
 			got := tensor.New(sz.m, sz.n)
 			fill(got, r) // dst may hold garbage on entry
@@ -235,7 +235,7 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 			want := tensor.New(batch, cg.outC, g.OutH, g.OutW)
 			referenceConv(g, cg.outC, want, x, w, bias)
 			cols := tensor.New(g.ColRows(), g.ColCols())
-			backends := append([]Backend{Default()}, variants(t)...)
+			backends := append([]Backend{scalar{}}, variants(t)...)
 			for _, back := range backends {
 				got := tensor.New(batch, cg.outC, g.OutH, g.OutW)
 				fill(got, r)
@@ -312,7 +312,7 @@ func TestRegistry(t *testing.T) {
 	if err := Register("", nil); err == nil {
 		t.Fatal("Register with empty name and nil builder should fail")
 	}
-	if err := Register("scalar", func(*spec.Params) (Backend, error) { return Default(), nil }); err == nil {
+	if err := Register("scalar", func(*spec.Params) (Backend, error) { return scalar{}, nil }); err == nil {
 		t.Fatal("duplicate Register should fail")
 	}
 	if _, err := Parse("nope"); err == nil || !strings.Contains(err.Error(), "registered") {
@@ -358,8 +358,8 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestFromFlag(t *testing.T) {
 	b, listing, err := FromFlag("")
-	if err != nil || listing != "" || b == nil || b.Name() != "scalar" {
-		t.Fatalf("FromFlag(\"\") = %v, %q, %v; want scalar default", b, listing, err)
+	if err != nil || listing != "" || b == nil || b.Name() != Default().Name() {
+		t.Fatalf("FromFlag(\"\") = %v, %q, %v; want the %s default", b, listing, err, Default().Name())
 	}
 	b, listing, err = FromFlag("list")
 	if err != nil || b != nil {

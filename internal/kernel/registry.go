@@ -24,8 +24,8 @@ func Parse(s string) (Backend, error) { return backends.Parse(s) }
 
 // FromFlag resolves the CLIs' shared -kernel flag convention: the literal
 // "list" requests the registered-backend listing (returned in listing, with
-// no backend); the empty string selects the scalar default; anything else
-// parses as a backend spec.
+// no backend); the empty string selects Default(); anything else parses as a
+// backend spec.
 func FromFlag(s string) (k Backend, listing string, err error) {
 	if listing, ok := backends.Listing(s); ok {
 		return nil, listing, nil
@@ -38,7 +38,7 @@ func FromFlag(s string) (k Backend, listing string, err error) {
 }
 
 func init() {
-	backends.MustRegister("scalar", func(*spec.Params) (Backend, error) { return scalarBackend, nil })
+	backends.MustRegister("scalar", func(*spec.Params) (Backend, error) { return scalar{}, nil })
 	backends.MustRegister("blocked", func(*spec.Params) (Backend, error) { return blocked{}, nil })
 	backends.MustRegister("parallel", func(p *spec.Params) (Backend, error) {
 		w := p.Get("workers", 0)

@@ -6,12 +6,8 @@ import (
 
 // scalar is the reference backend: the single-threaded loops this repository
 // has always run, extracted verbatim from package tensor and the Linear /
-// Conv2D forward passes. Every other backend is pinned bit-for-bit against
-// it, and it is the default wherever no backend is selected.
+// Conv2D forward passes. Every other backend is pinned bit-for-bit against it.
 type scalar struct{}
-
-// scalarBackend is the shared stateless instance behind Default().
-var scalarBackend = scalar{}
 
 // Name implements Backend.
 func (scalar) Name() string { return "scalar" }

@@ -11,12 +11,10 @@
 package mapping
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"swim/internal/calib"
-	"swim/internal/data"
 	"swim/internal/device"
 	"swim/internal/eval"
 	"swim/internal/kernel"
@@ -87,13 +85,10 @@ type Mapped struct {
 	// Compiled-evaluation state: Accuracy routes through an eval.Evaluator
 	// (zero steady-state allocations; see package eval) compiled lazily on
 	// first use. evalArena optionally shares one scratch arena across the
-	// trials a Monte-Carlo worker runs; evalLegacy records that compilation
-	// failed (a layer outside the PlanLayer contract) and pins the legacy
-	// Forward path for the rest of the trial.
-	ev         *eval.Evaluator
-	evalArena  *tensor.Arena
-	evalKern   kernel.Backend
-	evalLegacy bool
+	// trials a Monte-Carlo worker runs.
+	ev        *eval.Evaluator
+	evalArena *tensor.Arena
+	evalKern  kernel.Backend
 }
 
 // New quantizes the master network's mapped weights onto the device grid,
@@ -501,38 +496,28 @@ func (mp *Mapped) Corrections() []calib.Correction { return mp.corr }
 func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
-// their dense primitives through (nil keeps the scalar default). Backends
+// their dense primitives through (nil keeps kernel.Default()). Backends
 // are bit-identical, so this changes evaluation speed, never results. Call
 // it before the first Accuracy measurement, alongside SetEvalArena.
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 
 // Accuracy evaluates the programmed network's top-1 accuracy (%) over the
 // given evaluation set. It runs through a compiled evaluation plan (package
-// eval) — bit-for-bit identical to the legacy Forward path but with zero
-// steady-state allocations. The legacy per-layer Forward remains the
-// fallback: pinned for the rest of the trial when the network contains a
-// layer outside the PlanLayer contract (eval.ErrUnsupported), or used for
-// just this call on any other evaluator error, reproducing the legacy
-// behaviour for malformed inputs.
+// eval) — bit-for-bit identical to the evaluation-mode Forward but with zero
+// steady-state allocations. A malformed evaluation set (empty, a label count
+// that differs from the sample count, a non-positive batch size) is a bug in
+// the caller, so the evaluator's error panics; Monte-Carlo runs turn a trial
+// panic into the run's error (package mc).
 func (mp *Mapped) Accuracy(x *tensor.Tensor, y []int, batch int) float64 {
 	mp.SyncRead()
-	if !mp.evalLegacy {
-		if mp.ev == nil {
-			mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
-		}
-		acc, err := mp.ev.Accuracy(x, y, batch)
-		if err == nil {
-			return acc
-		}
-		if errors.Is(err, eval.ErrUnsupported) {
-			mp.evalLegacy = true
-		}
+	if mp.ev == nil {
+		mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
 	}
-	correct := 0
-	for _, b := range data.Batches(x, y, batch) {
-		correct += mp.Net.CountCorrect(b.X, b.Y)
+	acc, err := mp.ev.Accuracy(x, y, batch)
+	if err != nil {
+		panic(err)
 	}
-	return 100 * float64(correct) / float64(len(y))
+	return acc
 }
 
 // ProgrammedError returns the current per-weight deviation (programmed −

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"swim/internal/kernel"
 	"swim/internal/tensor"
 )
 
@@ -37,11 +38,11 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer (no mask bookkeeping — inference only).
-func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+// ForwardInto implements Layer (no mask bookkeeping — inference only).
+func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	for i, v := range x.Data {
 		if v > 0 {
 			dst.Data[i] = v
@@ -154,13 +155,13 @@ func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (q *QuantAct) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer: the evaluation-mode quantization (no
-// range calibration, no straight-through mask bookkeeping). The arithmetic
-// matches Forward(x, false) bit for bit.
-func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+// ForwardInto implements Layer: the evaluation-mode quantization (no range
+// calibration, no straight-through mask bookkeeping). The arithmetic matches
+// Forward(x, false) bit for bit.
+func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	if q.Disabled {
 		copy(dst.Data, x.Data)
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"swim/internal/kernel"
 	"swim/internal/tensor"
 )
 
@@ -118,7 +119,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (bn *BatchNorm2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 || in[1] != bn.C {
 		return nil, fmt.Errorf("%s: want input shape [B %d H W], got %v", bn.name, bn.C, in)
@@ -126,10 +127,10 @@ func (bn *BatchNorm2D) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// ForwardInto implements PlanLayer: the frozen-statistics affine map
+// ForwardInto implements Layer: the frozen-statistics affine map
 // y = γ·(x − μ)/σ + β per channel, computed with exactly the expressions the
 // evaluation-mode Forward uses (no x̂ caching — inference only).
-func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	b, c := x.Shape[0], x.Shape[1]
 	hw := x.Shape[2] * x.Shape[3]
 	for bi := 0; bi < b; bi++ {

@@ -45,7 +45,7 @@ func NewConv2D(name string, inC, inH, inW, outC, kh, kw, stride, pad int, r *rng
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	g := c.Geom
 	if len(in) != 4 || in[1] != g.InC || in[2] != g.InH || in[3] != g.InW {
@@ -67,21 +67,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkBatched(x, 4, c.name)
 	c.x = x
 	out := tensor.New(x.Shape[0], c.OutC, c.Geom.OutH, c.Geom.OutW)
-	c.ForwardInto(out, x, nil)
+	c.ForwardInto(out, x, nil, kernel.Default())
 	return out
 }
 
-// ForwardInto implements PlanLayer through the default (scalar) backend.
-func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
-	c.ForwardIntoKernel(dst, x, s, kernel.Default())
-}
-
-// ForwardIntoKernel implements KernelLayer: the batched convolution
-// primitive dst = conv(x, W) + b. For backends that lower through im2col the
-// workspace comes from scratch when provided (nil scratch falls back to the
-// layer-owned buffer, as the legacy path always did); im2col-free backends
-// get no workspace at all.
-func (c *Conv2D) ForwardIntoKernel(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Backend) {
+// ForwardInto implements Layer: the batched convolution primitive
+// dst = conv(x, W) + b. For backends that lower through im2col the workspace
+// comes from scratch when provided (nil scratch falls back to the
+// layer-owned buffer); im2col-free backends get no workspace at all.
+func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Backend) {
 	g := c.Geom
 	var cols *tensor.Tensor
 	if k.UsesIm2Col() {

@@ -3,12 +3,16 @@ package nn
 import (
 	"fmt"
 
+	"swim/internal/kernel"
 	"swim/internal/tensor"
 )
 
-// Layer is the common contract of every network building block. A layer owns
-// whatever activations it must cache between the forward and the two backward
-// passes, so a single layer instance must not be shared between concurrently
+// Layer is the one contract of every network building block. It has two
+// forward entry points: Forward feeds training and the Hessian pass (it
+// caches what the backward passes need), and ForwardInto is the inference
+// path compiled evaluation plans (package eval) run. A layer owns whatever
+// activations it must cache between the forward and the two backward passes,
+// so a single layer instance must not be shared between concurrently
 // evaluated networks — use Clone for per-trial copies.
 type Layer interface {
 	// Name returns a short human-readable identifier.
@@ -30,6 +34,32 @@ type Layer interface {
 	Params() []*Param
 	// Clone returns a deep copy with independent parameters and caches.
 	Clone() Layer
+	// OutShape returns the output shape produced for a batched input of the
+	// given shape (axis 0 is the batch), or an error when the input shape is
+	// incompatible with the layer. Plans infer every intermediate shape with
+	// it once, at compile time.
+	OutShape(in []int) ([]int, error)
+	// ForwardInto computes the evaluation-mode (train=false) forward pass
+	// into dst, under these contracts:
+	//
+	//   - dst is fully overwritten (it may hold garbage on entry) and must
+	//     not alias x;
+	//   - no state needed by Backward/BackwardSecond is updated;
+	//   - scratch may be nil, in which case temporaries fall back to the
+	//     layer's own cached buffers or the heap; buffers carved from scratch
+	//     are released by the caller's next Arena.Reset, so implementations
+	//     must not retain them across calls;
+	//   - k is never nil: it executes the dense primitives (matmul, fused
+	//     bias+matmul, convolution). Containers pass it to their children;
+	//     layers with no dense primitive (activations, pooling,
+	//     normalization, the analog crossbar layers) ignore it.
+	//
+	// The arithmetic is bit-for-bit that of Forward(x, false): the same
+	// kernels run in the same order, and every kernel backend is
+	// bit-identical to scalar (package kernel), so a compiled plan
+	// reproduces Forward exactly (pinned by the equivalence tests in
+	// package eval).
+	ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k kernel.Backend)
 }
 
 // Sequential chains layers, feeding each output into the next.
@@ -52,6 +82,46 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		x = l.Forward(x, train)
 	}
 	return x
+}
+
+// OutShape implements Layer by folding the children's shape inference.
+func (s *Sequential) OutShape(in []int) ([]int, error) {
+	cur := in
+	for _, l := range s.Layers {
+		var err error
+		if cur, err = l.OutShape(cur); err != nil {
+			return nil, fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	return cur, nil
+}
+
+// ForwardInto implements Layer: each child's output is carved from the
+// scratch arena, with the final child writing directly into dst. Compiled
+// plans flatten Sequential instead of calling this (the per-call shape
+// inference here allocates).
+func (s *Sequential) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k kernel.Backend) {
+	cur := x
+	for i, l := range s.Layers {
+		if i == len(s.Layers)-1 {
+			l.ForwardInto(dst, cur, scratch, k)
+			return
+		}
+		shape, err := l.OutShape(cur.Shape)
+		if err != nil {
+			panic(fmt.Sprintf("nn: %s: %v", s.name, err))
+		}
+		var out *tensor.Tensor
+		if scratch != nil {
+			out = scratch.Alloc(shape...)
+		} else {
+			out = tensor.New(shape...)
+		}
+		l.ForwardInto(out, cur, scratch, k)
+		cur = out
+	}
+	// Empty Sequential: identity.
+	copy(dst.Data, x.Data)
 }
 
 // Backward implements Layer.
@@ -98,9 +168,9 @@ type Residual struct {
 	Shortcut Layer // nil means identity
 
 	// out is the cached forward output buffer, reused across calls when the
-	// batch shape is unchanged so the legacy path stops paying a Clone per
-	// Forward. The buffer is owned by this layer and overwritten by the next
-	// Forward call with a matching shape.
+	// batch shape is unchanged so Forward stops paying a Clone per call.
+	// The buffer is owned by this layer and overwritten by the next Forward
+	// call with a matching shape.
 	out *tensor.Tensor
 }
 
@@ -131,6 +201,47 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		r.out.Add(x)
 	}
 	return r.out
+}
+
+// OutShape implements Layer. The body defines the output shape; a
+// projection shortcut must produce the same shape (an identity skip requires
+// the body to preserve the input shape).
+func (r *Residual) OutShape(in []int) ([]int, error) {
+	out, err := r.Body.OutShape(in)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
+	}
+	if r.Shortcut != nil {
+		sout, err := r.Shortcut.OutShape(in)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.name, err)
+		}
+		if !tensor.ShapeEq(out, sout) {
+			return nil, fmt.Errorf("%s: body shape %v != shortcut shape %v", r.name, out, sout)
+		}
+	} else if !tensor.ShapeEq(out, in) {
+		return nil, fmt.Errorf("%s: identity skip needs body to preserve shape, got %v -> %v", r.name, in, out)
+	}
+	return out, nil
+}
+
+// ForwardInto implements Layer: body into dst, shortcut into a scratch
+// temporary, then the branch sum — the same order (and therefore the same
+// floating-point results) as Forward.
+func (r *Residual) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k kernel.Backend) {
+	r.Body.ForwardInto(dst, x, scratch, k)
+	if r.Shortcut == nil {
+		dst.Add(x)
+		return
+	}
+	var tmp *tensor.Tensor
+	if scratch != nil {
+		tmp = scratch.Alloc(dst.Shape...)
+	} else {
+		tmp = tensor.New(dst.Shape...)
+	}
+	r.Shortcut.ForwardInto(tmp, x, scratch, k)
+	dst.Add(tmp)
 }
 
 // Backward implements Layer.
@@ -189,6 +300,25 @@ func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
 	b := x.Shape[0]
 	return x.Reshape(b, x.Size()/b)
+}
+
+// OutShape implements Layer.
+func (f *Flatten) OutShape(in []int) ([]int, error) {
+	if len(in) < 2 {
+		return nil, fmt.Errorf("flatten: need a batched input, got shape %v", in)
+	}
+	n := 1
+	for _, d := range in[1:] {
+		n *= d
+	}
+	return []int{in[0], n}, nil
+}
+
+// ForwardInto implements Layer. Unlike Forward, which returns an aliasing
+// reshape view, it copies into the destination buffer (same values, no
+// aliasing between plan buffers).
+func (f *Flatten) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
+	copy(dst.Data, x.Data)
 }
 
 // Backward implements Layer.

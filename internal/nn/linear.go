@@ -58,11 +58,11 @@ func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkBatched(x, 2, l.name)
 	l.x = x
 	out := tensor.New(x.Shape[0], l.Out)
-	l.ForwardInto(out, x, nil)
+	l.ForwardInto(out, x, nil, kernel.Default())
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (l *Linear) OutShape(in []int) ([]int, error) {
 	if len(in) != 2 || in[1] != l.In {
 		return nil, fmt.Errorf("%s: want input shape [B %d], got %v", l.name, l.In, in)
@@ -70,15 +70,10 @@ func (l *Linear) OutShape(in []int) ([]int, error) {
 	return []int{in[0], l.Out}, nil
 }
 
-// ForwardInto implements PlanLayer through the default (scalar) backend.
-func (l *Linear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena) {
-	l.ForwardIntoKernel(dst, x, s, kernel.Default())
-}
-
-// ForwardIntoKernel implements KernelLayer: the fused bias+matmul primitive
+// ForwardInto implements Layer: the fused bias+matmul primitive
 // dst = x·Wᵀ + b, which every backend computes bit-identically to the
 // historical separate matmul and bias passes.
-func (l *Linear) ForwardIntoKernel(dst, x *tensor.Tensor, _ *tensor.Arena, k kernel.Backend) {
+func (l *Linear) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, k kernel.Backend) {
 	k.Linear(dst, x, l.W.Data, l.B.Data.Data)
 }
 

@@ -86,8 +86,8 @@ func (n *Network) LossGradCount(x *tensor.Tensor, labels []int, train bool) (flo
 
 // CountCorrectLogits returns how many rows of logits ([B, classes]) argmax
 // to their label (top-1, first-max tie-breaking). It is the single argmax
-// used by every accuracy measurement — legacy and compiled-plan paths share
-// it, which the bit-identical evaluation guarantee depends on.
+// used by every accuracy measurement — Network.CountCorrect and compiled
+// plans share it, which the bit-identical evaluation guarantee depends on.
 func CountCorrectLogits(logits *tensor.Tensor, labels []int) int {
 	b, c := logits.Shape[0], logits.Shape[1]
 	correct := 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"swim/internal/kernel"
 	"swim/internal/tensor"
 )
 
@@ -68,7 +69,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 {
 		return nil, fmt.Errorf("%s: want rank-4 input, got %v", m.name, in)
@@ -80,9 +81,9 @@ func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1], oh, ow}, nil
 }
 
-// ForwardInto implements PlanLayer (no argmax bookkeeping — inference only).
+// ForwardInto implements Layer (no argmax bookkeeping — inference only).
 // The window scan order matches Forward exactly, including tie-breaking.
-func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := poolOut(h, m.K, m.Stride), poolOut(w, m.K, m.Stride)
 	o := 0
@@ -166,11 +167,11 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	a.inShape = append(a.inShape[:0], x.Shape...)
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out := tensor.New(b, c, poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride))
-	a.ForwardInto(out, x, nil)
+	a.ForwardInto(out, x, nil, kernel.Default())
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (a *AvgPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 4 {
 		return nil, fmt.Errorf("%s: want rank-4 input, got %v", a.name, in)
@@ -182,8 +183,8 @@ func (a *AvgPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1], oh, ow}, nil
 }
 
-// ForwardInto implements PlanLayer.
-func (a *AvgPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+// ForwardInto implements Layer.
+func (a *AvgPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride)
 	inv := 1.0 / float64(a.K*a.K)

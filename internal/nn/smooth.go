@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"swim/internal/kernel"
 	"swim/internal/tensor"
 )
 
@@ -36,17 +37,17 @@ func (s *smoothAct) Name() string { return s.name }
 // additionally caches the output for the backward passes.
 func (s *smoothAct) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
-	s.ForwardInto(out, x, nil)
+	s.ForwardInto(out, x, nil, kernel.Default())
 	s.out = out
 	s.gradOut = nil
 	return out
 }
 
-// OutShape implements PlanLayer.
+// OutShape implements Layer.
 func (s *smoothAct) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements PlanLayer.
-func (s *smoothAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena) {
+// ForwardInto implements Layer.
+func (s *smoothAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	for i, v := range x.Data {
 		dst.Data[i] = s.fn(v)
 	}

@@ -130,9 +130,9 @@ func WithDevice(m device.Model) Option {
 // WithKernelBackend selects the kernel backend executing the dense forward
 // primitives (matmul, fused bias+matmul, convolution) of every compiled
 // evaluation plan the pipeline's trials run. All registered backends are
-// bit-identical to the scalar default, so this is purely a throughput knob:
-// accuracy bits, Monte-Carlo streams and cache keys are unchanged. nil
-// restores the default.
+// bit-identical to the scalar reference, so this is purely a throughput
+// knob: accuracy bits, Monte-Carlo streams and cache keys are unchanged. nil
+// restores kernel.Default().
 func WithKernelBackend(k kernel.Backend) Option {
 	return func(p *Pipeline) error {
 		p.kern = k

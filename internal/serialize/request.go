@@ -73,7 +73,7 @@ type RequestRecord struct {
 	// Kernel names a kernel-backend spec (package kernel grammar, e.g.
 	// "blocked" or "parallel:workers=4") selecting how the daemon executes
 	// the dense primitives of the request's evaluation plans. "" selects
-	// the scalar default. The daemon canonicalizes the spec before
+	// kernel.Default(). The daemon canonicalizes the spec before
 	// recording it, but — unlike every other axis — Kernel is EXCLUDED from
 	// the canonical key: backends are bit-identical by contract, so two
 	// requests differing only in kernel are the same computation and share

@@ -156,16 +156,16 @@ func (s *Server) normalize(req *serialize.RequestRecord) (*serialize.RequestReco
 		n.Calib = m.Spec()
 	}
 	// Canonicalize the kernel axis: an empty request inherits the daemon
-	// default, then "" and "scalar" collapse to the empty (default) form
-	// and anything else re-renders through the registry. The spec is
-	// recorded in the job's request for observability, but it never enters
-	// the canonical key — backends are bit-identical, so requests differing
-	// only here share a cache entry (see RequestRecord.Kernel).
+	// default, then "" and kernel.Default()'s spec collapse to the empty
+	// (default) form and anything else re-renders through the registry. The
+	// spec is recorded in the job's request for observability, but it never
+	// enters the canonical key — backends are bit-identical, so requests
+	// differing only here share a cache entry (see RequestRecord.Kernel).
 	if strings.TrimSpace(n.Kernel) == "" {
 		n.Kernel = s.cfg.Kernel
 	}
 	switch k := strings.TrimSpace(n.Kernel); k {
-	case "", "scalar":
+	case "", kernel.Default().Spec():
 		n.Kernel = ""
 	default:
 		kb, err := kernel.Parse(k)

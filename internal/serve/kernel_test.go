@@ -9,9 +9,10 @@ import (
 )
 
 // TestNormalizeKernelCanonical pins the kernel axis's cache contract: specs
-// canonicalize ("scalar" and "" collapse to the default form), the axis is
-// excluded from the canonical key, the daemon default fills empty requests,
-// and a malformed spec is rejected at submission.
+// canonicalize ("" and kernel.Default()'s spec, blocked, collapse to the
+// default form; an explicit "scalar" survives, so it still runs on scalar),
+// the axis is excluded from the canonical key, the daemon default fills
+// empty requests, and a malformed spec is rejected at submission.
 func TestNormalizeKernelCanonical(t *testing.T) {
 	s, _ := newTestServer(t, Config{TotalWorkers: 1})
 	norm := func(k string) *serialize.RequestRecord {
@@ -30,13 +31,16 @@ func TestNormalizeKernelCanonical(t *testing.T) {
 		}
 		return ck
 	}
-	if got := norm("scalar").Kernel; got != "" {
-		t.Errorf(`"scalar" normalized to %q, want the empty default form`, got)
+	if got := norm("blocked").Kernel; got != "" {
+		t.Errorf(`"blocked" normalized to %q, want the empty default form`, got)
+	}
+	if got := norm("scalar").Kernel; got != "scalar" {
+		t.Errorf(`"scalar" normalized to %q, want "scalar"`, got)
 	}
 	if got := norm("parallel:workers=0").Kernel; got != "parallel" {
 		t.Errorf(`"parallel:workers=0" normalized to %q, want "parallel"`, got)
 	}
-	if key("") != key("blocked") || key("blocked") != key("parallel:workers=3") {
+	if key("") != key("scalar") || key("scalar") != key("parallel:workers=3") {
 		t.Error("kernel axis leaked into the canonical key")
 	}
 	if _, err := s.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test", Kernel: "simd9000"}); err == nil {
@@ -48,12 +52,12 @@ func TestNormalizeKernelCanonical(t *testing.T) {
 
 	// A daemon started with a default backend applies it to requests that
 	// leave the axis empty — without touching their cache identity.
-	d, _ := newTestServer(t, Config{TotalWorkers: 1, Kernel: "blocked"})
+	d, _ := newTestServer(t, Config{TotalWorkers: 1, Kernel: "scalar"})
 	dn, err := d.normalize(&serialize.RequestRecord{Kind: serialize.KindSweep, Workload: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dn.Kernel != "blocked" {
+	if dn.Kernel != "scalar" {
 		t.Errorf("daemon default not applied: kernel = %q", dn.Kernel)
 	}
 	dk, err := dn.CanonicalKey()
@@ -67,12 +71,13 @@ func TestNormalizeKernelCanonical(t *testing.T) {
 
 // TestServeKernelAxisByteIdentity pins the determinism contract over HTTP: a
 // request computed with the parallel backend returns an envelope
-// byte-identical to the scalar CLI path, and a follow-up request differing
-// only in kernel is answered from the cache (shared canonical key).
+// byte-identical to the default-backend CLI path, and a follow-up request
+// differing only in kernel — an explicit "scalar", which normalization
+// keeps — is answered from the cache (shared canonical key).
 func TestServeKernelAxisByteIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{TotalWorkers: 2})
 	req := testRequest(505, "")
-	want := referenceEnvelope(t, req) // scalar, sequential
+	want := referenceEnvelope(t, req) // kernel.Default(), sequential
 
 	req.Kernel = "parallel:workers=2"
 	rec, code := submit(t, ts, req)
@@ -83,10 +88,10 @@ func TestServeKernelAxisByteIdentity(t *testing.T) {
 		t.Fatalf("job %s (%s)", done.Status, done.Error)
 	}
 	if got := fetchResult(t, ts, rec.ID); !bytes.Equal(got, want) {
-		t.Errorf("parallel-kernel result differs from the scalar CLI path:\nhttp: %s\ncli:  %s", got, want)
+		t.Errorf("parallel-kernel result differs from the default-kernel CLI path:\nhttp: %s\ncli:  %s", got, want)
 	}
 
-	req.Kernel = "blocked"
+	req.Kernel = "scalar"
 	second, code := submit(t, ts, req)
 	if code != http.StatusOK || !second.Cached {
 		t.Fatalf("kernel-only change missed the cache: %d %+v", code, second)

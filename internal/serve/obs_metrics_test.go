@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"swim/internal/kernel"
 	"swim/internal/serialize"
 )
 
@@ -57,7 +58,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"# TYPE swim_shard_latency_seconds histogram",
 		"swim_shard_latency_seconds_count 0",
 		"# TYPE swim_eval_plan_seconds histogram",
-		"swim_eval_plan_seconds_bucket{backend=\"scalar\",le=\"+Inf\"}",
+		"swim_eval_plan_seconds_bucket{backend=\"" + kernel.Default().Name() + "\",le=\"+Inf\"}",
 		"# TYPE swim_cache_entries gauge",
 		"swim_cache_entries 1",
 		"swim_mc_trials_total 10", // 5 trials × 2 cells

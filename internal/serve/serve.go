@@ -116,8 +116,8 @@ type Config struct {
 	// journalled jobs found at startup are re-enqueued automatically.
 	StateDir string
 	// Kernel is the daemon-default kernel-backend spec applied to requests
-	// that leave their kernel axis empty ("" = scalar). Backends are
-	// bit-identical and the axis is excluded from canonical keys, so the
+	// that leave their kernel axis empty ("" = kernel.Default()). Backends
+	// are bit-identical and the axis is excluded from canonical keys, so the
 	// default changes throughput only — never results or cache identity.
 	Kernel string
 	// CacheMaxEntries bounds the canonical-key result cache's entry count

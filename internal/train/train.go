@@ -120,19 +120,16 @@ func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochSt
 }
 
 // Evaluate returns the top-1 accuracy (%) of net on (x, y), evaluated in
-// batches of the given size. It routes through the compiled evaluation
-// engine (package eval; bit-identical to the legacy Forward), falling back
-// to the per-layer Forward path whenever compiled evaluation is unavailable
-// or errors. Hot loops that evaluate the same network repeatedly should
-// hold an eval.Evaluator instead of calling this in a loop — Evaluate
-// compiles (and discards) fresh plans every call.
+// batches of the given size through the compiled evaluation engine (package
+// eval; bit-identical to the evaluation-mode Forward). A malformed
+// evaluation set is a caller bug, so the evaluator's error panics. Hot loops
+// that evaluate the same network repeatedly should hold an eval.Evaluator
+// instead of calling this in a loop — Evaluate compiles (and discards) fresh
+// plans every call.
 func Evaluate(net *nn.Network, x *tensor.Tensor, y []int, batch int) float64 {
-	if acc, err := eval.NewEvaluator(net, nil).Accuracy(x, y, batch); err == nil {
-		return acc
+	acc, err := eval.NewEvaluator(net, nil).Accuracy(x, y, batch)
+	if err != nil {
+		panic(err)
 	}
-	correct := 0
-	for _, b := range data.Batches(x, y, batch) {
-		correct += net.CountCorrect(b.X, b.Y)
-	}
-	return 100 * float64(correct) / float64(len(y))
+	return acc
 }

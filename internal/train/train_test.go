@@ -1,14 +1,17 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"swim/internal/data"
+	"swim/internal/eval"
 	"swim/internal/models"
 	"swim/internal/nn"
 	"swim/internal/quant"
 	"swim/internal/rng"
+	"swim/internal/tensor"
 )
 
 func tinyMLP(seed uint64) *nn.Network {
@@ -94,6 +97,49 @@ func TestEvaluateBounds(t *testing.T) {
 	acc := Evaluate(net, ds.TestX, ds.TestY, 32)
 	if acc < 0 || acc > 100 {
 		t.Fatalf("accuracy out of range: %v", acc)
+	}
+}
+
+// TestEvaluatePanicsOnMalformedSet pins that Evaluate measures nothing on a
+// malformed evaluation set: it panics with the evaluator's own error. (A
+// per-layer fallback once read 64 samples against 100 labels as 7%.)
+func TestEvaluatePanicsOnMalformedSet(t *testing.T) {
+	ds := data.MNISTLike(100, 10, 1)
+	sample := ds.TrainX.Size() / len(ds.TrainY)
+	first64 := tensor.FromSlice(ds.TrainX.Data[:64*sample], append([]int{64}, ds.TrainX.Shape[1:]...)...)
+	cases := []struct {
+		name  string
+		x     *tensor.Tensor
+		y     []int
+		batch int
+	}{
+		{"empty", tensor.FromSlice(nil, 0, 1, 28, 28), nil, 8},
+		{"more-labels", first64, ds.TrainY, 32},
+		{"fewer-labels", ds.TrainX, ds.TrainY[:64], 32},
+		{"batch-0", ds.TrainX, ds.TrainY, 0},
+	}
+	net := models.LeNet(10, 4, rng.New(1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, want := eval.NewEvaluator(net, nil).Accuracy(tc.x, tc.y, tc.batch)
+			if want == nil {
+				t.Fatal("the evaluator accepted the set")
+			}
+			var got error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						if got, _ = p.(error); got == nil {
+							got = fmt.Errorf("panic with a non-error value: %v", p)
+						}
+					}
+				}()
+				Evaluate(net, tc.x, tc.y, tc.batch)
+			}()
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("Evaluate panicked with %v, want the evaluator's error %q", got, want)
+			}
+		})
 	}
 }
 
