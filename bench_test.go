@@ -401,28 +401,68 @@ func BenchmarkEvalPlanKernels(b *testing.B) {
 // compiler cannot elide them from BenchmarkEvalPlanCostAccounting.
 var costAccountingSink float64
 
-// BenchmarkEvalPlanCostAccounting measures the eval hot path exactly as the
-// cost tier drives it: a device-programmed mapping evaluated through the
-// compiled plan with the write-cycle aggregates (CyclesUsed, NWC) read back
-// each iteration — the same reads gridTrial performs per trial to feed
-// cost.Report. It shares the BenchmarkEvalPlan* 0 allocs/op CI gate: cost
-// accounting must never put allocations back on the hot path.
-func BenchmarkEvalPlanCostAccounting(b *testing.B) {
-	instrumentEvalPlan(b)
-	ds := data.MNISTLike(64, 64, 42)
-	net := models.LeNet(10, 4, rng.New(1))
+// mappedLeNet programs a LeNet onto devices for the Mapped benchmarks and
+// warms its evaluation up: plans compiled, binding made, arena grown.
+func mappedLeNet(b *testing.B, x *tensor.Tensor, y []int) *mapping.Mapped {
+	b.Helper()
 	dm := device.Default(4, 0.5)
-	table := dm.CycleTable(50, rng.New(2))
-	mp, err := mapping.New(net, dm, table, rng.New(3))
+	mp, err := mapping.New(models.LeNet(10, 4, rng.New(1)), dm, dm.CycleTable(50, rng.New(2)), rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
 	mp.SetEvalArena(tensor.NewArena())
-	mp.Accuracy(ds.TrainX, ds.TrainY, 32) // compile + warm up the plan
+	mp.Accuracy(x, y, 32)
+	return mp
+}
+
+// BenchmarkEvalPlanCostAccounting measures the eval hot path exactly as the
+// cost tier drives it: a device-programmed mapping evaluated through the
+// compiled plan with the write-cycle aggregates (CyclesUsed, NWC) read back
+// each iteration — the same reads gridTrial performs per trial to feed
+// cost.Report. Each iteration rewrites one conv1 weight (a sign flip), so
+// every measurement is a full pass rather than a remembered count. It
+// shares the BenchmarkEvalPlan* 0 allocs/op CI gate: cost accounting must
+// never put allocations back on the hot path.
+func BenchmarkEvalPlanCostAccounting(b *testing.B) {
+	instrumentEvalPlan(b)
+	ds := data.MNISTLike(64, 64, 42)
+	mp := mappedLeNet(b, ds.TrainX, ds.TrainY)
+	conv1 := mp.Net.MappedParams()[0].Data.Data
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		conv1[0] = -conv1[0]
 		costAccountingSink = mp.Accuracy(ds.TrainX, ds.TrainY, 32) + mp.CyclesUsed + mp.NWC()
+	}
+}
+
+// BenchmarkEvalPlanResume measures Mapped.Accuracy's re-measurements of a
+// programmed LeNet, each kind Algorithm 1 makes: unchanged re-measures a
+// network nothing touched (the remembered count), fc3 rewrites one fc3
+// weight per op (a pass resumed at fc3), and conv1 rewrites one conv1
+// weight per op (a full pass). It shares the BenchmarkEvalPlan* 0 allocs/op
+// CI gate.
+func BenchmarkEvalPlanResume(b *testing.B) {
+	instrumentEvalPlan(b)
+	ds := data.MNISTLike(64, 64, 42)
+	for _, tc := range []struct {
+		name  string
+		param int // index into MappedParams of the rewritten weight; -1 none
+	}{{"unchanged", -1}, {"fc3", 4}, {"conv1", 0}} {
+		mp := mappedLeNet(b, ds.TrainX, ds.TrainY)
+		var w []float64
+		if tc.param >= 0 {
+			w = mp.Net.MappedParams()[tc.param].Data.Data
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w != nil {
+					w[0] = -w[0]
+				}
+				costAccountingSink = mp.Accuracy(ds.TrainX, ds.TrainY, 32)
+			}
+		})
 	}
 }
 

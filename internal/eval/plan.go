@@ -30,6 +30,17 @@
 // size) or when the network's layer graph itself is rebuilt. Plans are not
 // goroutine-safe — the pipeline compiles one per Monte-Carlo worker, each
 // with its own arena.
+//
+// Most of the Monte-Carlo loops' re-measurements follow a change to a few
+// layers, or to none. A Binding (Evaluator.Bind) is a measurement bound to
+// one evaluation set that remembers what it computed: the correct count,
+// each batch's activations at the plan's resume points, and a bitwise
+// snapshot of every step's inference state. Each call resumes every batch
+// at the latest resume point at or before the first step whose state
+// changed, and returns the remembered count when none did — bit-identical
+// to a full pass. The evaluation set's x and y must not change while
+// bound. Evaluator.Accuracy and CountCorrect remember nothing and run every
+// batch in full.
 package eval
 
 import (
@@ -53,10 +64,11 @@ const (
 // step is one instruction of the compiled plan.
 type step struct {
 	kind    opKind
-	layer   nn.Layer // opForward only
-	src     int      // input buffer index (opForward)
-	dst     int      // output buffer index
-	operand int      // opAdd: buffer accumulated into dst
+	layer   nn.Layer   // opForward only
+	state   layerState // opForward only: the layer's inference state
+	src     int        // input buffer index (opForward)
+	dst     int        // output buffer index
+	operand int        // opAdd: buffer accumulated into dst
 }
 
 // StepInfo describes one compiled step for diagnostics and tests.
@@ -75,11 +87,18 @@ type Plan struct {
 	steps   []step
 	infos   []StepInfo
 	// bufs[0] is rebound to the caller's input every Forward; bufs[1:] are
-	// plan-owned persistent activation buffers, one per step output.
+	// persistent activation buffers, one per step output (see allocBuffers).
 	bufs    []*tensor.Tensor
 	out     int // buffer index of the logits
+	mem     int // float64s the plan allocated for bufs[1:]
 	scratch *tensor.Arena
 	kern    kernel.Backend
+
+	// resumes lists the steps a pass can start at, in step order (see
+	// resumePoint); stateSize is the float count of every step's inference
+	// state together, the size of a Binding's snapshot.
+	resumes   []resumePoint
+	stateSize int
 }
 
 // Compile builds a plan for net at the given batched input shape (axis 0 is
@@ -97,6 +116,12 @@ func Compile(net *nn.Network, inShape []int, scratch *tensor.Arena) (*Plan, erro
 // is bit-identical to scalar, so the backend never changes plan results —
 // only how fast the steps run.
 func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kernel.Backend) (*Plan, error) {
+	return compileShared(net, inShape, scratch, k, nil)
+}
+
+// compileShared is CompileKernel with the activation buffers backed by
+// prefixes of wide's where they fit (see allocBuffers); wide may be nil.
+func compileShared(net *nn.Network, inShape []int, scratch *tensor.Arena, k kernel.Backend, wide *Plan) (*Plan, error) {
 	if net == nil {
 		return nil, errors.New("eval: nil network")
 	}
@@ -122,7 +147,29 @@ func CompileKernel(net *nn.Network, inShape []int, scratch *tensor.Arena, k kern
 		return nil, fmt.Errorf("eval: compiling %s: %w", net.Name, err)
 	}
 	p.out = out
+	p.allocBuffers(wide)
+	p.markResumePoints()
 	return p, nil
+}
+
+// allocBuffers backs every step output with an array of its own or, when
+// wide (a plan of the same network for a larger batch that never runs at
+// the same time, see Evaluator.Plan) has room, with a prefix of wide's
+// buffer for the same step: an evaluator's tail plan adds no activation
+// memory.
+func (p *Plan) allocBuffers(wide *Plan) {
+	if wide != nil && len(wide.bufs) != len(p.bufs) {
+		wide = nil
+	}
+	for i, b := range p.bufs[1:] {
+		n := b.Size()
+		if wide != nil && len(wide.bufs[i+1].Data) >= n {
+			b.Data = wide.bufs[i+1].Data[:n]
+			continue
+		}
+		b.Data = make([]float64, n)
+		p.mem += n
+	}
 }
 
 // compile flattens the layer tree rooted at l, reading from buffer src, and
@@ -171,9 +218,11 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.bufs = append(p.bufs, tensor.New(outShape...))
+		p.bufs = append(p.bufs, &tensor.Tensor{Shape: append([]int(nil), outShape...)})
 		dst := len(p.bufs) - 1
-		p.steps = append(p.steps, step{kind: opForward, layer: l, src: src, dst: dst})
+		st := stateOf(l)
+		p.stateSize += st.size
+		p.steps = append(p.steps, step{kind: opForward, layer: l, state: st, src: src, dst: dst})
 		p.infos = append(p.infos, StepInfo{Name: l.Name(), OutShape: append([]int(nil), outShape...)})
 		return dst, nil
 	}
@@ -200,26 +249,45 @@ func (p *Plan) OutShape() []int { return p.bufs[p.out].Shape }
 // for diagnostics.
 func (p *Plan) Steps() []StepInfo { return p.infos }
 
-// Footprint returns the total float64 count held by the plan's persistent
-// activation buffers plus its scratch arena.
-func (p *Plan) Footprint() int {
-	total := p.scratch.Footprint()
-	for _, b := range p.bufs[1:] {
-		total += len(b.Data)
-	}
-	return total
-}
+// Footprint returns the total float64 count held by the arrays the plan
+// allocated for its activation buffers plus its arena.
+func (p *Plan) Footprint() int { return p.mem + p.scratch.Footprint() }
 
 // Forward runs inference on x (which must match the compiled input shape)
 // and returns the logits. The returned tensor is plan-owned and valid until
-// the next Forward call. Steady-state calls perform zero heap allocations.
-func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
+// the next Forward call; for the plans of one Evaluator, which share
+// activation memory, until the next Forward of any of them. Steady-state
+// calls perform zero heap allocations.
+func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor { return p.run(x, 0, nil, 0) }
+
+// run executes the steps from step from on, with buffer 0 bound to x, and
+// returns the logits. from is 0 or a resume point's step. With ck nil
+// nothing is remembered. Otherwise ck[k] holds resume point k's live buffer
+// for every sample of an evaluation set whose sample lo this batch starts
+// at: a run from a resume point restores that buffer first, and every
+// later resume point's buffer is saved as the run reaches it.
+func (p *Plan) run(x *tensor.Tensor, from int, ck [][]float64, lo int) *tensor.Tensor {
 	if !tensor.ShapeEq(x.Shape, p.inShape) {
 		panic(fmt.Sprintf("eval: plan compiled for shape %v, got %v", p.inShape, x.Shape))
 	}
 	p.scratch.Reset()
 	p.bufs[0] = x
-	for _, st := range p.steps {
+	r := 0 // next resume point
+	if from > 0 {
+		for p.resumes[r].step != from {
+			r++
+		}
+		rp := p.resumes[r]
+		copy(p.bufs[rp.buf].Data, ck[r][lo*rp.per:])
+		r++
+	}
+	for i := from; i < len(p.steps); i++ {
+		if ck != nil && r < len(p.resumes) && p.resumes[r].step == i {
+			rp := p.resumes[r]
+			copy(ck[r][lo*rp.per:], p.bufs[rp.buf].Data)
+			r++
+		}
+		st := &p.steps[i]
 		switch st.kind {
 		case opForward:
 			st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
@@ -228,11 +296,4 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return p.bufs[p.out]
-}
-
-// CountCorrect runs inference and returns how many samples are classified
-// correctly, sharing the top-1 argmax (and its tie-breaking) with
-// Network.CountCorrect.
-func (p *Plan) CountCorrect(x *tensor.Tensor, labels []int) int {
-	return nn.CountCorrectLogits(p.Forward(x), labels)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"swim/internal/data"
 	"swim/internal/device"
@@ -18,6 +19,7 @@ import (
 	"swim/internal/quant"
 	"swim/internal/rng"
 	"swim/internal/stat"
+	"swim/internal/tensor"
 	"swim/internal/train"
 )
 
@@ -172,6 +174,9 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 		drop float64
 		err  error
 	}
+	// Trials borrow their evaluation arena — scratch plus the binding's
+	// checkpoints — from a pool, so each worker reuses one.
+	var arenas sync.Pool
 	outs, mapErr := mc.MapCtx(context.Background(), cfg.Seed^0xf161, len(picks), 0, func(k int, r *rng.Source) fig1Out {
 		net, err := degrade(r)
 		if err != nil {
@@ -180,19 +185,30 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 		pi, off := pis[k], offs[k]
 		p := net.MappedParams()[pi]
 		orig := p.Data.Data[off]
+		// One evaluation binding per clone: plans read live weights, so the
+		// per-repeat perturbations are visible without recompiling, and
+		// each repeat re-runs only the layers from the perturbed weight's.
+		arena, _ := arenas.Get().(*tensor.Arena)
+		if arena == nil {
+			arena = tensor.NewArena()
+		}
+		defer arenas.Put(arena)
+		bound, err := eval.NewEvaluatorKernel(net, arena, kern).Bind(evalX, evalY, batch)
+		if err != nil {
+			return fig1Out{err: err}
+		}
 		base := baseAcc
 		if len(cfg.Nonideal) > 0 {
 			// The degraded clone's baseline differs per trial (its faults
 			// and drift are trial-specific), so measure it in place.
-			base = train.Evaluate(net, evalX, evalY, batch)
+			if base, err = bound.Accuracy(); err != nil {
+				return fig1Out{err: err}
+			}
 		}
-		// One compiled evaluator per clone: plans read live weights, so the
-		// per-repeat perturbations are visible without recompiling.
-		ev := eval.NewEvaluatorKernel(net, nil, kern)
 		var acc stat.Welford
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			p.Data.Data[off] = orig + r.Gauss(0, cfg.SigmaPerturb*scales[pi])
-			a, err := ev.Accuracy(evalX, evalY, batch)
+			a, err := bound.Accuracy()
 			if err != nil {
 				return fig1Out{err: err}
 			}

@@ -82,11 +82,14 @@ type Mapped struct {
 	rawRead []float64
 	corr    []calib.Correction
 
-	// Compiled-evaluation state: Accuracy routes through an eval.Evaluator
-	// (zero steady-state allocations; see package eval) compiled lazily on
-	// first use. evalArena optionally shares one scratch arena across the
-	// trials a Monte-Carlo worker runs.
+	// Compiled-evaluation state: Accuracy measures through an eval.Binding
+	// (zero steady-state allocations; see package eval) of an evaluator
+	// compiled lazily on first use, so each measurement re-runs only the
+	// layers whose state changed since the last. evalArena optionally shares
+	// one arena — scratch and the binding's checkpoints — across the trials
+	// a Monte-Carlo worker runs.
 	ev        *eval.Evaluator
+	bound     *eval.Binding
 	evalArena *tensor.Arena
 	evalKern  kernel.Backend
 }
@@ -489,10 +492,11 @@ func (mp *Mapped) recalibrate() {
 // SetCalibration), for diagnostics and tests.
 func (mp *Mapped) Corrections() []calib.Correction { return mp.corr }
 
-// SetEvalArena shares a scratch arena with the compiled evaluation engine,
-// so successive trials handled by the same Monte-Carlo worker reuse one
-// arena instead of growing a fresh one each. Call it before the first
-// Accuracy measurement; the arena must not be used concurrently.
+// SetEvalArena shares an arena with the compiled evaluation engine — its
+// scratch and its binding's checkpoints — so successive trials handled by
+// the same Monte-Carlo worker reuse one arena instead of growing a fresh
+// one each. Call it before the first Accuracy measurement; the arena must
+// not be used concurrently.
 func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
@@ -502,18 +506,29 @@ func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 
 // Accuracy evaluates the programmed network's top-1 accuracy (%) over the
-// given evaluation set. It runs through a compiled evaluation plan (package
+// given evaluation set. It runs through compiled evaluation plans (package
 // eval) — bit-for-bit identical to the evaluation-mode Forward but with zero
-// steady-state allocations. A malformed evaluation set (empty, a label count
-// that differs from the sample count, a non-positive batch size) is a bug in
-// the caller, so the evaluator's error panics; Monte-Carlo runs turn a trial
-// panic into the run's error (package mc).
+// steady-state allocations — bound to (x, y, batch): a re-measurement
+// resumes at the first layer whose state changed since the previous one,
+// and returns the remembered accuracy when nothing did. A different x or y
+// (another backing array) or batch size rebinds; the set must not be
+// modified in place between calls. A malformed evaluation set (empty, a
+// label count that differs from the sample count, a non-positive batch
+// size) is a bug in the caller, so the evaluator's error panics; Monte-Carlo
+// runs turn a trial panic into the run's error (package mc).
 func (mp *Mapped) Accuracy(x *tensor.Tensor, y []int, batch int) float64 {
 	mp.SyncRead()
 	if mp.ev == nil {
 		mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
 	}
-	acc, err := mp.ev.Accuracy(x, y, batch)
+	if mp.bound == nil || !mp.bound.On(x, y, batch) {
+		b, err := mp.ev.Bind(x, y, batch)
+		if err != nil {
+			panic(err)
+		}
+		mp.bound = b
+	}
+	acc, err := mp.bound.Accuracy()
 	if err != nil {
 		panic(err)
 	}

@@ -106,13 +106,15 @@ type Pipeline struct {
 	baseCtx       context.Context
 
 	deviceSet bool
-
-	// arenas pools the compiled-evaluation scratch arenas: each trial
-	// borrows one for the duration of its accuracy measurements, so the
-	// steady state is one arena per Monte-Carlo worker and trial N+1 reuses
-	// the memory trial N grew (see package eval).
-	arenas sync.Pool
 }
+
+// arenas pools the compiled-evaluation arenas — scratch plus the kept
+// checkpoints of an eval.Binding — of every pipeline in the process: each
+// trial borrows one for the duration of its accuracy measurements, so the
+// steady state is one arena per busy Monte-Carlo worker, and trial N+1
+// reuses the memory trial N grew, also when they belong to different runs
+// (a daemon serving one-trial shards builds a pipeline per shard).
+var arenas sync.Pool
 
 // Option configures a Pipeline. Options validate eagerly: New returns the
 // first option error instead of deferring misconfiguration into a worker.
@@ -508,9 +510,9 @@ func (p *Pipeline) prepare(env *Env) ([]float64, error) {
 // converts worker panics into run errors, and Run preflights the policy so
 // the only reachable panics are programming bugs.
 //
-// The trial's accuracy evaluations run through a compiled plan backed by a
-// pooled scratch arena; release returns the arena to the pool and must be
-// called when the trial body finishes.
+// The trial's accuracy evaluations run through compiled plans and a
+// binding backed by a pooled arena; release returns the arena to the pool
+// and must be called when the trial body finishes.
 func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *mapping.Mapped, trial Trial, release func()) {
 	selR := r
 	if p.selectorSplit {
@@ -539,7 +541,7 @@ func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *map
 		// keep the legacy trial-stream consumption bit for bit.
 		mp.SetCalibration(p.calibModel.NewTrial(r.Split()))
 	}
-	arena, _ := p.arenas.Get().(*tensor.Arena)
+	arena, _ := arenas.Get().(*tensor.Arena)
 	if arena == nil {
 		arena = tensor.NewArena()
 	}
@@ -547,7 +549,7 @@ func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *map
 	if p.kern != nil {
 		mp.SetKernel(p.kern)
 	}
-	return mp, trial, func() { p.arenas.Put(arena) }
+	return mp, trial, func() { arenas.Put(arena) }
 }
 
 // gridTrial returns the per-trial body of a grid-budget run: walk the

@@ -341,14 +341,44 @@ func (c *coordinator) jobDir(key string) string {
 	return filepath.Join(c.dir, key)
 }
 
-// writeAtomic writes data to path via a same-directory temp file + rename,
-// so the journal never holds a torn record.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+// writeAtomic writes data to path via a uniquely named temp file in the
+// same directory, synced before it is renamed over path and followed by a
+// sync of the directory, so the journal never holds a torn record, even
+// across a crash. On any error the temp file is removed.
+func writeAtomic(path string, data []byte) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("journal %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close() // already closed on the paths past Close; harmless
+			_ = os.Remove(f.Name())
+			err = fmt.Errorf("journal %s: %w", path, err)
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if _, err = f.Write(data); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // journalShard checkpoints one completed shard under the job's directory.

@@ -63,3 +63,42 @@ func TestArenaAllocRejectsBadShape(t *testing.T) {
 	}()
 	a.Alloc(2, 0)
 }
+
+// TestArenaKeptOutlivesReset: kept slices survive the scratch Reset that
+// every plan pass makes, ResetKept lends their memory to the next holder
+// and moves the epoch on, and a steady kept-plus-scratch cycle allocates
+// nothing.
+func TestArenaKeptOutlivesReset(t *testing.T) {
+	a := NewArena()
+	e0 := a.ResetKept()
+	k := a.Keep(defaultChunk + 3)
+	k[0], k[len(k)-1] = 5, 6
+	for i := 0; i < 3; i++ {
+		a.Reset()
+		for j, f := 0, a.AllocFloats(defaultChunk); j < len(f); j++ {
+			f[j] = -1
+		}
+	}
+	if k[0] != 5 || k[len(k)-1] != 6 {
+		t.Fatal("scratch passes overwrote a kept slice")
+	}
+	if a.KeptEpoch() != e0 {
+		t.Fatalf("epoch moved from %d to %d without ResetKept", e0, a.KeptEpoch())
+	}
+	e1 := a.ResetKept()
+	if e1 == e0 || a.KeptEpoch() != e1 {
+		t.Fatalf("ResetKept returned epoch %d after %d (current %d)", e1, e0, a.KeptEpoch())
+	}
+	if k2 := a.Keep(defaultChunk + 3); &k2[0] != &k[0] {
+		t.Fatal("post-ResetKept Keep must re-carve the same memory")
+	}
+	cycle := func() {
+		a.ResetKept()
+		a.Keep(defaultChunk + 3)[0] = 1
+		a.Reset()
+		a.AllocFloats(defaultChunk)[0] = 2
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("steady kept/scratch cycle allocates %v times, want 0", allocs)
+	}
+}
