@@ -593,7 +593,7 @@ func BenchmarkTrialSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul measures the core kernel (256x256x256).
+// BenchmarkMatMul measures the default backend's matmul (256x256x256).
 func BenchmarkMatMul(b *testing.B) {
 	r := rng.New(1)
 	a := tensor.New(256, 256)
@@ -603,9 +603,10 @@ func BenchmarkMatMul(b *testing.B) {
 		a.Data[i] = r.Gauss(0, 1)
 		c.Data[i] = r.Gauss(0, 1)
 	}
+	k := kernel.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(out, a, c, false)
+		k.MatMul(out, a, c, false)
 	}
 	b.SetBytes(int64(8 * 256 * 256))
 }

@@ -184,11 +184,18 @@ func main() {
 			if err != nil {
 				fatal(1, err)
 			}
-			defer f.Close()
 			out = f
 		}
 		env := &serialize.ResultEnvelope{Cells: experiments.EnvelopeCells(*workload, *sigma, results)}
-		if err := serialize.EncodeEnvelope(out, env); err != nil {
+		err := serialize.EncodeEnvelope(out, env)
+		if out != os.Stdout {
+			// A failed close can lose buffered bytes: report it, not just
+			// encode errors.
+			if cerr := out.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fatal(1, err)
 		}
 	}

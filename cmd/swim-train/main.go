@@ -160,8 +160,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "swim-train:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := serialize.Save(f, net); err != nil {
+		err = serialize.Save(f, net)
+		if cerr := f.Close(); err == nil {
+			err = cerr // a failed close can lose buffered bytes
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "swim-train:", err)
 			os.Exit(1)
 		}

@@ -56,12 +56,7 @@ func (a *AnalogLinear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ ker
 }
 
 // Backward implements nn.Layer (analog arrays are inference-only here).
-func (a *AnalogLinear) Backward(*tensor.Tensor) *tensor.Tensor {
-	panic("crossbar: analog layers are inference-only")
-}
-
-// BackwardSecond implements nn.Layer.
-func (a *AnalogLinear) BackwardSecond(*tensor.Tensor) *tensor.Tensor {
+func (a *AnalogLinear) Backward(*tensor.Tensor, int) *tensor.Tensor {
 	panic("crossbar: analog layers are inference-only")
 }
 
@@ -140,12 +135,7 @@ func (a *AnalogConv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ ker
 }
 
 // Backward implements nn.Layer.
-func (a *AnalogConv2D) Backward(*tensor.Tensor) *tensor.Tensor {
-	panic("crossbar: analog layers are inference-only")
-}
-
-// BackwardSecond implements nn.Layer.
-func (a *AnalogConv2D) BackwardSecond(*tensor.Tensor) *tensor.Tensor {
+func (a *AnalogConv2D) Backward(*tensor.Tensor, int) *tensor.Tensor {
 	panic("crossbar: analog layers are inference-only")
 }
 

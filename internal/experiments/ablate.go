@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -31,7 +32,7 @@ func pointCell(w *Workload, pol program.Policy, sigma float64, table []float64,
 	if err != nil {
 		return Cell{}, err
 	}
-	res, err := p.Run(nil)
+	res, err := p.Run(context.Background())
 	if err != nil {
 		return Cell{}, err
 	}
@@ -74,7 +75,7 @@ func AblateGranularity(w *Workload, pol program.Policy, sigma, maxDrop float64,
 		if err != nil {
 			return nil, fmt.Errorf("granularity ablation at p=%.3f: %w", gp, err)
 		}
-		res, err := p.Run(nil)
+		res, err := p.Run(context.Background())
 		if err != nil && !errors.Is(err, program.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("granularity ablation at p=%.3f: %w", gp, err)
 		}
@@ -203,7 +204,7 @@ func AblateDeviceBits(w *Workload, pol program.Policy, sigma, nwc float64,
 			if err != nil {
 				return Cell{}, fmt.Errorf("kbits ablation at K=%d: %w", k, err)
 			}
-			res, err := pl.Run(nil)
+			res, err := pl.Run(context.Background())
 			if err != nil {
 				return Cell{}, fmt.Errorf("kbits ablation at K=%d: %w", k, err)
 			}
@@ -276,7 +277,7 @@ func AblateSpatial(w *Workload, pol program.Policy, sigma, nwc float64,
 		if err != nil {
 			return SpatialResult{}, fmt.Errorf("spatial ablation (%s): %w", label, err)
 		}
-		res, err := p.Run(nil)
+		res, err := p.Run(context.Background())
 		if err != nil {
 			return SpatialResult{}, fmt.Errorf("spatial ablation (%s): %w", label, err)
 		}

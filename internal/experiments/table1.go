@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -122,7 +123,7 @@ func SweepPolicy(w *Workload, sigma float64, pol program.Policy, cfg SweepConfig
 	if err != nil {
 		return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
 	}
-	res, err := p.Run(nil)
+	res, err := p.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
 	}

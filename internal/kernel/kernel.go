@@ -1,20 +1,22 @@
 // Package kernel implements the pluggable dense-compute backends behind the
-// compiled evaluation tier. PR 3's plans drove Monte-Carlo evaluation to zero
-// steady-state allocations, which leaves the forward pass pure compute: every
-// serving-side trial is dominated by the matmul and im2col-convolution loops
-// in package tensor. This package separates that operator contract from the
-// loops that execute it, the same operator/backend split the photonic and
-// CIM simulators in the related work use, so the hot loops can be swapped
-// without touching any layer arithmetic.
+// compiled evaluation tier and training's backward pass. Compiled plans run
+// Monte-Carlo evaluation with zero steady-state allocations, which leaves
+// the forward pass pure compute: every serving-side trial is dominated by
+// the matmul and im2col-convolution loops. This package separates that
+// operator contract from the loops that execute it, the same
+// operator/backend split the photonic and CIM simulators in the related work
+// use, so the hot loops can be swapped without touching any layer
+// arithmetic. The backward pass of package nn (gradients and Hessian
+// diagonals, so training, in-situ steps and the sensitivity pass) runs its
+// products on Default as well.
 //
-// A Backend implements the dense primitives the plan tier needs: the three
-// matmul orientations (plain, Aᵀ, Bᵀ) with accumulate variants, a fused
-// bias+matmul for fully connected layers, im2col lowering, and a batched
-// (optionally im2col-free) convolution. Three backends ship:
+// A Backend implements the dense primitives: the three matmul orientations
+// (plain, Aᵀ, Bᵀ) with accumulate variants, which the backward pass uses, a
+// fused bias+matmul for fully connected layers, im2col lowering, and a
+// batched (optionally im2col-free) convolution. Three backends ship:
 //
-//   - "scalar": the original single-threaded loops, extracted verbatim from
-//     package tensor and internal/nn. It is the reference the other
-//     backends are pinned against.
+//   - "scalar": the plain single-threaded loops this repository has always
+//     run. It is the reference the other backends are pinned against.
 //   - "blocked": register-tiled matmul loops and a sparse direct
 //     convolution that skips the exact zeros ReLU and quantization leave in
 //     hidden feature maps. Same accumulation order per output element, so
@@ -54,8 +56,8 @@ import (
 	"swim/internal/tensor"
 )
 
-// Backend executes the dense primitives behind the compiled evaluation tier.
-// Implementations must satisfy the package-level determinism contract:
+// Backend executes the dense primitives behind the compiled evaluation tier
+// and the backward pass. Implementations must satisfy the package-level determinism contract:
 // bit-identical results to the scalar backend for finite inputs. Backends
 // must be safe for concurrent use by independent callers (the Monte-Carlo
 // pipeline shares one backend across its workers); the tensors passed to any
@@ -97,6 +99,6 @@ type Backend interface {
 // Default returns the default backend, blocked: bit-identical to the scalar
 // reference and faster on both models BENCH_kernels.json records. It is the
 // backend used anywhere no explicit selection is threaded through — the
-// layers' Forward passes, plans compiled without one, and an empty -kernel
-// flag or request axis.
+// layers' Forward and Backward passes, plans compiled without one, and an
+// empty -kernel flag or request axis.
 func Default() Backend { return blocked{} }

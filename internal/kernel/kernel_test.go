@@ -69,7 +69,7 @@ func TestMatMulVariantsBitIdentical(t *testing.T) {
 			seed := tensor.New(sz.m, sz.n)
 			fill(seed, r)
 			want := seed.Clone()
-			tensor.MatMulInto(want, a, b, acc)
+			scalar{}.MatMul(want, a, b, acc)
 			for _, back := range variants(t) {
 				got := seed.Clone()
 				back.MatMul(got, a, b, acc)
@@ -96,7 +96,7 @@ func TestMatMulTransAVariantsBitIdentical(t *testing.T) {
 			seed := tensor.New(sz.m, sz.n)
 			fill(seed, r)
 			want := seed.Clone()
-			tensor.MatMulTransAInto(want, a, b, acc)
+			scalar{}.MatMulTransA(want, a, b, acc)
 			for _, back := range variants(t) {
 				got := seed.Clone()
 				back.MatMulTransA(got, a, b, acc)
@@ -123,7 +123,7 @@ func TestMatMulTransBVariantsBitIdentical(t *testing.T) {
 			seed := tensor.New(sz.m, sz.n)
 			fill(seed, r)
 			want := seed.Clone()
-			tensor.MatMulTransBInto(want, a, b, acc)
+			scalar{}.MatMulTransB(want, a, b, acc)
 			for _, back := range variants(t) {
 				got := seed.Clone()
 				back.MatMulTransB(got, a, b, acc)
@@ -158,7 +158,7 @@ func TestLinearFusedMatchesUnfused(t *testing.T) {
 			}
 		}
 		want := tensor.New(sz.m, sz.n)
-		tensor.MatMulTransBInto(want, x, w, false)
+		scalar{}.MatMulTransB(want, x, w, false)
 		for bi := 0; bi < sz.m; bi++ {
 			row := want.Data[bi*sz.n : (bi+1)*sz.n]
 			for j := range row {
@@ -195,7 +195,7 @@ var convGeoms = []struct {
 	{2, 5, 3, 3, 3, 3, 2, 1},
 }
 
-// referenceConv is the historical conv forward: im2col, MatMulInto, bias
+// referenceConv is the historical conv forward: im2col, MatMul, bias
 // broadcast.
 func referenceConv(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64) {
 	b := x.Shape[0]
@@ -205,7 +205,7 @@ func referenceConv(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias
 	for bi := 0; bi < b; bi++ {
 		g.Im2ColInto(cols, x.Data[bi*sampleIn:(bi+1)*sampleIn])
 		om := tensor.FromSlice(dst.Data[bi*sampleOut:(bi+1)*sampleOut], outC, g.ColCols())
-		tensor.MatMulInto(om, w, cols, false)
+		scalar{}.MatMul(om, w, cols, false)
 	}
 	hw := g.OutH * g.OutW
 	for bi := 0; bi < b; bi++ {

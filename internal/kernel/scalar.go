@@ -4,9 +4,9 @@ import (
 	"swim/internal/tensor"
 )
 
-// scalar is the reference backend: the single-threaded loops this repository
-// has always run, extracted verbatim from package tensor and the Linear /
-// Conv2D forward passes. Every other backend is pinned bit-for-bit against it.
+// scalar is the reference backend: the plain single-threaded loops that fix
+// the observable floating-point behavior of every primitive. Every other
+// backend is pinned bit-for-bit against it.
 type scalar struct{}
 
 // Name implements Backend.
@@ -19,23 +19,77 @@ func (scalar) Spec() string { return "scalar" }
 // im2col + matmul lowering.
 func (scalar) UsesIm2Col() bool { return true }
 
-// MatMul implements Backend by delegating to the tensor kernel.
+// MatMul implements Backend with the i-k-j loop: the inner loop streams a
+// row of B into a row of C, and zero left-hand terms are skipped.
 func (scalar) MatMul(c, a, b *tensor.Tensor, accumulate bool) {
-	tensor.MatMulInto(c, a, b, accumulate)
+	m, k, n := matMulDims(c, a, b)
+	if !accumulate {
+		c.Zero()
+	}
+	ad, bd, cd := a.Data, b.Data, c.Data
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := bd[p*n : (p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
 }
 
-// MatMulTransA implements Backend by delegating to the tensor kernel.
+// MatMulTransA implements Backend with the p-i-j loop over the rows of A
+// and B, skipping zero left-hand terms.
 func (scalar) MatMulTransA(c, a, b *tensor.Tensor, accumulate bool) {
-	tensor.MatMulTransAInto(c, a, b, accumulate)
+	m, k, n := matMulTransADims(c, a, b)
+	if !accumulate {
+		c.Zero()
+	}
+	ad, bd, cd := a.Data, b.Data, c.Data
+	for p := 0; p < k; p++ {
+		arow := ad[p*m : (p+1)*m]
+		brow := bd[p*n : (p+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			crow := cd[i*n : (i+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
 }
 
-// MatMulTransB implements Backend by delegating to the tensor kernel.
+// MatMulTransB implements Backend with one dot product per element: a row
+// of A against a row of B, summed from +0 and then added into C.
 func (scalar) MatMulTransB(c, a, b *tensor.Tensor, accumulate bool) {
-	tensor.MatMulTransBInto(c, a, b, accumulate)
+	m, k, n := matMulTransBDims(c, a, b)
+	if !accumulate {
+		c.Zero()
+	}
+	ad, bd, cd := a.Data, b.Data, c.Data
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		crow := cd[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			s := 0.0
+			for p, av := range arow {
+				s += av * brow[p]
+			}
+			crow[j] += s
+		}
+	}
 }
 
-// Linear implements Backend. The loop is MatMulTransBInto's dot-product
-// kernel with the bias folded into the final store: each element's k-sum s
+// Linear implements Backend. The loop is MatMulTransB's dot-product kernel
+// with the bias folded into the final store: each element's k-sum s
 // accumulates exactly as before, and s + bias[j] is bitwise the historical
 // (0 + s) + bias[j] of the separate matmul and bias passes, because s can
 // never be -0 (a sum starting from +0 only turns negative through a nonzero
@@ -64,8 +118,8 @@ func (scalar) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 	g.Im2ColInto(cols, x)
 }
 
-// Conv2D implements Backend: per-sample im2col followed by the MatMulInto
-// i-k-j loop over the lowered matrix, then the bias broadcast over spatial
+// Conv2D implements Backend: per-sample im2col followed by MatMul's i-k-j
+// loop over the lowered matrix, then the bias broadcast over spatial
 // positions — the historical Conv2D.ForwardInto sequence, element for
 // element. The matmul runs inline on raw slices so no tensor headers are
 // allocated per call.

@@ -9,7 +9,7 @@ import (
 
 // ReLU is the rectified linear activation. Per the paper's Eq. 10 the second
 // derivative passes through the same 0/1 mask as the gradient (g′ ∈ {0,1},
-// g″ = 0), so BackwardSecond is structurally identical to Backward.
+// so g′² = g′, and g″ = 0): Backward is the same at both orders.
 type ReLU struct {
 	mask []bool
 }
@@ -53,25 +53,14 @@ func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Back
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := gradOut.Clone()
-	for i := range gradIn.Data {
+func (r *ReLU) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
+	dIn := dOut.Clone()
+	for i := range dIn.Data {
 		if !r.mask[i] {
-			gradIn.Data[i] = 0
+			dIn.Data[i] = 0
 		}
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (r *ReLU) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	hessIn := hessOut.Clone()
-	for i := range hessIn.Data {
-		if !r.mask[i] {
-			hessIn.Data[i] = 0
-		}
-	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.
@@ -83,7 +72,7 @@ func (r *ReLU) Clone() Layer { return &ReLU{} }
 // QuantAct fake-quantizes activations to Bits bits over [0, Max] (activations
 // in this repo follow ReLU, so they are non-negative). Training uses the
 // straight-through estimator: within range the derivative is treated as 1, so
-// both backward passes apply the same in-range mask (g″ = 0 almost
+// Backward applies the same in-range mask at both orders (g″ = 0 almost
 // everywhere). This reproduces the paper's setting where "both the weights
 // and activation are quantized".
 type QuantAct struct {
@@ -183,25 +172,14 @@ func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.
 }
 
 // Backward implements Layer.
-func (q *QuantAct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := gradOut.Clone()
-	for i := range gradIn.Data {
+func (q *QuantAct) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
+	dIn := dOut.Clone()
+	for i := range dIn.Data {
 		if !q.inRange[i] {
-			gradIn.Data[i] = 0
+			dIn.Data[i] = 0
 		}
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (q *QuantAct) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	hessIn := hessOut.Clone()
-	for i := range hessIn.Data {
-		if !q.inRange[i] {
-			hessIn.Data[i] = 0
-		}
-	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.

@@ -15,7 +15,8 @@ import (
 // y = (γ/σ)·x + const per channel. SWIM's sensitivity pass always runs in
 // evaluation mode (the network is converged and frozen while being mapped),
 // where the paper's FC-layer rule applies exactly: the second derivative
-// propagates through the squared coefficient (γ/σ)².
+// propagates through the squared coefficient (γ/σ)². The batch-statistics
+// terms of the training-mode gradient are order-1 only.
 //
 // γ and β live in digital peripheral registers on a CiM accelerator, not in
 // NVM crossbars, so they are not Mapped and never write-verified.
@@ -147,74 +148,61 @@ func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ ker
 	}
 }
 
-// Backward implements Layer.
-func (bn *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer. Per channel the layer is y = γ·x̂ + β with
+// x̂ = (x − μ)·is, so β's derivative sums dOut and γ's sums dOut·x̂ (x̂²
+// at order 2). The input derivative is dOut scaled by γ·is, or (γ·is)² at
+// order 2; in training mode, order 1 adds the batch-statistics terms of the
+// full batch-norm gradient, which have no order-2 counterpart.
+func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	dGamma, dBeta := bn.Gamma.acc(order), bn.Beta.acc(order)
 	b, c := bn.inShape[0], bn.inShape[1]
 	hw := bn.inShape[2] * bn.inShape[3]
 	n := float64(b * hw)
-	gradIn := tensor.New(bn.inShape...)
+	dIn := tensor.New(bn.inShape...)
 
 	for ci := 0; ci < c; ci++ {
 		// Per-channel reductions.
-		var sumDy, sumDyXhat float64
+		var sumD, sumDXhat float64
 		for bi := 0; bi < b; bi++ {
 			base := (bi*c + ci) * hw
 			for i := base; i < base+hw; i++ {
-				dy := gradOut.Data[i]
-				sumDy += dy
-				sumDyXhat += dy * bn.xhat.Data[i]
+				d, xh := dOut.Data[i], bn.xhat.Data[i]
+				sumD += d
+				if order == 2 {
+					sumDXhat += d * xh * xh
+				} else {
+					sumDXhat += d * xh
+				}
 			}
 		}
-		bn.Beta.Grad.Data[ci] += sumDy
-		bn.Gamma.Grad.Data[ci] += sumDyXhat
+		dBeta.Data[ci] += sumD
+		dGamma.Data[ci] += sumDXhat
 
 		g, is := bn.Gamma.Data.Data[ci], bn.invStd[ci]
-		if bn.trainMode {
+		if order == 1 && bn.trainMode {
 			// Full batch-norm gradient: dx = (γ/σ)(dy − mean(dy) − x̂·mean(dy·x̂)).
-			mDy, mDyXhat := sumDy/n, sumDyXhat/n
+			mD, mDXhat := sumD/n, sumDXhat/n
 			for bi := 0; bi < b; bi++ {
 				base := (bi*c + ci) * hw
 				for i := base; i < base+hw; i++ {
-					gradIn.Data[i] = g * is * (gradOut.Data[i] - mDy - bn.xhat.Data[i]*mDyXhat)
+					dIn.Data[i] = g * is * (dOut.Data[i] - mD - bn.xhat.Data[i]*mDXhat)
 				}
 			}
-		} else {
-			// Frozen statistics: plain affine map.
-			for bi := 0; bi < b; bi++ {
-				base := (bi*c + ci) * hw
-				for i := base; i < base+hw; i++ {
-					gradIn.Data[i] = g * is * gradOut.Data[i]
-				}
-			}
+			continue
 		}
-	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (bn *BatchNorm2D) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	b, c := bn.inShape[0], bn.inShape[1]
-	hw := bn.inShape[2] * bn.inShape[3]
-	hessIn := tensor.New(bn.inShape...)
-	for ci := 0; ci < c; ci++ {
-		g, is := bn.Gamma.Data.Data[ci], bn.invStd[ci]
-		coeff := g * is * g * is
-		var sumH, sumHXhat2 float64
+		// Frozen statistics: plain affine map.
+		coeff := g * is
+		if order == 2 {
+			coeff = g * is * g * is
+		}
 		for bi := 0; bi < b; bi++ {
 			base := (bi*c + ci) * hw
 			for i := base; i < base+hw; i++ {
-				hv := hessOut.Data[i]
-				hessIn.Data[i] = coeff * hv
-				sumH += hv
-				xh := bn.xhat.Data[i]
-				sumHXhat2 += hv * xh * xh
+				dIn.Data[i] = coeff * dOut.Data[i]
 			}
 		}
-		// d²f/dβ² = Σ d²f/dy²; d²f/dγ² = Σ d²f/dy² · x̂² (dy/dγ = x̂, linear).
-		bn.Beta.Hess.Data[ci] += sumH
-		bn.Gamma.Hess.Data[ci] += sumHXhat2
 	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.

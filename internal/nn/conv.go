@@ -10,10 +10,10 @@ import (
 )
 
 // Conv2D is a 2-D convolution lowered to im2col + matmul. As the paper notes,
-// convolution "can be cast in the same form as FC layers", so its first- and
-// second-derivative backprop reuse the linear-layer rules with the im2col
-// adjoint (Col2ImAdd) scattering input derivatives back; overlapping
-// receptive fields sum, exactly like the skip-connection rule.
+// convolution "can be cast in the same form as FC layers", so its backward
+// pass reuses the linear-layer rules at both orders, with the im2col adjoint
+// (Col2ImAdd) scattering input derivatives back; overlapping receptive
+// fields sum, exactly like the skip-connection rule.
 type Conv2D struct {
 	name string
 	OutC int
@@ -62,7 +62,7 @@ func (c *Conv2D) scratch() *tensor.Tensor {
 }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the input for the backward passes.
+// additionally caches the input for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkBatched(x, 4, c.name)
 	c.x = x
@@ -88,73 +88,46 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Ba
 	k.Conv2D(g, c.OutC, dst, x, c.W.Data, c.B.Data.Data, cols)
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	b := gradOut.Shape[0]
+// Backward implements Layer. Order 2 runs the order-1 products on the
+// squared im2col columns and squared weights: Eq. 8 with the shared-weight
+// positions summed, the convolutional analogue of summing over the batch,
+// and Eq. 10's core for the input.
+func (c *Conv2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	k := kernel.Default()
+	dW, dB := c.W.acc(order), c.B.acc(order)
+	w := c.W.Data
+	if order == 2 {
+		w = square(w.Clone())
+	}
+	b := dOut.Shape[0]
 	g := c.Geom
-	gradIn := tensor.New(b, g.InC, g.InH, g.InW)
+	dIn := tensor.New(b, g.InC, g.InH, g.InW)
 	cols := c.scratch()
-	colGrad := tensor.New(g.ColRows(), g.ColCols())
+	colD := tensor.New(g.ColRows(), g.ColCols())
 	sampleIn := g.InC * g.InH * g.InW
 	sampleOut := c.OutC * g.OutH * g.OutW
 	hw := g.OutH * g.OutW
 	for bi := 0; bi < b; bi++ {
-		gm := tensor.FromSlice(gradOut.Data[bi*sampleOut:(bi+1)*sampleOut], c.OutC, g.ColCols())
-		// dW += gm · colsᵀ (recompute im2col; cheaper than caching per-sample)
-		g.Im2ColInto(cols, c.x.Data[bi*sampleIn:(bi+1)*sampleIn])
-		tensor.MatMulTransBInto(c.W.Grad, gm, cols, true)
+		dm := tensor.FromSlice(dOut.Data[bi*sampleOut:(bi+1)*sampleOut], c.OutC, g.ColCols())
+		// dW += dm · colsᵀ (recompute im2col; cheaper than caching per-sample)
+		k.Im2Col(g, cols, c.x.Data[bi*sampleIn:(bi+1)*sampleIn])
+		if order == 2 {
+			square(cols)
+		}
+		k.MatMulTransB(dW, dm, cols, true)
 		// db += spatial sums
 		for oc := 0; oc < c.OutC; oc++ {
 			s := 0.0
-			seg := gm.Data[oc*hw : (oc+1)*hw]
-			for _, v := range seg {
+			for _, v := range dm.Data[oc*hw : (oc+1)*hw] {
 				s += v
 			}
-			c.B.Grad.Data[oc] += s
+			dB.Data[oc] += s
 		}
-		// dI = col2im(Wᵀ · gm)
-		tensor.MatMulTransAInto(colGrad, c.W.Data, gm, false)
-		g.Col2ImAdd(gradIn.Data[bi*sampleIn:(bi+1)*sampleIn], colGrad)
+		// dI = col2im(wᵀ · dm)
+		k.MatMulTransA(colD, w, dm, false)
+		g.Col2ImAdd(dIn.Data[bi*sampleIn:(bi+1)*sampleIn], colD)
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (c *Conv2D) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	b := hessOut.Shape[0]
-	g := c.Geom
-	hessIn := tensor.New(b, g.InC, g.InH, g.InW)
-	cols := c.scratch()
-	colHess := tensor.New(g.ColRows(), g.ColCols())
-	w2 := c.W.Data.Clone()
-	for i, v := range w2.Data {
-		w2.Data[i] = v * v
-	}
-	sampleIn := g.InC * g.InH * g.InW
-	sampleOut := c.OutC * g.OutH * g.OutW
-	hw := g.OutH * g.OutW
-	for bi := 0; bi < b; bi++ {
-		hm := tensor.FromSlice(hessOut.Data[bi*sampleOut:(bi+1)*sampleOut], c.OutC, g.ColCols())
-		// HessW += hm · (cols²)ᵀ — Eq. 8 with the shared-weight positions
-		// summed, the convolutional analogue of summing over the batch.
-		g.Im2ColInto(cols, c.x.Data[bi*sampleIn:(bi+1)*sampleIn])
-		for i, v := range cols.Data {
-			cols.Data[i] = v * v
-		}
-		tensor.MatMulTransBInto(c.W.Hess, hm, cols, true)
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			seg := hm.Data[oc*hw : (oc+1)*hw]
-			for _, v := range seg {
-				s += v
-			}
-			c.B.Hess.Data[oc] += s
-		}
-		// HessI = col2im(W²ᵀ · hm) — Eq. 10 core.
-		tensor.MatMulTransAInto(colHess, w2, hm, false)
-		g.Col2ImAdd(hessIn.Data[bi*sampleIn:(bi+1)*sampleIn], colHess)
-	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.

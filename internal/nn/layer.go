@@ -9,11 +9,11 @@ import (
 
 // Layer is the one contract of every network building block. It has two
 // forward entry points: Forward feeds training and the Hessian pass (it
-// caches what the backward passes need), and ForwardInto is the inference
-// path compiled evaluation plans (package eval) run. A layer owns whatever
-// activations it must cache between the forward and the two backward passes,
-// so a single layer instance must not be shared between concurrently
-// evaluated networks — use Clone for per-trial copies.
+// caches what Backward needs), and ForwardInto is the inference path
+// compiled evaluation plans (package eval) run. A layer owns whatever
+// activations it must cache between Forward and its backward passes, so a
+// single layer instance must not be shared between concurrently evaluated
+// networks — use Clone for per-trial copies.
 type Layer interface {
 	// Name returns a short human-readable identifier.
 	Name() string
@@ -23,13 +23,15 @@ type Layer interface {
 	// overwrites (Residual does this); callers holding outputs across calls
 	// must Clone them.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward consumes df/dOutput and returns df/dInput, accumulating
-	// parameter gradients. It must follow a Forward call.
-	Backward(gradOut *tensor.Tensor) *tensor.Tensor
-	// BackwardSecond consumes d²f/dOutput² and returns d²f/dInput²,
-	// accumulating parameter Hessian diagonals per the paper's Eq. 8–10.
-	// It must follow a Forward call (Backward is not required first).
-	BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor
+	// Backward runs the backward pass of the given derivative order and
+	// must follow a Forward call. Order 1 consumes df/dOutput, returns
+	// df/dInput and accumulates parameter gradients into Param.Grad.
+	// Order 2 consumes d²f/dOutput², returns d²f/dInput² and accumulates
+	// parameter Hessian diagonals into Param.Hess per the paper's
+	// Eq. 8–10: the order-1 rule with squared inputs, weights and
+	// coefficients. Sigmoid and Tanh need the order-1 pass on the same
+	// Forward before order 2; no other layer does.
+	Backward(dOut *tensor.Tensor, order int) *tensor.Tensor
 	// Params returns the layer's parameters (empty for stateless layers).
 	Params() []*Param
 	// Clone returns a deep copy with independent parameters and caches.
@@ -44,7 +46,7 @@ type Layer interface {
 	//
 	//   - dst is fully overwritten (it may hold garbage on entry) and must
 	//     not alias x;
-	//   - no state needed by Backward/BackwardSecond is updated;
+	//   - no state needed by Backward is updated;
 	//   - scratch may be nil, in which case temporaries fall back to the
 	//     layer's own cached buffers or the heap; buffers carved from scratch
 	//     are released by the caller's next Arena.Reset, so implementations
@@ -125,19 +127,11 @@ func (s *Sequential) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k
 }
 
 // Backward implements Layer.
-func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (s *Sequential) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		gradOut = s.Layers[i].Backward(gradOut)
+		dOut = s.Layers[i].Backward(dOut, order)
 	}
-	return gradOut
-}
-
-// BackwardSecond implements Layer.
-func (s *Sequential) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		hessOut = s.Layers[i].BackwardSecond(hessOut)
-	}
-	return hessOut
+	return dOut
 }
 
 // Params implements Layer.
@@ -159,7 +153,7 @@ func (s *Sequential) Clone() Layer {
 }
 
 // Residual implements a skip connection: out = Body(x) + Shortcut(x).
-// Shortcut may be nil for an identity skip. During both backward passes the
+// Shortcut may be nil for an identity skip. At both derivative orders the
 // contributions of the two branches are summed, matching the paper's rule
 // that "the second derivatives of different branches are summed up".
 type Residual struct {
@@ -245,25 +239,14 @@ func (r *Residual) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k k
 }
 
 // Backward implements Layer.
-func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := r.Body.Backward(gradOut).Clone()
+func (r *Residual) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	dIn := r.Body.Backward(dOut, order).Clone()
 	if r.Shortcut != nil {
-		gradIn.Add(r.Shortcut.Backward(gradOut))
+		dIn.Add(r.Shortcut.Backward(dOut, order))
 	} else {
-		gradIn.Add(gradOut)
+		dIn.Add(dOut)
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (r *Residual) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	hessIn := r.Body.BackwardSecond(hessOut).Clone()
-	if r.Shortcut != nil {
-		hessIn.Add(r.Shortcut.BackwardSecond(hessOut))
-	} else {
-		hessIn.Add(hessOut)
-	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.
@@ -322,13 +305,8 @@ func (f *Flatten) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.B
 }
 
 // Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return gradOut.Reshape(f.inShape...)
-}
-
-// BackwardSecond implements Layer.
-func (f *Flatten) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	return hessOut.Reshape(f.inShape...)
+func (f *Flatten) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
+	return dOut.Reshape(f.inShape...)
 }
 
 // Params implements Layer.
@@ -359,4 +337,13 @@ func checkBatched(x *tensor.Tensor, wantRank int, who string) {
 	if len(x.Shape) != wantRank {
 		panic(fmt.Sprintf("nn: %s expects rank-%d input, got shape %v", who, wantRank, x.Shape))
 	}
+}
+
+// square replaces every element of t with its square and returns t: the
+// inputs and weights of an order-2 pass through a linear map.
+func square(t *tensor.Tensor) *tensor.Tensor {
+	for i, v := range t.Data {
+		t.Data[i] = v * v
+	}
+	return t
 }

@@ -13,7 +13,8 @@ import (
 // vectors P ([B, in]). W is [out, in] so that row j holds the fan-in of
 // output j — the same orientation a crossbar column uses.
 //
-// Backward passes (paper Eq. 8, 10, 12, 13, batched over samples):
+// Backward at orders 1 and 2 (paper Eq. 8, 10, 12, 13, batched over
+// samples):
 //
 //	df/dW_ji   = Σ_b  df/dO_bj · P_bi          (Eq. 12)
 //	df/dI_bi   = Σ_j  W_ji · df/dO_bj          (Eq. 13)
@@ -53,7 +54,7 @@ func stdScale(invFan float64) float64 {
 func (l *Linear) Name() string { return l.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the input for the backward passes.
+// additionally caches the input for Backward.
 func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkBatched(x, 2, l.name)
 	l.x = x
@@ -77,50 +78,28 @@ func (l *Linear) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, k kernel.Ba
 	k.Linear(dst, x, l.W.Data, l.B.Data.Data)
 }
 
-// Backward implements Layer.
-func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	b := gradOut.Shape[0]
-	// dW += gradOutᵀ · x   ([out, in])
-	tensor.MatMulTransAInto(l.W.Grad, gradOut, l.x, true)
-	// db += column sums of gradOut
+// Backward implements Layer. Order 2 runs the order-1 products on the
+// squared input and squared weights.
+func (l *Linear) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	k := kernel.Default()
+	dW, dB := l.W.acc(order), l.B.acc(order)
+	x, w := l.x, l.W.Data
+	if order == 2 {
+		x, w = square(x.Clone()), square(w.Clone())
+	}
+	b := dOut.Shape[0]
+	// dW += dOutᵀ · x   ([out, in])
+	k.MatMulTransA(dW, dOut, x, true)
+	// db += column sums of dOut (dO/db = 1, d²O/db² = 0)
 	for bi := 0; bi < b; bi++ {
-		row := gradOut.Data[bi*l.Out : (bi+1)*l.Out]
-		for j, v := range row {
-			l.B.Grad.Data[j] += v
+		for j, v := range dOut.Data[bi*l.Out : (bi+1)*l.Out] {
+			dB.Data[j] += v
 		}
 	}
-	// dx = gradOut · W   ([B, in])
-	gradIn := tensor.New(b, l.In)
-	tensor.MatMulInto(gradIn, gradOut, l.W.Data, false)
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (l *Linear) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	b := hessOut.Shape[0]
-	// Squared input and squared weights drive both accumulations.
-	x2 := l.x.Clone()
-	for i, v := range x2.Data {
-		x2.Data[i] = v * v
-	}
-	// HessW += hessOutᵀ · x²   (Eq. 8 summed over the batch)
-	tensor.MatMulTransAInto(l.W.Hess, hessOut, x2, true)
-	// Hess b += column sums (d²O/db² = 0, dO/db = 1)
-	for bi := 0; bi < b; bi++ {
-		row := hessOut.Data[bi*l.Out : (bi+1)*l.Out]
-		for j, v := range row {
-			l.B.Hess.Data[j] += v
-		}
-	}
-	// hessIn = hessOut · W²   (Eq. 10 core; activation factor handled by the
-	// activation layer that precedes this one)
-	w2 := l.W.Data.Clone()
-	for i, v := range w2.Data {
-		w2.Data[i] = v * v
-	}
-	hessIn := tensor.New(b, l.In)
-	tensor.MatMulInto(hessIn, hessOut, w2, false)
-	return hessIn
+	// dx = dOut · w   ([B, in])
+	dIn := tensor.New(b, l.In)
+	k.MatMul(dIn, dOut, w, false)
+	return dIn
 }
 
 // Params implements Layer.

@@ -8,16 +8,16 @@ import (
 
 // Loss scores a batch of logits against integer class labels and provides
 // the first and second derivatives with respect to the logits, which seed
-// the two backward passes.
+// the trunk's backward pass of the same order.
 type Loss interface {
-	// Forward returns the mean loss over the batch and caches what the
-	// derivative calls need.
+	// Forward returns the mean loss over the batch and caches what Backward
+	// needs.
 	Forward(logits *tensor.Tensor, labels []int) float64
-	// Backward returns df/dO ([B, classes], averaged over the batch).
-	Backward() *tensor.Tensor
-	// BackwardSecond returns d²f/dO² ([B, classes], averaged over the
-	// batch) — Eq. 11 for softmax cross-entropy, the constant 2 for L2.
-	BackwardSecond() *tensor.Tensor
+	// Backward returns the derivative of the given order with respect to
+	// the logits ([B, classes], averaged over the batch): df/dO at order 1,
+	// the diagonal d²f/dO² at order 2 — Eq. 11 for softmax cross-entropy,
+	// the constant 2 for L2.
+	Backward(order int) *tensor.Tensor
 }
 
 // SoftmaxCrossEntropy is the standard classification loss. Its logit-space
@@ -68,28 +68,27 @@ func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	return loss / float64(b)
 }
 
-// Backward implements Loss.
-func (s *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
+// Backward implements Loss: p − onehot(label) at order 1, p(1−p) at
+// order 2, each over the batch size.
+func (s *SoftmaxCrossEntropy) Backward(order int) *tensor.Tensor {
 	b, c := s.probs.Shape[0], s.probs.Shape[1]
-	grad := s.probs.Clone()
 	inv := 1.0 / float64(b)
-	for bi := 0; bi < b; bi++ {
-		grad.Data[bi*c+s.labels[bi]] -= 1
+	switch order {
+	case 1:
+		grad := s.probs.Clone()
+		for bi := 0; bi < b; bi++ {
+			grad.Data[bi*c+s.labels[bi]] -= 1
+		}
+		grad.Scale(inv)
+		return grad
+	case 2:
+		hess := tensor.New(b, c)
+		for i, p := range s.probs.Data {
+			hess.Data[i] = p * (1 - p) * inv
+		}
+		return hess
 	}
-	grad.Scale(inv)
-	return grad
-}
-
-// BackwardSecond implements Loss.
-func (s *SoftmaxCrossEntropy) BackwardSecond() *tensor.Tensor {
-	b, c := s.probs.Shape[0], s.probs.Shape[1]
-	hess := tensor.New(b, c)
-	inv := 1.0 / float64(b)
-	for i, p := range s.probs.Data {
-		hess.Data[i] = p * (1 - p) * inv
-	}
-	_ = c
-	return hess
+	panic(badOrder(order))
 }
 
 // L2Loss is the squared-error loss against one-hot targets:
@@ -115,16 +114,19 @@ func (l *L2Loss) Forward(logits *tensor.Tensor, labels []int) float64 {
 	return l.diff.SumSquares() / float64(b)
 }
 
-// Backward implements Loss.
-func (l *L2Loss) Backward() *tensor.Tensor {
-	grad := l.diff.Clone()
-	grad.Scale(2.0 / float64(l.diff.Shape[0]))
-	return grad
-}
-
-// BackwardSecond implements Loss.
-func (l *L2Loss) BackwardSecond() *tensor.Tensor {
-	hess := tensor.New(l.diff.Shape...)
-	hess.Fill(2.0 / float64(l.diff.Shape[0]))
-	return hess
+// Backward implements Loss: 2·(O − Y) at order 1, the constant 2 at
+// order 2, each over the batch size.
+func (l *L2Loss) Backward(order int) *tensor.Tensor {
+	scale := 2.0 / float64(l.diff.Shape[0])
+	switch order {
+	case 1:
+		grad := l.diff.Clone()
+		grad.Scale(scale)
+		return grad
+	case 2:
+		hess := tensor.New(l.diff.Shape...)
+		hess.Fill(scale)
+		return hess
+	}
+	panic(badOrder(order))
 }

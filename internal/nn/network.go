@@ -65,12 +65,22 @@ func (n *Network) ZeroHess() {
 	}
 }
 
+// backprop runs one forward pass on a batch, scores it, then runs the
+// trunk's backward pass once per listed derivative order, each seeded by the
+// loss derivative of that order. It returns the batch loss and the logits.
+func (n *Network) backprop(x *tensor.Tensor, labels []int, train bool, orders ...int) (float64, *tensor.Tensor) {
+	logits := n.Forward(x, train)
+	loss := n.Loss.Forward(logits, labels)
+	for _, order := range orders {
+		n.Trunk.Backward(n.Loss.Backward(order), order)
+	}
+	return loss, logits
+}
+
 // LossGrad runs forward + first-derivative backward on one batch,
 // accumulating parameter gradients, and returns the batch loss.
 func (n *Network) LossGrad(x *tensor.Tensor, labels []int, train bool) float64 {
-	logits := n.Forward(x, train)
-	loss := n.Loss.Forward(logits, labels)
-	n.Trunk.Backward(n.Loss.Backward())
+	loss, _ := n.backprop(x, labels, train, 1)
 	return loss
 }
 
@@ -78,9 +88,7 @@ func (n *Network) LossGrad(x *tensor.Tensor, labels []int, train bool) float64 {
 // correctly classified samples in the batch, reusing the same forward pass
 // (training loops want both without paying for a second inference).
 func (n *Network) LossGradCount(x *tensor.Tensor, labels []int, train bool) (float64, int) {
-	logits := n.Forward(x, train)
-	loss := n.Loss.Forward(logits, labels)
-	n.Trunk.Backward(n.Loss.Backward())
+	loss, logits := n.backprop(x, labels, train, 1)
 	return loss, CountCorrectLogits(logits, labels)
 }
 
@@ -111,23 +119,18 @@ func CountCorrectLogits(logits *tensor.Tensor, labels []int) int {
 // is a single extra pass with the cost profile of a gradient computation; it
 // runs in evaluation mode because the model is frozen while being mapped.
 func (n *Network) AccumulateHessian(x *tensor.Tensor, labels []int) float64 {
-	logits := n.Forward(x, false)
-	loss := n.Loss.Forward(logits, labels)
-	n.Trunk.BackwardSecond(n.Loss.BackwardSecond())
+	loss, _ := n.backprop(x, labels, false, 2)
 	return loss
 }
 
-// AccumulateHessianFull is AccumulateHessian preceded by a gradient backward
+// AccumulateHessianFull is AccumulateHessian preceded by an order-1 backward
 // pass on the same forward computation. Networks containing
 // curvature-carrying activations (Sigmoid, Tanh) need the first derivatives
 // for Eq. 9's g″ term; ReLU networks can use the cheaper AccumulateHessian.
 // Parameter gradients accumulated by the embedded backward pass are left in
 // place (callers that care should ZeroGrad afterwards).
 func (n *Network) AccumulateHessianFull(x *tensor.Tensor, labels []int) float64 {
-	logits := n.Forward(x, false)
-	loss := n.Loss.Forward(logits, labels)
-	n.Trunk.Backward(n.Loss.Backward())
-	n.Trunk.BackwardSecond(n.Loss.BackwardSecond())
+	loss, _ := n.backprop(x, labels, false, 1, 2)
 	return loss
 }
 

@@ -330,7 +330,7 @@ func TestSoftmaxCEGradRowsSumToZero(t *testing.T) {
 	l := NewSoftmaxCrossEntropy()
 	logits := randInput(r, 4, 5)
 	l.Forward(logits, []int{0, 1, 2, 3})
-	g := l.Backward()
+	g := l.Backward(1)
 	for bi := 0; bi < 4; bi++ {
 		s := 0.0
 		for j := 0; j < 5; j++ {
@@ -347,7 +347,7 @@ func TestSoftmaxCEHessIsPOneMinusP(t *testing.T) {
 	l := NewSoftmaxCrossEntropy()
 	logits := randInput(r, 2, 4)
 	l.Forward(logits, []int{0, 1})
-	h := l.BackwardSecond()
+	h := l.Backward(2)
 	for i, p := range l.probs.Data {
 		want := p * (1 - p) / 2
 		if math.Abs(h.Data[i]-want) > 1e-12 {
@@ -366,11 +366,11 @@ func TestL2LossValueAndDerivs(t *testing.T) {
 	if math.Abs(loss-0.5) > 1e-12 { // (0.5-1)^2 + 0.5^2
 		t.Fatalf("loss = %v", loss)
 	}
-	g := l.Backward()
+	g := l.Backward(1)
 	if math.Abs(g.Data[0]+1) > 1e-12 || math.Abs(g.Data[1]-1) > 1e-12 {
 		t.Fatalf("grad = %v", g.Data)
 	}
-	h := l.BackwardSecond()
+	h := l.Backward(2)
 	for _, v := range h.Data {
 		if v != 2 {
 			t.Fatalf("hess = %v, want all 2", h.Data)
@@ -404,7 +404,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		}
 	}
 	g := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	gi := p.Backward(g)
+	gi := p.Backward(g, 1)
 	if gi.Data[5] != 1 || gi.Data[7] != 2 || gi.Data[13] != 3 || gi.Data[15] != 4 {
 		t.Fatalf("maxpool routing wrong: %v", gi.Data)
 	}
@@ -422,7 +422,7 @@ func TestAvgPoolSecondUsesSquaredCoeff(t *testing.T) {
 	x := tensor.New(1, 1, 2, 2)
 	p.Forward(x, false)
 	h := tensor.FromSlice([]float64{8}, 1, 1, 1, 1)
-	hi := p.BackwardSecond(h)
+	hi := p.Backward(h, 2)
 	for _, v := range hi.Data {
 		if v != 0.5 { // 8 * (1/4)^2
 			t.Fatalf("avgpool hess scatter = %v, want 0.5", hi.Data)
@@ -454,13 +454,13 @@ func TestQuantActQuantizesAndClips(t *testing.T) {
 			t.Fatalf("quant = %v, want %v", y.Data, want)
 		}
 	}
-	// STE: out-of-range elements block both derivative passes.
+	// STE: out-of-range elements block the derivative at both orders.
 	g := tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 4)
-	gi := q.Backward(g)
+	gi := q.Backward(g, 1)
 	if gi.Data[0] != 0 || gi.Data[1] != 1 || gi.Data[2] != 1 || gi.Data[3] != 0 {
 		t.Fatalf("STE mask = %v", gi.Data)
 	}
-	hi := q.BackwardSecond(g)
+	hi := q.Backward(g, 2)
 	if hi.Data[0] != 0 || hi.Data[3] != 0 || hi.Data[1] != 1 {
 		t.Fatalf("hess STE mask = %v", hi.Data)
 	}

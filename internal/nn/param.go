@@ -1,19 +1,32 @@
 // Package nn implements the neural-network substrate for the SWIM
-// reproduction: layers with three passes each —
+// reproduction: layers with a forward pass and one backward pass that takes
+// the derivative order —
 //
 //   - Forward: standard inference/training forward pass;
-//   - Backward: first-derivative (gradient) backprop;
-//   - BackwardSecond: the paper's Eq. 8–10 diagonal second-derivative
+//   - Backward(d, 1): first-derivative (gradient) backprop into Param.Grad;
+//   - Backward(d, 2): the paper's Eq. 8–10 diagonal second-derivative
 //     backprop, which propagates d²f/dI² through squared weights and
-//     accumulates the per-weight sensitivities d²f/dW² that SWIM ranks.
+//     accumulates the per-weight sensitivities d²f/dW² that SWIM ranks into
+//     Param.Hess.
 //
-// The second pass mirrors gradient backprop structurally (an extra elementwise
-// square per layer), which is how the paper achieves single-pass Hessian
+// Order 2 is the order-1 rule with every linear coefficient — inputs,
+// weights, pooling and normalization factors — squared, the diagonal recipe
+// of Optimal Brain Damage (LeCun et al., NIPS 1990) the paper builds on.
+// Smooth activations (Sigmoid, Tanh) add one term, g″ times the order-1
+// gradient, so they need the order-1 pass on the same Forward first;
+// BatchNorm2D's batch-statistics terms have no order-2 counterpart (the
+// sensitivity pass runs in evaluation mode). One backward pass thus serves
+// both orders, which is how the paper achieves single-pass Hessian
 // diagonals: cost and memory are within a constant factor of an ordinary
-// gradient computation.
+// gradient computation. Both orders run their dense products on
+// kernel.Default().
 package nn
 
-import "swim/internal/tensor"
+import (
+	"fmt"
+
+	"swim/internal/tensor"
+)
 
 // Param is a learnable (and possibly device-mapped) parameter tensor with its
 // gradient and diagonal-Hessian accumulators.
@@ -23,9 +36,10 @@ type Param struct {
 	// Data holds the parameter values (for mapped params these are the
 	// *desired* values; programmed values live in the mapping package).
 	Data *tensor.Tensor
-	// Grad accumulates df/dw during Backward.
+	// Grad accumulates df/dw during an order-1 Backward.
 	Grad *tensor.Tensor
-	// Hess accumulates the Hessian diagonal d²f/dw² during BackwardSecond.
+	// Hess accumulates the Hessian diagonal d²f/dw² during an order-2
+	// Backward.
 	Hess *tensor.Tensor
 	// Mapped marks parameters that are programmed onto NVM crossbar devices
 	// (convolution and fully-connected weight matrices). Biases and
@@ -48,6 +62,22 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // ZeroHess clears the Hessian-diagonal accumulator.
 func (p *Param) ZeroHess() { p.Hess.Zero() }
+
+// acc returns the accumulator a backward pass of the given derivative order
+// adds into: Grad for order 1, Hess for order 2.
+func (p *Param) acc(order int) *tensor.Tensor {
+	switch order {
+	case 1:
+		return p.Grad
+	case 2:
+		return p.Hess
+	}
+	panic(badOrder(order))
+}
+
+func badOrder(order int) string {
+	return fmt.Sprintf("nn: derivative order %d, want 1 or 2", order)
+}
 
 // Size returns the number of scalar weights in the parameter.
 func (p *Param) Size() int { return p.Data.Size() }

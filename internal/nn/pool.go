@@ -9,8 +9,8 @@ import (
 )
 
 // MaxPool2D is a max-pooling layer. Backprop "cancels derivatives of the
-// deactivated inputs" (paper §3.3): both the gradient and the second
-// derivative route to the argmax element of each window only.
+// deactivated inputs" (paper §3.3): at both orders the derivative routes to
+// the argmax element of each window only.
 type MaxPool2D struct {
 	name      string
 	K, Stride int
@@ -110,21 +110,12 @@ func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 }
 
 // Backward implements Layer.
-func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(m.inShape...)
+func (m *MaxPool2D) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
+	dIn := tensor.New(m.inShape...)
 	for o, idx := range m.argmax {
-		gradIn.Data[idx] += gradOut.Data[o]
+		dIn.Data[idx] += dOut.Data[o]
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer.
-func (m *MaxPool2D) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	hessIn := tensor.New(m.inShape...)
-	for o, idx := range m.argmax {
-		hessIn.Data[idx] += hessOut.Data[o]
-	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.
@@ -161,7 +152,7 @@ func NewGlobalAvgPool(name string, spatial int) *AvgPool2D {
 func (a *AvgPool2D) Name() string { return a.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally records the input shape for the backward passes.
+// additionally records the input shape for Backward.
 func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkBatched(x, 4, a.name)
 	a.inShape = append(a.inShape[:0], x.Shape...)
@@ -209,7 +200,14 @@ func (a *AvgPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 	}
 }
 
-func (a *AvgPool2D) scatter(dOut *tensor.Tensor, coeff float64) *tensor.Tensor {
+// Backward implements Layer: every window element receives the output
+// derivative times the window mean's coefficient 1/n, squared at order 2.
+func (a *AvgPool2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	n := float64(a.K * a.K)
+	coeff := 1.0 / n
+	if order == 2 {
+		coeff = 1.0 / (n * n)
+	}
 	dIn := tensor.New(a.inShape...)
 	b, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
 	oh, ow := poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride)
@@ -232,17 +230,6 @@ func (a *AvgPool2D) scatter(dOut *tensor.Tensor, coeff float64) *tensor.Tensor {
 		}
 	}
 	return dIn
-}
-
-// Backward implements Layer.
-func (a *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return a.scatter(gradOut, 1.0/float64(a.K*a.K))
-}
-
-// BackwardSecond implements Layer.
-func (a *AvgPool2D) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
-	n := float64(a.K * a.K)
-	return a.scatter(hessOut, 1.0/(n*n))
 }
 
 // Params implements Layer.

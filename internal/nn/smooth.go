@@ -18,8 +18,9 @@ import (
 //
 // (the chain rule for second derivatives of a composition; Eq. 9's form has
 // the first-derivative term folded through df/dI = g′·df/dP). Because the
-// curvature term consumes df/dP, Backward must run before BackwardSecond for
-// these layers; the implementation caches gradOut and enforces the order.
+// curvature term consumes df/dP, the order-1 Backward must run before the
+// order-2 one for these layers; the implementation caches gradOut and
+// enforces the order.
 type smoothAct struct {
 	name string
 	fn   func(float64) float64
@@ -34,7 +35,7 @@ type smoothAct struct {
 func (s *smoothAct) Name() string { return s.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the output for the backward passes.
+// additionally caches the output for Backward.
 func (s *smoothAct) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	s.ForwardInto(out, x, nil, kernel.Default())
@@ -53,29 +54,27 @@ func (s *smoothAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 	}
 }
 
-// Backward implements Layer.
-func (s *smoothAct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	s.gradOut = gradOut
-	gradIn := gradOut.Clone()
-	for i := range gradIn.Data {
-		gradIn.Data[i] *= s.d1(s.out.Data[i])
+// Backward implements Layer. Order 1 scales by g′ and caches dOut; order 2
+// requires that preceding order-1 call on the same forward pass (the
+// curvature term needs df/dP).
+func (s *smoothAct) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+	dIn := tensor.New(dOut.Shape...)
+	if order == 1 {
+		s.gradOut = dOut
+		for i, d := range dOut.Data {
+			dIn.Data[i] = d * s.d1(s.out.Data[i])
+		}
+		return dIn
 	}
-	return gradIn
-}
-
-// BackwardSecond implements Layer. It requires a preceding Backward call on
-// the same forward pass (the curvature term needs df/dP).
-func (s *smoothAct) BackwardSecond(hessOut *tensor.Tensor) *tensor.Tensor {
 	if s.gradOut == nil {
-		panic("nn: " + s.name + " BackwardSecond requires Backward first (curvature term needs df/dP)")
+		panic("nn: " + s.name + " order-2 Backward requires order 1 first (curvature term needs df/dP)")
 	}
-	hessIn := hessOut.Clone()
-	for i := range hessIn.Data {
+	for i, h := range dOut.Data {
 		y := s.out.Data[i]
 		g1 := s.d1(y)
-		hessIn.Data[i] = g1*g1*hessOut.Data[i] + s.d2(y)*s.gradOut.Data[i]
+		dIn.Data[i] = g1*g1*h + s.d2(y)*s.gradOut.Data[i]
 	}
-	return hessIn
+	return dIn
 }
 
 // Params implements Layer.

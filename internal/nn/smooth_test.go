@@ -70,10 +70,10 @@ func TestSmoothActRequiresBackwardFirst(t *testing.T) {
 	s.Forward(x, false)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BackwardSecond without Backward should panic for curved activations")
+			t.Fatal("order-2 Backward without order 1 should panic for curved activations")
 		}
 	}()
-	s.BackwardSecond(tensor.FromSlice([]float64{1, 1}, 1, 2))
+	s.Backward(tensor.FromSlice([]float64{1, 1}, 1, 2), 2)
 }
 
 func TestSmoothCloneIndependent(t *testing.T) {

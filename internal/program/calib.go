@@ -20,7 +20,6 @@ import (
 	"swim/internal/mapping"
 	"swim/internal/nn"
 	"swim/internal/rng"
-	"swim/internal/swim"
 )
 
 // WithCalibrationModel attaches a calibration model (package calib): every
@@ -112,14 +111,13 @@ func (p residualPolicy) NewTrial(env *Env, r *rng.Source) (Trial, error) {
 // residualTrial defers its ranking to the first SpendTo/Step call, when the
 // trial's device state (and fitted correction) exists: the order is the
 // estimated loss impact hess[i]·residual[i]² descending, index-ascending on
-// ties. Computing it consumes no randomness — the residual read-out is
+// ties. From then on the embedded selectorTrial spends along that order.
+// Computing it consumes no randomness — the residual read-out is
 // deterministic given the trial's programmed state — so the policy's stream
-// consumption matches the other selector policies under
-// WithSelectorSeedSplit-free operation.
+// consumption matches the other selector policies.
 type residualTrial struct {
-	hess     []float64
-	order    []int
-	frontier int
+	hess []float64
+	selectorTrial
 }
 
 func (t *residualTrial) ensureOrder(mp *mapping.Mapped) {
@@ -147,26 +145,12 @@ func (t *residualTrial) ensureOrder(mp *mapping.Mapped) {
 
 func (t *residualTrial) SpendTo(mp *mapping.Mapped, nwc float64, r *rng.Source) {
 	t.ensureOrder(mp)
-	swim.WriteVerifyToNWC(mp, t.order, nwc, r)
+	t.selectorTrial.SpendTo(mp, nwc, r)
 }
 
 func (t *residualTrial) Step(mp *mapping.Mapped, g float64, r *rng.Source) bool {
 	t.ensureOrder(mp)
-	n := len(t.order)
-	end := t.frontier + granuleSize(g, n)
-	if end > n {
-		end = n
-	}
-	mp.WriteVerifyPrefix(t.order, end, r)
-	t.frontier = end
-	return end >= n
-}
-
-func (t *residualTrial) progress() float64 {
-	if len(t.order) == 0 {
-		return 1
-	}
-	return float64(t.frontier) / float64(len(t.order))
+	return t.selectorTrial.Step(mp, g, r)
 }
 
 func init() {

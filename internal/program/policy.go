@@ -174,10 +174,12 @@ func (p *selectorPolicy) rankFixed(env *Env) (order []int, err error) {
 
 // selectorTrial spends budget by write-verifying along a fixed priority
 // order, replicating swim.WriteVerifyToNWC (SpendTo) and the granule loop of
-// swim.Algorithm1 (Step) exactly.
+// swim.Algorithm1 (Step) exactly. order is read-only once set: fixed-order
+// selectors share one order across trials, residualTrial builds its own per
+// trial.
 type selectorTrial struct {
-	order    []int // read-only: fixed orders are shared across trials
-	frontier int   // weights advanced past by Step
+	order    []int
+	frontier int // weights advanced past by Step
 }
 
 func (t *selectorTrial) SpendTo(mp *mapping.Mapped, nwc float64, r *rng.Source) {

@@ -86,24 +86,22 @@ type Pipeline struct {
 	calX      *tensor.Tensor
 	calY      []int
 
-	granularity   float64
-	seed          uint64
-	trials        int
-	rangeLo       int
-	rangeHi       int
-	ranged        bool
-	workers       int
-	gate          mc.Gate
-	progress      ProgressFunc
-	cycleTable    []float64
-	spatial       *device.SpatialConfig
-	nonideal      []nonideal.Nonideality
-	readTime      float64
-	selectorSplit bool
-	costModel     *cost.Model
-	calibModel    *calib.Model
-	kern          kernel.Backend
-	baseCtx       context.Context
+	granularity float64
+	seed        uint64
+	trials      int
+	rangeLo     int
+	rangeHi     int
+	ranged      bool
+	workers     int
+	gate        mc.Gate
+	progress    ProgressFunc
+	cycleTable  []float64
+	spatial     *device.SpatialConfig
+	nonideal    []nonideal.Nonideality
+	readTime    float64
+	costModel   *cost.Model
+	calibModel  *calib.Model
+	kern        kernel.Backend
 
 	deviceSet bool
 }
@@ -216,18 +214,6 @@ func WithTraining(x *tensor.Tensor, y []int) Option {
 	}
 }
 
-// WithInSitu overrides the in-situ training configuration (default
-// swim.DefaultInSitu).
-func WithInSitu(cfg swim.InSituConfig) Option {
-	return func(p *Pipeline) error {
-		if cfg.LR <= 0 || cfg.Batch < 1 {
-			return fmt.Errorf("invalid in-situ config: lr=%g batch=%d", cfg.LR, cfg.Batch)
-		}
-		p.env.InSitu = cfg
-		return nil
-	}
-}
-
 // WithGranularity sets the Algorithm-1 granule size p ∈ (0, 1] used by
 // drop-budget runs (the paper uses 5%). Default 0.05.
 func WithGranularity(g float64) Option {
@@ -307,17 +293,6 @@ func WithWorkerGate(g mc.Gate) Option {
 	}
 }
 
-// WithContext sets the context used when Run is called with a nil context.
-func WithContext(ctx context.Context) Option {
-	return func(p *Pipeline) error {
-		if ctx == nil {
-			return errors.New("nil context")
-		}
-		p.baseCtx = ctx
-		return nil
-	}
-}
-
 // WithCycleTable injects a precomputed expected-write-cycles-per-magnitude
 // table (device.Model.CycleTable). Without it the pipeline derives one from
 // the seed, so runs sharing a table across policies must pass it explicitly.
@@ -380,20 +355,6 @@ func WithReadTime(seconds float64) Option {
 	}
 }
 
-// WithSelectorSeedSplit draws each trial's selector order from a dedicated
-// child stream split off the trial stream, instead of the trial stream
-// itself. The device-programming noise then no longer depends on how much
-// randomness the selector consumed, so policies differing only in selector
-// see identical device instances (common random numbers across policies).
-// Off by default: the default consumption order is bit-compatible with the
-// legacy swim.* glue.
-func WithSelectorSeedSplit() Option {
-	return func(p *Pipeline) error {
-		p.selectorSplit = true
-		return nil
-	}
-}
-
 // New validates the configuration and returns a runnable Pipeline. master is
 // the trained network to program (never mutated: every trial clones it).
 func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, error) {
@@ -413,7 +374,6 @@ func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, e
 		granularity: 0.05,
 		seed:        1,
 		trials:      mc.Trials(8),
-		baseCtx:     context.Background(),
 	}
 	p.env.Net = master
 	p.env.InSitu = swim.DefaultInSitu()
@@ -445,14 +405,11 @@ func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, e
 	return p, nil
 }
 
-// Run executes the configured Monte-Carlo programming run. A nil ctx falls
-// back to WithContext (default context.Background). The returned Result is
-// valid even when err is ErrBudgetExhausted (drop budgets only); any other
-// error leaves the Result nil.
+// Run executes the configured Monte-Carlo programming run under ctx, which
+// must be non-nil. The returned Result is valid even when err is
+// ErrBudgetExhausted (drop budgets only); any other error leaves the Result
+// nil.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = p.baseCtx
-	}
 	env := p.env // shallow copy: Run never mutates the Pipeline
 	table, err := p.prepare(&env)
 	if err != nil {
@@ -514,11 +471,7 @@ func (p *Pipeline) prepare(env *Env) ([]float64, error) {
 // binding backed by a pooled arena; release returns the arena to the pool
 // and must be called when the trial body finishes.
 func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *mapping.Mapped, trial Trial, release func()) {
-	selR := r
-	if p.selectorSplit {
-		selR = r.Split()
-	}
-	trial, err := p.policy.NewTrial(env, selR)
+	trial, err := p.policy.NewTrial(env, r)
 	if err != nil {
 		panic(err)
 	}

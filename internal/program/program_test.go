@@ -136,7 +136,6 @@ func TestOptionValidation(t *testing.T) {
 		{"zero eval batch", append(w.options(), WithEvalBatch(0))},
 		{"nil eval set", []Option{WithDevice(device.Default(4, 1.0))}},
 		{"no device", []Option{WithEval(w.ds.TestX, w.ds.TestY)}},
-		{"nil context", append(w.options(), WithContext(nil))},
 		{"nil worker gate", append(w.options(), WithWorkerGate(nil))},
 		{"empty cycle table", append(w.options(), WithCycleTable(nil))},
 		{"empty sensitivity", append(w.options(), WithSensitivity(nil, nil))},
@@ -260,33 +259,5 @@ func TestCalibrationComputesSensitivities(t *testing.T) {
 			t.Fatalf("point %d: calibrated %.6f != injected %.6f", i,
 				calibrated.Points[i].Accuracy.Mean(), injected.Points[i].Accuracy.Mean())
 		}
-	}
-}
-
-// --- selector seed split ----------------------------------------------------
-
-func TestSelectorSeedSplitSharesDeviceNoise(t *testing.T) {
-	w := workload(t)
-	// With the split, policies differing only in selector see identical
-	// device instances: at NWC = 0 (nothing verified yet) the "random"
-	// policy — which consumes trial randomness for its order — must match
-	// "noverify" exactly. Without the split it drifts.
-	at0 := func(policy string, split bool) float64 {
-		opts := append(w.options(), WithSeed(9), WithTrials(3))
-		if split {
-			opts = append(opts, WithSelectorSeedSplit())
-		}
-		p, err := New(w.net, mustLookup(t, policy), GridBudget(0), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Points[0].Accuracy.Mean()
-	}
-	if got, want := at0("random", true), at0("noverify", true); got != want {
-		t.Fatalf("with seed split, random (%.6f) and noverify (%.6f) saw different devices", got, want)
 	}
 }

@@ -64,12 +64,9 @@ type Shard struct {
 // RunShard executes the pipeline's configured trial range (WithTrialRange;
 // the full [0, trials) when none is set) and returns the raw per-trial
 // observations. Grid budgets only — drop-budget traces are variable-length
-// per trial and have no mergeable row form. A nil ctx falls back to
-// WithContext, exactly like Run.
+// per trial and have no mergeable row form. ctx must be non-nil, as for
+// Run.
 func (p *Pipeline) RunShard(ctx context.Context) (*Shard, error) {
-	if ctx == nil {
-		ctx = p.baseCtx
-	}
 	b, ok := p.budget.(NWCGrid)
 	if !ok {
 		return nil, fmt.Errorf("program: RunShard requires a grid budget, got %T", p.budget)

@@ -1,8 +1,8 @@
 // Package tensor implements the dense numeric arrays underlying every layer
-// in this repository: row-major float64 tensors with shape metadata, matrix
-// multiplication tuned for the single-core simulation workloads, im2col /
+// in this repository: row-major float64 tensors with shape metadata, im2col /
 // col2im for convolution lowering, and the elementwise helpers the neural
-// network and device-model packages need.
+// network and device-model packages need. Matrix multiplication lives in the
+// compute backends of package kernel.
 //
 // The package is intentionally small and allocation-transparent: callers that
 // sit on hot paths (Monte-Carlo evaluation) reuse destination tensors via the
@@ -214,100 +214,6 @@ func mustMatch(a, b *Tensor, op string) {
 	}
 }
 
-// MatMul computes C = A·B for A (m×k) and B (k×n), allocating C.
-func MatMul(a, b *Tensor) *Tensor {
-	c := New(a.Shape[0], b.Shape[1])
-	MatMulInto(c, a, b, false)
-	return c
-}
-
-// MatMulInto computes C = A·B (or C += A·B when accumulate is true) into the
-// provided destination. A is m×k, B is k×n, C is m×n. The kernel iterates
-// i-k-j so that the inner loop streams both B and C rows sequentially — the
-// standard cache-friendly ordering, which is the difference between ~0.3 and
-// ~2 GFLOP/s on the single core this repo targets.
-func MatMulInto(c, a, b *Tensor, accumulate bool) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(c.Shape) != 2 {
-		panic("tensor: MatMul requires rank-2 operands")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v · %v -> %v", a.Shape, b.Shape, c.Shape))
-	}
-	if !accumulate {
-		c.Zero()
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulTransAInto computes C = Aᵀ·B (or += when accumulate), with A (k×m),
-// B (k×n), C (m×n). Used for weight-gradient accumulation.
-func MatMulTransAInto(c, a, b *Tensor, accumulate bool) {
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch %v · %v -> %v", a.Shape, b.Shape, c.Shape))
-	}
-	if !accumulate {
-		c.Zero()
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulTransBInto computes C = A·Bᵀ (or += when accumulate), with A (m×k),
-// B (n×k), C (m×n). Used for input-gradient backprop.
-func MatMulTransBInto(c, a, b *Tensor, accumulate bool) {
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %v · %v -> %v", a.Shape, b.Shape, c.Shape))
-	}
-	if !accumulate {
-		c.Zero()
-	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			crow[j] += s
-		}
-	}
-}
-
 // Conv2DGeom describes a 2-D convolution lowering.
 type Conv2DGeom struct {
 	InC, InH, InW int
@@ -377,9 +283,9 @@ func (g Conv2DGeom) Im2ColInto(cols *Tensor, x []float64) {
 
 // Col2ImAdd scatters cols (ColRows × ColCols) back into the image gradient
 // x (inC*inH*inW, flat), accumulating where receptive fields overlap. This is
-// the adjoint of Im2ColInto and is shared by the first- and second-derivative
-// backward passes (the paper sums second derivatives over branches the same
-// way gradients are summed).
+// the adjoint of Im2ColInto and serves the convolution backward pass at both
+// derivative orders (the paper sums second derivatives over branches the
+// same way gradients are summed).
 func (g Conv2DGeom) Col2ImAdd(x []float64, cols *Tensor) {
 	cd := cols.Data
 	nc := g.ColCols()

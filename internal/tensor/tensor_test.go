@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"swim/internal/rng"
 )
@@ -142,77 +141,6 @@ func tensorsClose(a, b *Tensor, tol float64) bool {
 	return true
 }
 
-func TestMatMulAgainstNaive(t *testing.T) {
-	r := rng.New(1)
-	for trial := 0; trial < 20; trial++ {
-		m, k, n := 1+r.Intn(12), 1+r.Intn(12), 1+r.Intn(12)
-		a, b := randT(r, m, k), randT(r, k, n)
-		if !tensorsClose(MatMul(a, b), naiveMatMul(a, b), 1e-10) {
-			t.Fatalf("MatMul mismatch for %dx%dx%d", m, k, n)
-		}
-	}
-}
-
-func TestMatMulAccumulate(t *testing.T) {
-	r := rng.New(2)
-	a, b := randT(r, 3, 4), randT(r, 4, 5)
-	c := New(3, 5)
-	c.Fill(1)
-	MatMulInto(c, a, b, true)
-	want := naiveMatMul(a, b)
-	for i := range want.Data {
-		want.Data[i]++
-	}
-	if !tensorsClose(c, want, 1e-10) {
-		t.Fatal("accumulate mode broken")
-	}
-}
-
-func TestMatMulTransA(t *testing.T) {
-	r := rng.New(3)
-	a, b := randT(r, 6, 3), randT(r, 6, 4) // C = A^T B is 3x4
-	c := New(3, 4)
-	MatMulTransAInto(c, a, b, false)
-	at := New(3, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 3; j++ {
-			at.Set(a.At(i, j), j, i)
-		}
-	}
-	if !tensorsClose(c, naiveMatMul(at, b), 1e-10) {
-		t.Fatal("MatMulTransA mismatch")
-	}
-}
-
-func TestMatMulTransB(t *testing.T) {
-	r := rng.New(4)
-	a, b := randT(r, 3, 6), randT(r, 4, 6) // C = A B^T is 3x4
-	c := New(3, 4)
-	MatMulTransBInto(c, a, b, false)
-	bt := New(6, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			bt.Set(b.At(i, j), j, i)
-		}
-	}
-	if !tensorsClose(c, naiveMatMul(a, bt), 1e-10) {
-		t.Fatal("MatMulTransB mismatch")
-	}
-}
-
-func TestMatMulAssociativityProperty(t *testing.T) {
-	// (A·B)·C == A·(B·C) within fp tolerance — a structural property check.
-	if err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		a, b, c := randT(r, 4, 3), randT(r, 3, 5), randT(r, 5, 2)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
-		return tensorsClose(left, right, 1e-9)
-	}, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConvGeom(t *testing.T) {
 	g := NewConv2DGeom(3, 32, 32, 3, 3, 1, 1)
 	if g.OutH != 32 || g.OutW != 32 {
@@ -270,7 +198,7 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 		cols := New(g.ColRows(), g.ColCols())
 		g.Im2ColInto(cols, x.Data)
 		wm := w.Reshape(outC, g.ColRows())
-		got := MatMul(wm, cols).Reshape(outC, g.OutH, g.OutW)
+		got := naiveMatMul(wm, cols).Reshape(outC, g.OutH, g.OutW)
 		if !tensorsClose(got, naiveConv(x, w, g), 1e-10) {
 			t.Fatalf("im2col conv mismatch for %+v", g)
 		}
@@ -301,7 +229,6 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 func TestPanicsOnShapeMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Add":       func() { New(2).Add(New(3)) },
-		"MatMul":    func() { MatMul(New(2, 3), New(4, 5)) },
 		"Reshape":   func() { New(2, 3).Reshape(7) },
 		"FromSlice": func() { FromSlice(make([]float64, 5), 2, 3) },
 		"BadIndex":  func() { New(2, 2).At(2, 0) },
