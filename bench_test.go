@@ -293,6 +293,57 @@ func BenchmarkHessianPass(b *testing.B) {
 	}
 }
 
+// BenchmarkResNetGradientPass is the gradient pass on ResNet-18 (width 8,
+// batch 32, training mode). A training-mode batch norm's backward pass
+// leaves no exact zeros in its convs' output derivatives, so this times the
+// dense side of the convolution backward's density switch, where LeNet's
+// max-pooled derivatives time the sparse walk.
+func BenchmarkResNetGradientPass(b *testing.B) {
+	net := models.ResNet18(10, 8, 6, rng.New(1))
+	ds := data.CIFARLike(32, 32, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ZeroGrad()
+		net.LossGrad(ds.TrainX, ds.TrainY, true)
+	}
+}
+
+// BenchmarkResNetHessianPass is the Hessian-diagonal pass on the same
+// ResNet-18 and batch. Batch norm runs on frozen statistics here, a
+// per-channel scale that passes the ReLU and quantizer zeros through, so
+// its convs' output derivatives are about half zero: the middle of the
+// density switch's range.
+func BenchmarkResNetHessianPass(b *testing.B) {
+	net := models.ResNet18(10, 8, 6, rng.New(1))
+	ds := data.CIFARLike(32, 32, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ZeroHess()
+		net.AccumulateHessian(ds.TrainX, ds.TrainY)
+	}
+}
+
+// BenchmarkInSituStep times one in-situ training step (batch 32) on the
+// mapped, trained LeNet: a forward and gradient pass under the programmed
+// weights plus one noisy write per mapped weight, the unit of table1's
+// insitu cells.
+func BenchmarkInSituStep(b *testing.B) {
+	w := experiments.LeNetMNIST()
+	dm := w.DeviceFor(experiments.SigmaTypical)
+	mp, err := mapping.New(w.Net, dm, dm.CycleTable(50, rng.New(2)), rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := swim.DefaultInSitu()
+	r := rng.New(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := 0
+	for i := 0; i < b.N; i++ {
+		start = swim.InSituStep(mp, w.DS.TrainX, w.DS.TrainY, start, cfg, r)
+	}
+}
+
 // BenchmarkForwardLeNet measures plain inference (the unit of every accuracy
 // evaluation in the Monte-Carlo harness).
 func BenchmarkForwardLeNet(b *testing.B) {

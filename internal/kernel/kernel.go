@@ -8,7 +8,8 @@
 // use, so the hot loops can be swapped without touching any layer
 // arithmetic. The backward pass of package nn (gradients and Hessian
 // diagonals, so training, in-situ steps and the sensitivity pass) runs its
-// products on Default as well.
+// products on Default as well, except for the convolution's, which runs
+// ConvBackward (below).
 //
 // A Backend implements the dense primitives: the three matmul orientations
 // (plain, Aᵀ, Bᵀ) with accumulate variants, which the backward pass uses, a
@@ -47,6 +48,27 @@
 // Because backends are bit-identical, the choice of backend is an execution
 // hint, not a computation axis: swim-serve records it in the request record
 // but excludes it from cache keys (see internal/serialize).
+//
+// # Convolution backward pass
+//
+// ConvBackward, beside the blocked loops, is the convolution's backward
+// pass at both derivative orders. Behind a max-pool most of a conv layer's
+// output derivative is exactly zero (84% in LeNet's conv1, 94% in its
+// conv2, over a quantization-aware training run and a Hessian pass), so per
+// sample it lists the nonzero entries once and walks only them: one list
+// per output channel serves every kernel position of the weight gradient,
+// read from a zero-padded input copy instead of an im2col matrix, and the
+// input gradient scatters only the pixels that have a nonzero channel.
+// Behind a bare ReLU, or a batch norm on frozen statistics, about half the
+// entries are zero, which the walk still wins on. A sample whose derivative
+// is mostly nonzero (behind a training-mode batch norm, all of it is) runs
+// blocked's dense products instead. Either way the bits are those
+// of the dense lowering, by the same argument as above: each skipped term
+// is a ±0 product added to a sum seeded at +0. It shares the contract's
+// finite-input caveat. It is a plain function, not a Backend method:
+// training selects no backend, and a new interface method would have to be
+// implemented by every Backend wrapper, such as the benchmark's timing
+// backend.
 //
 // A future GOAMD64/assembly backend slots in behind the same interface via
 // Register, a spec registry like every other tier's (see package spec).

@@ -13,7 +13,12 @@ import (
 // convolution "can be cast in the same form as FC layers", so its backward
 // pass reuses the linear-layer rules at both orders, with the im2col adjoint
 // (Col2ImAdd) scattering input derivatives back; overlapping receptive
-// fields sum, exactly like the skip-connection rule.
+// fields sum, exactly like the skip-connection rule. The backward pass
+// gets that lowering's bits without building it for most samples:
+// kernel.ConvBackward walks only the nonzero output derivatives (behind a
+// max-pool most are exact zeros) and falls back to the dense
+// kernel.Default() products for samples whose derivative is mostly
+// nonzero.
 type Conv2D struct {
 	name string
 	OutC int
@@ -89,45 +94,23 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Ba
 }
 
 // Backward implements Layer. Order 2 runs the order-1 products on the
-// squared im2col columns and squared weights: Eq. 8 with the shared-weight
+// squared inputs and squared weights: Eq. 8 with the shared-weight
 // positions summed, the convolutional analogue of summing over the batch,
 // and Eq. 10's core for the input.
 func (c *Conv2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
-	k := kernel.Default()
-	dW, dB := c.W.acc(order), c.B.acc(order)
-	w := c.W.Data
-	if order == 2 {
-		w = square(w.Clone())
-	}
-	b := dOut.Shape[0]
 	g := c.Geom
-	dIn := tensor.New(b, g.InC, g.InH, g.InW)
-	cols := c.scratch()
-	colD := tensor.New(g.ColRows(), g.ColCols())
-	sampleIn := g.InC * g.InH * g.InW
-	sampleOut := c.OutC * g.OutH * g.OutW
-	hw := g.OutH * g.OutW
-	for bi := 0; bi < b; bi++ {
-		dm := tensor.FromSlice(dOut.Data[bi*sampleOut:(bi+1)*sampleOut], c.OutC, g.ColCols())
-		// dW += dm · colsᵀ (recompute im2col; cheaper than caching per-sample)
-		k.Im2Col(g, cols, c.x.Data[bi*sampleIn:(bi+1)*sampleIn])
-		if order == 2 {
-			square(cols)
-		}
-		k.MatMulTransB(dW, dm, cols, true)
-		// db += spatial sums
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			for _, v := range dm.Data[oc*hw : (oc+1)*hw] {
-				s += v
-			}
-			dB.Data[oc] += s
-		}
-		// dI = col2im(wᵀ · dm)
-		k.MatMulTransA(colD, w, dm, false)
-		g.Col2ImAdd(dIn.Data[bi*sampleIn:(bi+1)*sampleIn], colD)
-	}
+	dIn := tensor.New(dOut.Shape[0], g.InC, g.InH, g.InW)
+	c.backward(dOut, order, dIn)
 	return dIn
+}
+
+// backward accumulates the parameter derivatives of the given order and,
+// when dIn is non-nil, writes the input derivative into it. The products run
+// in kernel.ConvBackward, which walks only the nonzero output derivatives
+// and falls back to the dense kernel.Default() products, on the forward
+// pass's im2col workspace, for samples whose derivative is mostly nonzero.
+func (c *Conv2D) backward(dOut *tensor.Tensor, order int, dIn *tensor.Tensor) {
+	kernel.ConvBackward(c.Geom, c.OutC, dIn, c.W.acc(order), c.B.acc(order).Data, c.x, c.W.Data, dOut, c.scratch(), order == 2)
 }
 
 // Params implements Layer.

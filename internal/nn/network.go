@@ -68,11 +68,22 @@ func (n *Network) ZeroHess() {
 // backprop runs one forward pass on a batch, scores it, then runs the
 // trunk's backward pass once per listed derivative order, each seeded by the
 // loss derivative of that order. It returns the batch loss and the logits.
+// Nothing reads the derivative with respect to the network input, so a
+// first convolution does not compute it.
 func (n *Network) backprop(x *tensor.Tensor, labels []int, train bool, orders ...int) (float64, *tensor.Tensor) {
 	logits := n.Forward(x, train)
 	loss := n.Loss.Forward(logits, labels)
+	layers := n.Trunk.Layers
 	for _, order := range orders {
-		n.Trunk.Backward(n.Loss.Backward(order), order)
+		d := n.Loss.Backward(order)
+		for i := len(layers) - 1; i > 0; i-- {
+			d = layers[i].Backward(d, order)
+		}
+		if c, ok := layers[0].(*Conv2D); ok {
+			c.backward(d, order, nil)
+		} else {
+			layers[0].Backward(d, order)
+		}
 	}
 	return loss, logits
 }

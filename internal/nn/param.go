@@ -19,7 +19,11 @@
 // both orders, which is how the paper achieves single-pass Hessian
 // diagonals: cost and memory are within a constant factor of an ordinary
 // gradient computation. Both orders run their dense products on
-// kernel.Default().
+// kernel.Default(), except Conv2D's: kernel.ConvBackward walks only the
+// nonzero output derivatives and falls back to the dense kernel.Default()
+// products for samples whose derivative is mostly nonzero. Nothing reads
+// the derivative with respect to the network input, so Network's passes do
+// not compute it for a first Conv2D.
 package nn
 
 import (

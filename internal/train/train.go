@@ -58,8 +58,16 @@ func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochSt
 	for _, p := range params {
 		vel[p] = tensor.New(p.Data.Shape...)
 	}
+	// Under QAT each mapped param owns two persistent tensors, its latent
+	// weights and a quantized copy; a batch swaps the copy in for the pass
+	// and the latent weights back for the update.
 	mapped := net.MappedParams()
-	latent := make(map[*nn.Param]*tensor.Tensor)
+	latent, quantized := make([]*tensor.Tensor, len(mapped)), make([]*tensor.Tensor, len(mapped))
+	if cfg.QATBits > 0 {
+		for i, p := range mapped {
+			quantized[i] = tensor.New(p.Data.Shape...)
+		}
+	}
 
 	lr := cfg.LR
 	var stats []EpochStats
@@ -73,9 +81,10 @@ func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochSt
 		for _, b := range data.Batches(x, y, cfg.Batch) {
 			if cfg.QATBits > 0 {
 				// Stash latent weights, run the pass on the quantized grid.
-				for _, p := range mapped {
-					latent[p] = p.Data.Clone()
-					quant.FakeQuantize(p.Data, cfg.QATBits)
+				for i, p := range mapped {
+					copy(quantized[i].Data, p.Data.Data)
+					quant.FakeQuantize(quantized[i], cfg.QATBits)
+					latent[i], p.Data = p.Data, quantized[i]
 				}
 			}
 			net.ZeroGrad()
@@ -84,8 +93,8 @@ func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochSt
 			correct += ok
 			seen += len(b.Y)
 			if cfg.QATBits > 0 {
-				for _, p := range mapped {
-					p.Data = latent[p] // restore latent weights for the update
+				for i, p := range mapped {
+					p.Data = latent[i] // restore latent weights for the update
 				}
 			}
 			for _, p := range params {
