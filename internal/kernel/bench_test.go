@@ -10,17 +10,20 @@ import (
 
 // convShapes are the four ResNet stage geometries (equal flops per shape at
 // width 4 — channels double as the map halves) plus the LeNet stem, so the
-// per-shape numbers show where a backend's convolution wins or loses.
+// per-shape numbers show where a backend's convolution wins or loses. A
+// stem reads raw pixels, which carry no exact zeros (dense); every other
+// layer reads a hidden feature map.
 var convShapes = []struct {
 	inC, outC, h, w, kh, kw, stride, pad int
+	dense                                bool
 }{
-	{3, 4, 32, 32, 3, 3, 1, 1}, // resnet stem
-	{4, 4, 32, 32, 3, 3, 1, 1}, // stage 1
-	{8, 8, 16, 16, 3, 3, 1, 1}, // stage 2
-	{16, 16, 8, 8, 3, 3, 1, 1}, // stage 3
-	{32, 32, 4, 4, 3, 3, 1, 1}, // stage 4
-	{1, 6, 28, 28, 5, 5, 1, 2}, // lenet stem
-	{4, 8, 32, 32, 3, 3, 2, 1}, // strided downsample
+	{3, 4, 32, 32, 3, 3, 1, 1, true},  // resnet stem
+	{4, 4, 32, 32, 3, 3, 1, 1, false}, // stage 1
+	{8, 8, 16, 16, 3, 3, 1, 1, false}, // stage 2
+	{16, 16, 8, 8, 3, 3, 1, 1, false}, // stage 3
+	{32, 32, 4, 4, 3, 3, 1, 1, false}, // stage 4
+	{1, 6, 28, 28, 5, 5, 1, 2, true},  // lenet stem
+	{4, 8, 32, 32, 3, 3, 2, 1, false}, // strided downsample
 }
 
 // BenchmarkConv2DBackends measures one batched Conv2D call per backend and
@@ -35,13 +38,20 @@ func BenchmarkConv2DBackends(b *testing.B) {
 			r := rng.New(11)
 			x := tensor.New(batch, s.inC, s.h, s.w)
 			w := tensor.New(s.outC, g.ColRows())
-			fill(x, r)
-			// Hidden feature maps arrive post-ReLU/post-quantization with
-			// roughly half their entries exactly zero; rectify the input so
-			// the sparse backends are measured in the regime they target.
-			for i, v := range x.Data {
-				if v < 0 {
-					x.Data[i] = 0
+			if s.dense {
+				for i := range x.Data {
+					x.Data[i] = r.Gauss(0, 1)
+				}
+			} else {
+				// Hidden feature maps arrive post-ReLU/post-quantization
+				// with roughly half their entries exactly zero; rectify the
+				// input so the backends are measured in the regime they
+				// meet there.
+				fill(x, r)
+				for i, v := range x.Data {
+					if v < 0 {
+						x.Data[i] = 0
+					}
 				}
 			}
 			fill(w, r)

@@ -11,12 +11,15 @@ import (
 // bit-identical to scalar, but the partial sums live in registers instead of
 // round-tripping through the destination row on every k step, and one loaded
 // operand feeds several independent accumulator chains. Its convolution is
-// direct and sparse: an input-stationary walk that reads each input pixel
-// once and scatters only the nonzero ones — padding, and the exact zeros
-// ReLU and quantization leave in roughly half of every hidden feature map,
-// multiply against literal zeros in the lowered matmul and are skipped here
-// (a bitwise no-op for finite operands, since an accumulator that starts at
-// +0 can never reach -0).
+// direct, in one of two loops. On hidden feature maps it is sparse: an
+// input-stationary walk that reads each input pixel once and scatters only
+// the nonzero ones — padding, and the exact zeros ReLU and quantization
+// leave in roughly half of every hidden feature map, multiply against
+// literal zeros in the lowered matmul and are skipped here (a bitwise no-op
+// for finite operands, since an accumulator that starts at +0 can never
+// reach -0). On a near-dense input, such as a stem's raw pixels, it is
+// output-stationary: register sums per output pixel over the kernel window,
+// skipping only the padding.
 type blocked struct{}
 
 var _ Backend = blocked{}
@@ -71,57 +74,123 @@ func (blocked) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 	g.Im2ColInto(cols, x)
 }
 
-// Conv2D implements Backend with the sparse direct convolution in
-// output-channel tiles. Each tile's weight rows are transposed once into a
-// p-major panel carved from the cols workspace — one pack amortized over
-// every sample of the batch — and each sample makes an input-stationary pass
-// that skips its exactly-zero activations. Without a workspace (or with one
-// too narrow to hold a panel) the per-sample walk packs on the stack instead;
-// both paths are bit-identical.
+// Conv2D implements Backend with a direct convolution in output-channel
+// tiles. It counts the exact zeros of the input once per call: a near-dense
+// input (at most len/convDenseZeroDiv zeros) runs the output-stationary
+// loops, any other the input-stationary scatter that skips zero
+// activations. Each tile's weight rows are transposed once into a p-major
+// panel carved from the cols workspace (one pack amortized over every
+// sample of the batch); without a workspace, or with one too narrow to hold
+// a panel, the panel lives on the stack instead. Every path is
+// bit-identical.
 func (blocked) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, cols *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
-	b := x.Shape[0]
-	sampleIn := g.InC * g.InH * g.InW
-	hw := g.OutH * g.OutW
-	sampleOut := outC * hw
+	dense := denseInput(x.Data)
 	if cols == nil || g.ColCols() < 8 {
-		for bi := 0; bi < b; bi++ {
-			convSampleBlocked(g, outC, dst.Data[bi*sampleOut:(bi+1)*sampleOut],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], w.Data, bias)
-		}
+		convStackPanel(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, dense)
 		return
 	}
+	convTiles(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, cols.Data, dense)
+}
+
+// convDenseZeroDiv sets the switch between blocked's two convolution
+// loops: an input with at most len/convDenseZeroDiv exact zeros runs
+// output-stationary. The scatter pays a compare per input pixel and an
+// output read-modify-write per term to skip zeros; the output-stationary
+// loop keeps each pixel's sums in registers but multiplies every zero it
+// meets. With no zeros the output-stationary loop wins on every shape
+// measured (1.05–1.89×). On the narrowest stride-1 ResNet shape it meets
+// the scatter at one zero in 16, and on every stride-1 ResNet shape it
+// loses at 30% zeros (0.86–0.96×, see EXPERIMENTS.md). Real inputs sit far
+// from the switch: raw pixels (every stem's input) have no zeros, and
+// every hidden feature map measured has 23–59%.
+const convDenseZeroDiv = 16
+
+// denseInput reports whether at most len(x)/convDenseZeroDiv entries of x
+// are exactly zero, stopping at the first zero past that count.
+func denseInput(x []float64) bool {
+	left := len(x) / convDenseZeroDiv
+	for _, v := range x {
+		if v == 0 {
+			if left == 0 {
+				return false
+			}
+			left--
+		}
+	}
+	return true
+}
+
+// panelMaxKR bounds the kernel-position count (inC·kh·kw) for which
+// convStackPanel packs weight panels on the stack; larger geometries run
+// the unpacked single-channel kernel.
+const panelMaxKR = 512
+
+// convStackPanel is convTiles for callers without a workspace wide enough
+// to pack a panel into: the parallel backend's per-sample units and plans
+// whose output map is narrower than eight pixels.
+func convStackPanel(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias []float64, dense bool) {
+	if g.ColRows() > panelMaxKR {
+		convTiles(g, outC, b, dst, x, wd, bias, nil, dense)
+		return
+	}
+	var panel [8 * panelMaxKR]float64
+	convTiles(g, outC, b, dst, x, wd, bias, panel[:], dense)
+}
+
+// convTiles computes samples [0, b) of a batched convolution: dst
+// ([b, outC, OutH, OutW] flat) from x ([b, InC, InH, InW] flat), wd
+// ([outC, inC·kh·kw] flat) and bias, one output-channel tile at a time. A
+// tile's weight rows are packed into wpk (at least 8·inC·kh·kw long) once,
+// then every sample runs the tile's kernel: output-stationary when dense,
+// the scatter otherwise. Tiles are eight lanes wide while that many channels
+// remain, then (dense only, so LeNet's six-channel stem runs in one pass)
+// six, then four; two- and one-lane remainders run the scatter either way.
+// A nil wpk runs every channel through the unpacked one-lane scatter.
+func convTiles(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias, wpk []float64, dense bool) {
 	kr := g.ColRows()
-	wpk := cols.Data
-	oc := 0
-	for ; oc+8 <= outC; oc += 8 {
-		packPanel(w.Data[oc*kr:(oc+8)*kr], kr, 8, wpk)
-		for bi := 0; bi < b; bi++ {
-			convSP8(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+8)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+8], hw)
+	hw := g.OutH * g.OutW
+	sampleIn := g.InC * g.InH * g.InW
+	sampleOut := outC * hw
+	for oc := 0; oc < outC; {
+		lanes := 1
+		switch rem := outC - oc; {
+		case wpk == nil:
+		case rem >= 8:
+			lanes = 8
+		case rem >= 6 && dense:
+			lanes = 6
+		case rem >= 4:
+			lanes = 4
+		case rem >= 2:
+			lanes = 2
 		}
-	}
-	if oc+4 <= outC {
-		packPanel(w.Data[oc*kr:(oc+4)*kr], kr, 4, wpk)
-		for bi := 0; bi < b; bi++ {
-			convSP4(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+4)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+4], hw)
+		wt := wd[oc*kr : (oc+lanes)*kr]
+		tb := bias[oc : oc+lanes]
+		if lanes > 1 {
+			packPanel(wt, kr, lanes, wpk)
 		}
-		oc += 4
-	}
-	if oc+2 <= outC {
-		packPanel(w.Data[oc*kr:(oc+2)*kr], kr, 2, wpk)
 		for bi := 0; bi < b; bi++ {
-			convSP2(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+2)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], wpk, bias[oc:oc+2], hw)
+			out := dst[bi*sampleOut+oc*hw : bi*sampleOut+(oc+lanes)*hw]
+			xs := x[bi*sampleIn : (bi+1)*sampleIn]
+			switch {
+			case lanes == 8 && dense:
+				convOS8(g, out, xs, wpk, tb)
+			case lanes == 8:
+				convSP8(g, out, xs, wpk, tb, hw)
+			case lanes == 6:
+				convOS6(g, out, xs, wpk, tb)
+			case lanes == 4 && dense:
+				convOS4(g, out, xs, wpk, tb)
+			case lanes == 4:
+				convSP4(g, out, xs, wpk, tb, hw)
+			case lanes == 2:
+				convSP2(g, out, xs, wpk, tb, hw)
+			default:
+				convSP1(g, out, xs, wt, tb[0], hw)
+			}
 		}
-		oc += 2
-	}
-	if oc < outC {
-		for bi := 0; bi < b; bi++ {
-			convSP1(g, dst.Data[bi*sampleOut+oc*hw:bi*sampleOut+(oc+1)*hw],
-				x.Data[bi*sampleIn:(bi+1)*sampleIn], w.Data[oc*kr:(oc+1)*kr], bias[oc], hw)
-		}
+		oc += lanes
 	}
 }
 
@@ -346,51 +415,6 @@ func linearRowBlocked(crow, arow, wd, bias []float64, k, n int) {
 			s += av * brow[p]
 		}
 		crow[j] = s + bias[j]
-	}
-}
-
-// panelMaxKR bounds the kernel-position count (inC·kh·kw) for which the
-// per-sample walk packs weight panels on the stack; larger geometries fall
-// back to the unpacked single-channel kernel.
-const panelMaxKR = 512
-
-// convSampleBlocked computes the sparse direct convolution of one sample:
-// out ([outC, OutH, OutW] flat) from xs ([InC, InH, InW] flat) and wd
-// ([outC, inC*kh*kw] flat). Each eight- (then four-, two-) channel tile packs
-// its weight rows into a stack-resident p-major panel and runs the same
-// scatter kernels as the batched path, so callers without a cols workspace —
-// the parallel backend's per-sample units, plans whose output map is too
-// narrow to hold a panel — lose only the cross-batch pack amortization.
-func convSampleBlocked(g tensor.Conv2DGeom, outC int, out, xs, wd, bias []float64) {
-	hw := g.OutH * g.OutW
-	kr := g.ColRows()
-	if kr > panelMaxKR {
-		for oc := 0; oc < outC; oc++ {
-			convSP1(g, out[oc*hw:(oc+1)*hw], xs, wd[oc*kr:(oc+1)*kr], bias[oc], hw)
-		}
-		return
-	}
-	var panel [8 * panelMaxKR]float64
-	oc := 0
-	for ; oc+8 <= outC; oc += 8 {
-		wpk := panel[: 8*kr : 8*kr]
-		packPanel(wd[oc*kr:(oc+8)*kr], kr, 8, wpk)
-		convSP8(g, out[oc*hw:(oc+8)*hw], xs, wpk, bias[oc:oc+8], hw)
-	}
-	if oc+4 <= outC {
-		wpk := panel[: 4*kr : 4*kr]
-		packPanel(wd[oc*kr:(oc+4)*kr], kr, 4, wpk)
-		convSP4(g, out[oc*hw:(oc+4)*hw], xs, wpk, bias[oc:oc+4], hw)
-		oc += 4
-	}
-	if oc+2 <= outC {
-		wpk := panel[: 2*kr : 2*kr]
-		packPanel(wd[oc*kr:(oc+2)*kr], kr, 2, wpk)
-		convSP2(g, out[oc*hw:(oc+2)*hw], xs, wpk, bias[oc:oc+2], hw)
-		oc += 2
-	}
-	if oc < outC {
-		convSP1(g, out[oc*hw:(oc+1)*hw], xs, wd[oc*kr:(oc+1)*kr], bias[oc], hw)
 	}
 }
 
@@ -676,5 +700,138 @@ func convSP1(g tensor.Conv2DGeom, out, xs, wrow []float64, bv float64, hw int) {
 	}
 	for q := range out {
 		out[q] += bv
+	}
+}
+
+// windowSpan clips a kernel window that starts at input coordinate start
+// (negative inside the leading padding) to an input extent n: kernel
+// offsets [lo, hi) read real input, the rest read padding. hi ≥ lo.
+func windowSpan(start, k, n int) (lo, hi int) {
+	lo, hi = 0, k
+	if start < 0 {
+		lo = -start
+	}
+	if start+k > n {
+		hi = n - start
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// convOS8 computes eight output channels of one sample's convolution
+// output-stationary, from the same p-major packed panel as convSP8: each
+// output pixel sums its eight lanes' w·x terms in registers from +0, over
+// the kernel window clipped to the input, in ascending (c, ki, kj) — which
+// is ascending im2col p order — and then adds the bias. Per element that is
+// scalar's sequence without the padding's ±0 terms, which are bitwise
+// no-ops, so the result is the im2col + matmul + bias one for finite
+// inputs. Unlike the scatter it tests no input for zero and writes each
+// output once, instead of reading and writing it once per term: the loop
+// for inputs with no zeros to skip. Any stride.
+func convOS8(g tensor.Conv2DGeom, out, xs, wpk, bias []float64) {
+	hw := g.OutH * g.OutW
+	o0, o1, o2, o3 := out[0*hw:1*hw], out[1*hw:2*hw], out[2*hw:3*hw], out[3*hw:4*hw]
+	o4, o5, o6, o7 := out[4*hw:5*hw], out[5*hw:6*hw], out[6*hw:7*hw], out[7*hw:8*hw]
+	ihw, kk := g.InH*g.InW, g.KH*g.KW
+	for oi := 0; oi < g.OutH; oi++ {
+		r0 := oi*g.Stride - g.Pad
+		kiLo, kiHi := windowSpan(r0, g.KH, g.InH)
+		for oj := 0; oj < g.OutW; oj++ {
+			c0 := oj*g.Stride - g.Pad
+			kjLo, kjHi := windowSpan(c0, g.KW, g.InW)
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for c := 0; c < g.InC; c++ {
+				for ki := kiLo; ki < kiHi; ki++ {
+					xo := c*ihw + (r0+ki)*g.InW + c0
+					wo := (c*kk + ki*g.KW) * 8
+					wr := wpk[wo+kjLo*8 : wo+kjHi*8]
+					for t, xv := range xs[xo+kjLo : xo+kjHi] {
+						wq := wr[t*8 : t*8+8]
+						s0 += wq[0] * xv
+						s1 += wq[1] * xv
+						s2 += wq[2] * xv
+						s3 += wq[3] * xv
+						s4 += wq[4] * xv
+						s5 += wq[5] * xv
+						s6 += wq[6] * xv
+						s7 += wq[7] * xv
+					}
+				}
+			}
+			q := oi*g.OutW + oj
+			o0[q], o1[q], o2[q], o3[q] = s0+bias[0], s1+bias[1], s2+bias[2], s3+bias[3]
+			o4[q], o5[q], o6[q], o7[q] = s4+bias[4], s5+bias[5], s6+bias[6], s7+bias[7]
+		}
+	}
+}
+
+// convOS6 is convOS8 at six packed lanes: LeNet's stem in one pass.
+func convOS6(g tensor.Conv2DGeom, out, xs, wpk, bias []float64) {
+	hw := g.OutH * g.OutW
+	o0, o1, o2 := out[0*hw:1*hw], out[1*hw:2*hw], out[2*hw:3*hw]
+	o3, o4, o5 := out[3*hw:4*hw], out[4*hw:5*hw], out[5*hw:6*hw]
+	ihw, kk := g.InH*g.InW, g.KH*g.KW
+	for oi := 0; oi < g.OutH; oi++ {
+		r0 := oi*g.Stride - g.Pad
+		kiLo, kiHi := windowSpan(r0, g.KH, g.InH)
+		for oj := 0; oj < g.OutW; oj++ {
+			c0 := oj*g.Stride - g.Pad
+			kjLo, kjHi := windowSpan(c0, g.KW, g.InW)
+			var s0, s1, s2, s3, s4, s5 float64
+			for c := 0; c < g.InC; c++ {
+				for ki := kiLo; ki < kiHi; ki++ {
+					xo := c*ihw + (r0+ki)*g.InW + c0
+					wo := (c*kk + ki*g.KW) * 6
+					wr := wpk[wo+kjLo*6 : wo+kjHi*6]
+					for t, xv := range xs[xo+kjLo : xo+kjHi] {
+						wq := wr[t*6 : t*6+6]
+						s0 += wq[0] * xv
+						s1 += wq[1] * xv
+						s2 += wq[2] * xv
+						s3 += wq[3] * xv
+						s4 += wq[4] * xv
+						s5 += wq[5] * xv
+					}
+				}
+			}
+			q := oi*g.OutW + oj
+			o0[q], o1[q], o2[q] = s0+bias[0], s1+bias[1], s2+bias[2]
+			o3[q], o4[q], o5[q] = s3+bias[3], s4+bias[4], s5+bias[5]
+		}
+	}
+}
+
+// convOS4 is convOS8 at four packed lanes, for the narrow stems (the CIFAR
+// ResNet's runs four channels at width 4).
+func convOS4(g tensor.Conv2DGeom, out, xs, wpk, bias []float64) {
+	hw := g.OutH * g.OutW
+	o0, o1, o2, o3 := out[0*hw:1*hw], out[1*hw:2*hw], out[2*hw:3*hw], out[3*hw:4*hw]
+	ihw, kk := g.InH*g.InW, g.KH*g.KW
+	for oi := 0; oi < g.OutH; oi++ {
+		r0 := oi*g.Stride - g.Pad
+		kiLo, kiHi := windowSpan(r0, g.KH, g.InH)
+		for oj := 0; oj < g.OutW; oj++ {
+			c0 := oj*g.Stride - g.Pad
+			kjLo, kjHi := windowSpan(c0, g.KW, g.InW)
+			var s0, s1, s2, s3 float64
+			for c := 0; c < g.InC; c++ {
+				for ki := kiLo; ki < kiHi; ki++ {
+					xo := c*ihw + (r0+ki)*g.InW + c0
+					wo := (c*kk + ki*g.KW) * 4
+					wr := wpk[wo+kjLo*4 : wo+kjHi*4]
+					for t, xv := range xs[xo+kjLo : xo+kjHi] {
+						wq := wr[t*4 : t*4+4]
+						s0 += wq[0] * xv
+						s1 += wq[1] * xv
+						s2 += wq[2] * xv
+						s3 += wq[3] * xv
+					}
+				}
+			}
+			q := oi*g.OutW + oj
+			o0[q], o1[q], o2[q], o3[q] = s0+bias[0], s1+bias[1], s2+bias[2], s3+bias[3]
+		}
 	}
 }

@@ -18,10 +18,13 @@
 //
 //   - "scalar": the plain single-threaded loops this repository has always
 //     run. It is the reference the other backends are pinned against.
-//   - "blocked": register-tiled matmul loops and a sparse direct
-//     convolution that skips the exact zeros ReLU and quantization leave in
-//     hidden feature maps. Same accumulation order per output element, so
-//     results are bit-identical to scalar. This is the default everywhere.
+//   - "blocked": register-tiled matmul loops and a direct convolution with
+//     two loops, picked by a count of the input's exact zeros: a sparse
+//     scatter that skips the zeros ReLU and quantization leave in hidden
+//     feature maps, and, for near-dense inputs such as a stem's raw pixels,
+//     an output-stationary loop that sums each output pixel in registers.
+//     Same accumulation order per output element, so results are
+//     bit-identical to scalar. This is the default everywhere.
 //   - "parallel": batch-row parallelism over a bounded shared worker pool,
 //     with the blocked loop bodies inside each unit of work. Batch rows are
 //     written to disjoint destination regions, so results are bit-identical

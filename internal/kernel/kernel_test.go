@@ -178,11 +178,12 @@ func TestLinearFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
+// convGeom is one convolution shape under test.
+type convGeom struct{ inC, inH, inW, outC, kh, kw, stride, pad int }
+
 // convGeoms covers stride-1 and strided convolutions, 1x1 and wide kernels,
 // zero and fat padding, and geometries where padding dominates entire rows.
-var convGeoms = []struct {
-	inC, inH, inW, outC, kh, kw, stride, pad int
-}{
+var convGeoms = []convGeom{
 	{1, 5, 5, 2, 3, 3, 1, 1},
 	{3, 8, 9, 4, 3, 3, 1, 1},
 	{2, 7, 7, 3, 5, 5, 1, 2},
@@ -250,6 +251,78 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConv2DDenseSwitchBitIdentical pins both of blocked's convolution
+// loops against the im2col reference across the zero-count switch: the
+// output-stationary loop (at most len/convDenseZeroDiv exact zeros) and the
+// scatter, on every convGeoms entry plus the ResNet and LeNet stems, at no
+// zeros, one below, at and one above the switch, and all zeros. Planted
+// zeros mix +0 and -0, the weights and bias carry both, and every
+// destination starts as NaN. blocked runs with and without the panel
+// workspace, parallel at one worker and at all CPUs.
+func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
+	geoms := append(convGeoms[:len(convGeoms):len(convGeoms)],
+		convGeom{3, 32, 32, 4, 3, 3, 1, 1}, // resnet stem
+		convGeom{1, 28, 28, 6, 5, 5, 1, 2}, // lenet stem
+	)
+	r := rng.New(37)
+	var dense, sparse int
+	for _, cg := range geoms {
+		g := tensor.NewConv2DGeom(cg.inC, cg.inH, cg.inW, cg.kh, cg.kw, cg.stride, cg.pad)
+		const batch = 2
+		n := batch * g.InC * g.InH * g.InW
+		limit := n / convDenseZeroDiv
+		w := tensor.New(cg.outC, g.ColRows())
+		fill(w, r)
+		bias := make([]float64, cg.outC)
+		for i := range bias {
+			bias[i] = r.Gauss(0, 1)
+		}
+		bias[0] = math.Copysign(0, -1)
+		for _, zeros := range []int{0, limit - 1, limit, limit + 1, n} {
+			if zeros < 0 {
+				continue
+			}
+			x := tensor.New(batch, g.InC, g.InH, g.InW)
+			for i := range x.Data {
+				x.Data[i] = r.Gauss(0, 1)
+			}
+			for _, i := range r.Perm(n)[:zeros] {
+				x.Data[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+			}
+			if denseInput(x.Data) != (zeros <= limit) {
+				t.Fatalf("%+v: denseInput with %d of %d zeros = %v, switch at %d", cg, zeros, n, !(zeros <= limit), limit)
+			}
+			if zeros <= limit {
+				dense++
+			} else {
+				sparse++
+			}
+			want := tensor.New(batch, cg.outC, g.OutH, g.OutW)
+			referenceConv(g, cg.outC, want, x, w, bias)
+			for _, back := range append([]Backend{blocked{}}, variants(t)...) {
+				for _, ws := range []*tensor.Tensor{tensor.New(g.ColRows(), g.ColCols()), nil} {
+					if ws != nil && !back.UsesIm2Col() {
+						continue
+					}
+					got := tensor.New(want.Shape...)
+					for i := range got.Data {
+						got.Data[i] = math.NaN()
+					}
+					back.Conv2D(g, cg.outC, got, x, w, bias, ws)
+					if i, ok := bitsEqual(want, got); !ok {
+						t.Fatalf("%s Conv2D %+v zeros=%d/%d (switch at %d) workspace=%v: [%d] = %v (bits %#x), reference %v (bits %#x)",
+							back.Spec(), cg, zeros, n, limit, ws != nil, i, got.Data[i], math.Float64bits(got.Data[i]),
+							want.Data[i], math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("zero-count switch not exercised on both sides: %d dense, %d sparse inputs", dense, sparse)
 	}
 }
 

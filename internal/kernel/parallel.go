@@ -103,11 +103,12 @@ func (*parallel) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 }
 
 // Conv2D implements Backend: one unit of work per batch sample, each running
-// the direct convolution.
+// the direct convolution. The zero count that picks blocked's loop is taken
+// once per call, so every sample runs the same one.
 func (p *parallel) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, _ *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
 	b := x.Shape[0]
-	j := pjob{kind: jobConv, units: b, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, g: g, outC: outC}
+	j := pjob{kind: jobConv, units: b, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, g: g, outC: outC, dense: denseInput(x.Data)}
 	if b*outC*g.ColRows()*g.ColCols() < minParallelFlops || !sharedPool.run(p.lanes(), j) {
 		runSerial(&j)
 	}
@@ -137,6 +138,7 @@ type pjob struct {
 	acc     bool
 	g       tensor.Conv2DGeom
 	outC    int
+	dense   bool // jobConv: the input is near-dense (see denseInput)
 }
 
 // runUnit executes unit u of job j: one destination row for the matmul
@@ -154,7 +156,7 @@ func runUnit(j *pjob, u int) {
 	case jobConv:
 		si := j.g.InC * j.g.InH * j.g.InW
 		so := j.outC * j.g.OutH * j.g.OutW
-		convSampleBlocked(j.g, j.outC, j.cd[u*so:(u+1)*so], j.ad[u*si:(u+1)*si], j.bd, j.bias)
+		convStackPanel(j.g, j.outC, 1, j.cd[u*so:(u+1)*so], j.ad[u*si:(u+1)*si], j.bd, j.bias, j.dense)
 	}
 }
 

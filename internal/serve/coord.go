@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -45,6 +46,23 @@ const autotuneMinObs = 3
 // Config.ShardTarget is unset.
 const defaultShardTarget = time.Second
 
+// maxShardReplyBytes bounds the shard reply body the coordinator reads,
+// sized from the largest reply the daemon's defaults let a request produce.
+// A value costs at most 37 bytes of the worker's indented JSON (a float64
+// renders in at most 25 characters, such as -0.0000012345678901234567,
+// after 10 spaces of indentation and before ",\n"), and a row at most 21
+// more in brackets. A row holds 3 values per NWC target, so one trial of
+// the largest default grid, Table 1's 3 σ × 4 policies = 12 cells over 7
+// targets, costs at most 12 × (21×37 + 21) = 9,576 bytes. Before the
+// autotuner has samples (and after, at its one-second shards, far less) one
+// worker gets at most a third of a job, whose trials the daemon caps at
+// 100,000 by default: 33,334 × 9,576 B ≈ 319 MB. 512 MiB (537 MB) leaves
+// the per-cell metadata and custom grids over half again of that. A longer
+// reply is a shard error, retried like any other; a job that needs one (a
+// custom grid far past the defaults, or a large pinned ShardTrials) needs
+// smaller shards.
+const maxShardReplyBytes = 512 << 20
+
 // trialRange is one half-open slice [lo, hi) of a job's trial space.
 type trialRange struct{ lo, hi int }
 
@@ -65,6 +83,7 @@ type coordinator struct {
 	perTrial    *obs.Histogram // observed per-trial shard seconds (autotuner input)
 	dir         string         // journal root ("" disables checkpointing)
 	client      *http.Client
+	replyLimit  int64 // shard reply bound, maxShardReplyBytes (tests shorten it)
 }
 
 func newCoordinator(s *Server, cfg Config) *coordinator {
@@ -86,7 +105,7 @@ func newCoordinator(s *Server, cfg Config) *coordinator {
 	return &coordinator{
 		s: s, urls: urls, shardTrials: cfg.ShardTrials,
 		target: target, perTrial: s.met.shardTrialSecs,
-		dir: dir, client: &http.Client{},
+		dir: dir, client: &http.Client{}, replyLimit: maxShardReplyBytes,
 	}
 }
 
@@ -298,7 +317,8 @@ func (c *coordinator) dispatch(ctx context.Context, key string, req *serialize.R
 }
 
 // callShard asks one worker for one trial range and validates the reply
-// against the canonical shard key.
+// against the canonical shard key. A reply longer than c.replyLimit is an
+// error, read no further than one byte past the bound.
 func (c *coordinator) callShard(ctx context.Context, workerURL, key string, req *serialize.RequestRecord, r trialRange) (*serialize.ShardRecord, error) {
 	body, err := json.Marshal(&serialize.ShardRequest{Version: serialize.ShardVersion, Request: req, Lo: r.lo, Hi: r.hi})
 	if err != nil {
@@ -320,7 +340,11 @@ func (c *coordinator) callShard(ctx context.Context, workerURL, key string, req 
 		}
 		return nil, fmt.Errorf("http %d", resp.StatusCode)
 	}
-	rec, err := serialize.DecodeShard(resp.Body)
+	reply := &io.LimitedReader{R: resp.Body, N: c.replyLimit + 1}
+	rec, err := serialize.DecodeShard(reply)
+	if reply.N == 0 {
+		return nil, fmt.Errorf("shard reply exceeds %d bytes", c.replyLimit)
+	}
 	if err != nil {
 		return nil, err
 	}

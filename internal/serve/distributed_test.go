@@ -110,6 +110,50 @@ func TestCoordinatorReassignsFailedShards(t *testing.T) {
 	}
 }
 
+// A worker whose reply runs past the coordinator's bound fails its shard,
+// which moves to the surviving worker. The oversized reply is a valid shard
+// record behind a run of leading whitespace, so only the bound rejects it.
+func TestCoordinatorRejectsOversizedShardReply(t *testing.T) {
+	const limit = 64 << 10
+	good := newWorker(t)
+	var bloatedCalls atomic.Int64
+	bloated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		bloatedCalls.Add(1)
+		resp, err := http.Post(good.URL+r.URL.Path, "application/json", r.Body)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(bytes.Repeat([]byte(" "), limit))
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(bloated.Close)
+
+	s, coord := newTestServer(t, Config{
+		WorkerURLs:  []string{bloated.URL, good.URL},
+		ShardTrials: 1,
+		Workloads:   testWorkloads(),
+	})
+	s.coord.replyLimit = limit
+	req := testRequest(304, "drift:nu=0.1")
+	want := referenceEnvelope(t, req)
+	rec, _ := submit(t, coord, req)
+	done := await(t, coord, rec.ID)
+	if done.Status != serialize.JobDone {
+		t.Fatalf("job with one oversized-reply worker: %s (%s)", done.Status, done.Error)
+	}
+	if got := fetchResult(t, coord, rec.ID); !bytes.Equal(got, want) {
+		t.Error("result after oversized replies differs from single-node")
+	}
+	calls, retries := bloatedCalls.Load(), s.met.shardRetries.Load()
+	if calls == 0 || retries != calls {
+		t.Fatalf("oversized-reply worker served %d shard calls, %d retried; want every one retried", calls, retries)
+	}
+}
+
 // With the whole pool failing the job must fail — with the worker error
 // surfaced, not a hang.
 func TestCoordinatorFailsWhenPoolLost(t *testing.T) {

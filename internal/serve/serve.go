@@ -189,6 +189,10 @@ type Server struct {
 	// old ad-hoc atomic struct carried now lives here (see metrics.go).
 	met *serverMetrics
 	wg  sync.WaitGroup // dispatcher goroutines
+
+	// headerTimeout and idleTimeout are serverHeaderTimeout and
+	// serverIdleTimeout (tests shorten them).
+	headerTimeout, idleTimeout time.Duration
 }
 
 // New builds a Server and starts its dispatcher pool. In coordinator mode
@@ -220,6 +224,9 @@ func New(cfg Config) *Server {
 		queued:     make(chan *job, cfg.QueueDepth),
 		inflight:   make(map[string]*job),
 		shardCalls: make(map[string]*shardCall),
+
+		headerTimeout: serverHeaderTimeout,
+		idleTimeout:   serverIdleTimeout,
 	}
 	s.met = newServerMetrics(s)
 	s.budget = newFairShare(cfg.TotalWorkers, s.met)
@@ -295,11 +302,22 @@ func (s *Server) workload(name string) (*experiments.Workload, error) {
 	return e.w, nil
 }
 
+// Connection timeouts of the HTTP server Run starts. A client gets
+// serverHeaderTimeout to send a request's header, and an idle keep-alive
+// connection is closed after serverIdleTimeout, longer than the 90 s after which
+// Go's default transport (the coordinator's) drops its own idle
+// connections. There is no write timeout: ?wait=1 long-polls and /events
+// streams outlive any fixed bound.
+const (
+	serverHeaderTimeout = 10 * time.Second
+	serverIdleTimeout   = 2 * time.Minute
+)
+
 // Run serves the API on l until ctx is cancelled, then drains gracefully
 // and shuts the listener down. It returns the first serve error, or nil
 // after a clean drain.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.headerTimeout, IdleTimeout: s.idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	select {

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -502,5 +505,70 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*conc)/time.Since(start).Seconds(), "jobs/s")
 		})
+	}
+}
+
+// A client that stops mid-header, or leaves a keep-alive connection idle,
+// loses the connection once the server's timeout runs out, instead of
+// holding it forever.
+func TestRunClosesStalledConnections(t *testing.T) {
+	s := New(Config{Workloads: map[string]func() *experiments.Workload{"test": tinyWorkload}})
+	s.headerTimeout = 200 * time.Millisecond
+	s.idleTimeout = 200 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- s.Run(ctx, l) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-errc; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	})
+
+	// closedWithin reports whether the server closes conn before d passes.
+	closedWithin := func(conn net.Conn, d time.Duration) bool {
+		t.Helper()
+		if err := conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := conn.Read(make([]byte, 1))
+		return errors.Is(err, io.EOF)
+	}
+
+	stalled, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: swim\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if !closedWithin(stalled, 10*time.Second) {
+		t.Fatal("connection stalled mid-header still open after 10 s")
+	}
+
+	idle, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: swim\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(idle), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz on a fresh connection: %d", resp.StatusCode)
+	}
+	if !closedWithin(idle, 10*time.Second) {
+		t.Fatal("idle keep-alive connection still open after 10 s")
 	}
 }
