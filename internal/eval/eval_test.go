@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"swim/internal/eval"
@@ -209,9 +210,46 @@ func TestCompileRejectsBadInput(t *testing.T) {
 
 // TestPlanSteps sanity-checks the compiled step introspection: the flattened
 // ResNet plan must contain residual branch-sum steps and end at the
-// classifier's [B, classes] logits.
+// classifier's [B, classes] logits. It also pins the fused steps: every
+// ReLU in the built-in models runs with the QuantAct after it, and every
+// MaxPool2D with them, so no plan has a step of its own for either; LeNet
+// compiles to ten steps, not sixteen, whose buffers hold 8,698 floats per
+// sample, not 21,510.
 func TestPlanSteps(t *testing.T) {
 	r := rng.New(2)
+	for _, b := range builders {
+		plan, err := eval.Compile(b.build(r), append([]int{4}, b.sample...), nil)
+		if err != nil {
+			t.Fatalf("Compile %s: %v", b.name, err)
+		}
+		for _, s := range plan.Steps() {
+			if s.Name == "relu" || strings.HasPrefix(s.Name, "pool") {
+				t.Fatalf("%s plan runs %s as a step of its own", b.name, s.Name)
+			}
+		}
+	}
+	lenet, err := eval.Compile(models.LeNet(10, 4, r), []int{4, 1, 28, 28}, nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	var names []string
+	per := 0
+	for _, s := range lenet.Steps() {
+		names = append(names, s.Name)
+		n := 1
+		for _, d := range s.OutShape {
+			n *= d
+		}
+		per += n / 4
+	}
+	want := "[conv1 relu+q1+pool1 conv2 relu+q2+pool2 flatten fc1 relu+q3 fc2 relu+q4 fc3]"
+	if got := fmt.Sprint(names); got != want || per != 8698 {
+		t.Fatalf("LeNet compiles to %s with %d floats per sample, want %s and 8698", got, per, want)
+	}
+	if got := lenet.Footprint(); got != 4*per {
+		t.Fatalf("LeNet plan allocated %d floats before its first pass, want its buffers' %d", got, 4*per)
+	}
+
 	net := models.ResNet18(10, 4, 6, r)
 	plan, err := eval.Compile(net, []int{7, 3, 32, 32}, nil)
 	if err != nil {

@@ -8,18 +8,20 @@
 //
 // A Plan fixes that: Compile walks a nn.Network once for a fixed batch
 // shape, infers every intermediate shape via nn.Layer.OutShape, flattens
-// the Sequential/Residual structure into a linear step program, and binds
-// one persistent activation buffer per step. Executing the plan then runs
-// each layer's ForwardInto kernel into its pre-bound buffer, drawing
-// per-call temporaries (im2col columns, DAC scratch) from a bump-allocator
-// Arena that is reset at the start of every forward pass. The first Forward
-// grows the arena to its fixed point; every subsequent pass performs zero
-// heap allocations (pinned by BenchmarkEvalPlan and the
+// the Sequential/Residual structure into a linear step program (running
+// each ReLU → QuantAct, and a 2×2 stride-2 MaxPool2D after them, as one
+// step), and binds one persistent activation buffer per step. Executing
+// the plan then runs each layer's ForwardInto kernel into its pre-bound
+// buffer, drawing per-call temporaries (im2col columns, DAC scratch) from
+// a bump-allocator Arena that is reset at the start of every forward pass.
+// The first Forward grows the arena to its fixed point; every subsequent
+// pass performs zero heap allocations (pinned by BenchmarkEvalPlan and the
 // allocation-regression CI step).
 //
 // Plans are bit-for-bit equivalent to the evaluation-mode Network.Forward
-// — the same kernels run in the same order — so Table 1 / Fig. 1 / Fig. 2
-// numbers cannot drift (pinned by the equivalence tests in this package for
+// — the same kernels run in the same order, and a fused step writes the
+// bits of the steps it replaces — so Table 1 / Fig. 1 / Fig. 2 numbers
+// cannot drift (pinned by the equivalence tests in this package for
 // every model in internal/models, digital and analog). Forward itself stays
 // for training, the Hessian pass and as that reference.
 //
@@ -46,6 +48,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"swim/internal/kernel"
 	"swim/internal/nn"
@@ -69,11 +72,17 @@ type step struct {
 	src     int        // input buffer index (opForward)
 	dst     int        // output buffer index
 	operand int        // opAdd: buffer accumulated into dst
+
+	// act is set on a QuantAct's step that also runs the ReLU before it
+	// and, with pool, the 2×2 stride-2 MaxPool2D after it (see fuse).
+	act  *nn.QuantAct
+	pool bool
 }
 
 // StepInfo describes one compiled step for diagnostics and tests.
 type StepInfo struct {
-	// Name is the layer name, or "+" for a residual branch sum.
+	// Name is the layer name, "+" for a residual branch sum, or the names
+	// of the layers a fused step runs joined by "+" ("relu+q1+pool1").
 	Name string
 	// OutShape is the full (batched) output shape of the step.
 	OutShape []int
@@ -179,8 +188,15 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 	switch v := l.(type) {
 	case *nn.Sequential:
 		cur, curShape := src, srcShape
-		for _, child := range v.Layers {
-			next, err := p.compile(child, cur, curShape)
+		for i := 0; i < len(v.Layers); i++ {
+			var next int
+			var err error
+			if n := fuse(v.Layers[i:]); n > 0 {
+				next, err = p.compileFused(v.Layers[i:i+n], cur, curShape)
+				i += n - 1
+			} else {
+				next, err = p.compile(v.Layers[i], cur, curShape)
+			}
 			if err != nil {
 				return 0, err
 			}
@@ -218,14 +234,56 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.bufs = append(p.bufs, &tensor.Tensor{Shape: append([]int(nil), outShape...)})
-		dst := len(p.bufs) - 1
-		st := stateOf(l)
-		p.stateSize += st.size
-		p.steps = append(p.steps, step{kind: opForward, layer: l, state: st, src: src, dst: dst})
-		p.infos = append(p.infos, StepInfo{Name: l.Name(), OutShape: append([]int(nil), outShape...)})
-		return dst, nil
+		return p.addForward(step{layer: l, src: src}, l.Name(), outShape), nil
 	}
+}
+
+// fuse returns how many leading layers of a Sequential's ls one step runs:
+// 3 for ReLU → QuantAct → a 2×2 stride-2 MaxPool2D, 2 for ReLU → QuantAct,
+// else 0.
+func fuse(ls []nn.Layer) int {
+	if len(ls) < 2 {
+		return 0
+	}
+	if _, ok := ls[0].(*nn.ReLU); !ok {
+		return 0
+	}
+	if _, ok := ls[1].(*nn.QuantAct); !ok {
+		return 0
+	}
+	if len(ls) > 2 {
+		if mp, ok := ls[2].(*nn.MaxPool2D); ok && mp.K == 2 && mp.Stride == 2 {
+			return 3
+		}
+	}
+	return 2
+}
+
+// compileFused compiles the layers fuse picked as one step of the
+// QuantAct's, which runs nn.QuantAct.ForwardReLUInto.
+func (p *Plan) compileFused(ls []nn.Layer, src int, srcShape []int) (int, error) {
+	q := ls[1].(*nn.QuantAct)
+	shape, names := srcShape, make([]string, len(ls))
+	for i, l := range ls {
+		var err error
+		if shape, err = l.OutShape(shape); err != nil {
+			return 0, err
+		}
+		names[i] = l.Name()
+	}
+	st := step{layer: q, src: src, act: q, pool: len(ls) == 3}
+	return p.addForward(st, strings.Join(names, "+"), shape), nil
+}
+
+// addForward appends st as an opForward step writing a new buffer of the
+// given shape, with its layer's state, and returns the buffer's index.
+func (p *Plan) addForward(st step, name string, outShape []int) int {
+	p.bufs = append(p.bufs, &tensor.Tensor{Shape: append([]int(nil), outShape...)})
+	st.kind, st.dst, st.state = opForward, len(p.bufs)-1, stateOf(st.layer)
+	p.stateSize += st.state.size
+	p.steps = append(p.steps, st)
+	p.infos = append(p.infos, StepInfo{Name: name, OutShape: append([]int(nil), outShape...)})
+	return st.dst
 }
 
 // shapeOf returns the shape of buffer i (fallback covers buffer 0, the input).
@@ -290,7 +348,11 @@ func (p *Plan) run(x *tensor.Tensor, from int, ck [][]float64, lo int) *tensor.T
 		st := &p.steps[i]
 		switch st.kind {
 		case opForward:
-			st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
+			if st.act != nil {
+				st.act.ForwardReLUInto(p.bufs[st.dst], p.bufs[st.src], st.pool)
+			} else {
+				st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
+			}
 		case opAdd:
 			p.bufs[st.dst].Add(p.bufs[st.operand])
 		}

@@ -11,15 +11,15 @@ import (
 // bit-identical to scalar, but the partial sums live in registers instead of
 // round-tripping through the destination row on every k step, and one loaded
 // operand feeds several independent accumulator chains. Its convolution is
-// direct, in one of two loops. On hidden feature maps it is sparse: an
-// input-stationary walk that reads each input pixel once and scatters only
-// the nonzero ones — padding, and the exact zeros ReLU and quantization
-// leave in roughly half of every hidden feature map, multiply against
-// literal zeros in the lowered matmul and are skipped here (a bitwise no-op
-// for finite operands, since an accumulator that starts at +0 can never
-// reach -0). On a near-dense input, such as a stem's raw pixels, it is
-// output-stationary: register sums per output pixel over the kernel window,
-// skipping only the padding.
+// direct, in one of two loops. On hidden feature maps at stride 1 it is
+// sparse: an input-stationary walk that reads each input pixel once and
+// scatters only the nonzero ones — padding, and the exact zeros ReLU and
+// quantization leave in roughly half of every hidden feature map, multiply
+// against literal zeros in the lowered matmul and are skipped here (a
+// bitwise no-op for finite operands, since an accumulator that starts at +0
+// can never reach -0). On a near-dense input, such as a stem's raw pixels,
+// and at any stride above 1 it is output-stationary: register sums per
+// output pixel over the kernel window, skipping only the padding.
 type blocked struct{}
 
 var _ Backend = blocked{}
@@ -75,27 +75,36 @@ func (blocked) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 }
 
 // Conv2D implements Backend with a direct convolution in output-channel
-// tiles. It counts the exact zeros of the input once per call: a near-dense
-// input (at most len/convDenseZeroDiv zeros) runs the output-stationary
-// loops, any other the input-stationary scatter that skips zero
-// activations. Each tile's weight rows are transposed once into a p-major
-// panel carved from the cols workspace (one pack amortized over every
-// sample of the batch); without a workspace, or with one too narrow to hold
-// a panel, the panel lives on the stack instead. Every path is
-// bit-identical.
+// tiles. A strided convolution, or one whose input is near-dense (at most
+// len/convDenseZeroDiv exact zeros, counted once per call), runs the
+// output-stationary loops; any other the input-stationary scatter that
+// skips zero activations (see outputStationary). Each tile's weight rows
+// are transposed once into a p-major panel carved from the cols workspace
+// (one pack amortized over every sample of the batch); without a
+// workspace, or with one too narrow to hold a panel, the panel lives on the
+// stack instead. Every path is bit-identical.
 func (blocked) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, cols *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
-	dense := denseInput(x.Data)
+	stationary := outputStationary(g, x.Data)
 	if cols == nil || g.ColCols() < 8 {
-		convStackPanel(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, dense)
+		convStackPanel(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, stationary)
 		return
 	}
-	convTiles(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, cols.Data, dense)
+	convTiles(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, cols.Data, stationary)
+}
+
+// outputStationary picks blocked's convolution loop for input x: the
+// output-stationary one at stride > 1, where the scatter pairs no output
+// pixels and loses up to about 60% zeros on ResNet's downsampling shapes
+// (see EXPERIMENTS.md), more than any strided input measured has; at
+// stride 1, for a near-dense input (denseInput).
+func outputStationary(g tensor.Conv2DGeom, x []float64) bool {
+	return g.Stride > 1 || denseInput(x)
 }
 
 // convDenseZeroDiv sets the switch between blocked's two convolution
-// loops: an input with at most len/convDenseZeroDiv exact zeros runs
-// output-stationary. The scatter pays a compare per input pixel and an
+// loops at stride 1: an input with at most len/convDenseZeroDiv exact zeros
+// runs output-stationary. The scatter pays a compare per input pixel and an
 // output read-modify-write per term to skip zeros; the output-stationary
 // loop keeps each pixel's sums in registers but multiplies every zero it
 // meets. With no zeros the output-stationary loop wins on every shape
@@ -129,25 +138,26 @@ const panelMaxKR = 512
 // convStackPanel is convTiles for callers without a workspace wide enough
 // to pack a panel into: the parallel backend's per-sample units and plans
 // whose output map is narrower than eight pixels.
-func convStackPanel(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias []float64, dense bool) {
+func convStackPanel(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias []float64, stationary bool) {
 	if g.ColRows() > panelMaxKR {
-		convTiles(g, outC, b, dst, x, wd, bias, nil, dense)
+		convTiles(g, outC, b, dst, x, wd, bias, nil, stationary)
 		return
 	}
 	var panel [8 * panelMaxKR]float64
-	convTiles(g, outC, b, dst, x, wd, bias, panel[:], dense)
+	convTiles(g, outC, b, dst, x, wd, bias, panel[:], stationary)
 }
 
 // convTiles computes samples [0, b) of a batched convolution: dst
 // ([b, outC, OutH, OutW] flat) from x ([b, InC, InH, InW] flat), wd
 // ([outC, inC·kh·kw] flat) and bias, one output-channel tile at a time. A
 // tile's weight rows are packed into wpk (at least 8·inC·kh·kw long) once,
-// then every sample runs the tile's kernel: output-stationary when dense,
-// the scatter otherwise. Tiles are eight lanes wide while that many channels
-// remain, then (dense only, so LeNet's six-channel stem runs in one pass)
-// six, then four; two- and one-lane remainders run the scatter either way.
-// A nil wpk runs every channel through the unpacked one-lane scatter.
-func convTiles(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias, wpk []float64, dense bool) {
+// then every sample runs the tile's kernel: output-stationary when
+// stationary, the scatter otherwise. Tiles are eight lanes wide while that
+// many channels remain, then (output-stationary only, so LeNet's
+// six-channel stem runs in one pass) six, then four; two- and one-lane
+// remainders run the scatter either way. A nil wpk runs every channel
+// through the unpacked one-lane scatter.
+func convTiles(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias, wpk []float64, stationary bool) {
 	kr := g.ColRows()
 	hw := g.OutH * g.OutW
 	sampleIn := g.InC * g.InH * g.InW
@@ -158,7 +168,7 @@ func convTiles(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias, wpk []float64
 		case wpk == nil:
 		case rem >= 8:
 			lanes = 8
-		case rem >= 6 && dense:
+		case rem >= 6 && stationary:
 			lanes = 6
 		case rem >= 4:
 			lanes = 4
@@ -174,13 +184,13 @@ func convTiles(g tensor.Conv2DGeom, outC, b int, dst, x, wd, bias, wpk []float64
 			out := dst[bi*sampleOut+oc*hw : bi*sampleOut+(oc+lanes)*hw]
 			xs := x[bi*sampleIn : (bi+1)*sampleIn]
 			switch {
-			case lanes == 8 && dense:
+			case lanes == 8 && stationary:
 				convOS8(g, out, xs, wpk, tb)
 			case lanes == 8:
 				convSP8(g, out, xs, wpk, tb, hw)
 			case lanes == 6:
 				convOS6(g, out, xs, wpk, tb)
-			case lanes == 4 && dense:
+			case lanes == 4 && stationary:
 				convOS4(g, out, xs, wpk, tb)
 			case lanes == 4:
 				convSP4(g, out, xs, wpk, tb, hw)

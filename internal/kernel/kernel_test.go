@@ -256,19 +256,22 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 
 // TestConv2DDenseSwitchBitIdentical pins both of blocked's convolution
 // loops against the im2col reference across the zero-count switch: the
-// output-stationary loop (at most len/convDenseZeroDiv exact zeros) and the
-// scatter, on every convGeoms entry plus the ResNet and LeNet stems, at no
-// zeros, one below, at and one above the switch, and all zeros. Planted
-// zeros mix +0 and -0, the weights and bias carry both, and every
-// destination starts as NaN. blocked runs with and without the panel
-// workspace, parallel at one worker and at all CPUs.
+// output-stationary loop (at most len/convDenseZeroDiv exact zeros, or any
+// stride above 1) and the scatter, on every convGeoms entry plus the ResNet
+// and LeNet stems and ResNet's downsampling shapes, at no zeros, one below,
+// at and one above the switch, and all zeros. Planted zeros mix +0 and -0,
+// the weights and bias carry both, and every destination starts as NaN.
+// blocked runs with and without the panel workspace, parallel at one worker
+// and at all CPUs.
 func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 	geoms := append(convGeoms[:len(convGeoms):len(convGeoms)],
 		convGeom{3, 32, 32, 4, 3, 3, 1, 1}, // resnet stem
 		convGeom{1, 28, 28, 6, 5, 5, 1, 2}, // lenet stem
+		convGeom{4, 32, 32, 8, 3, 3, 2, 1}, // resnet downsample
+		convGeom{4, 32, 32, 8, 1, 1, 2, 0}, // resnet projection
 	)
 	r := rng.New(37)
-	var dense, sparse int
+	var dense, sparse, strided int
 	for _, cg := range geoms {
 		g := tensor.NewConv2DGeom(cg.inC, cg.inH, cg.inW, cg.kh, cg.kw, cg.stride, cg.pad)
 		const batch = 2
@@ -295,9 +298,15 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 			if denseInput(x.Data) != (zeros <= limit) {
 				t.Fatalf("%+v: denseInput with %d of %d zeros = %v, switch at %d", cg, zeros, n, !(zeros <= limit), limit)
 			}
-			if zeros <= limit {
+			if got, want := outputStationary(g, x.Data), zeros <= limit || cg.stride > 1; got != want {
+				t.Fatalf("%+v: outputStationary with %d of %d zeros = %v, want %v", cg, zeros, n, got, want)
+			}
+			switch {
+			case zeros <= limit:
 				dense++
-			} else {
+			case cg.stride > 1:
+				strided++
+			default:
 				sparse++
 			}
 			want := tensor.New(batch, cg.outC, g.OutH, g.OutW)
@@ -321,8 +330,9 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if dense == 0 || sparse == 0 {
-		t.Fatalf("zero-count switch not exercised on both sides: %d dense, %d sparse inputs", dense, sparse)
+	if dense == 0 || sparse == 0 || strided == 0 {
+		t.Fatalf("loop switch not exercised on every side: %d dense, %d sparse stride-1 and %d sparse strided inputs",
+			dense, sparse, strided)
 	}
 }
 

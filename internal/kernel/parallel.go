@@ -103,12 +103,13 @@ func (*parallel) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 }
 
 // Conv2D implements Backend: one unit of work per batch sample, each running
-// the direct convolution. The zero count that picks blocked's loop is taken
-// once per call, so every sample runs the same one.
+// the direct convolution. blocked's loop is picked once per call, so every
+// sample runs the same one.
 func (p *parallel) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, _ *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
 	b := x.Shape[0]
-	j := pjob{kind: jobConv, units: b, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, g: g, outC: outC, dense: denseInput(x.Data)}
+	j := pjob{kind: jobConv, units: b, cd: dst.Data, ad: x.Data, bd: w.Data, bias: bias, g: g, outC: outC,
+		stationary: outputStationary(g, x.Data)}
 	if b*outC*g.ColRows()*g.ColCols() < minParallelFlops || !sharedPool.run(p.lanes(), j) {
 		runSerial(&j)
 	}
@@ -128,17 +129,17 @@ const (
 // pjob describes one dispatched kernel call: plain data fields only, so
 // handing it to the pool is a struct copy, never a closure allocation.
 type pjob struct {
-	kind    jobKind
-	units   int
-	cd      []float64 // destination
-	ad      []float64 // left operand (input image for jobConv)
-	bd      []float64 // right operand (weights for jobLinear/jobConv)
-	bias    []float64
-	m, k, n int
-	acc     bool
-	g       tensor.Conv2DGeom
-	outC    int
-	dense   bool // jobConv: the input is near-dense (see denseInput)
+	kind       jobKind
+	units      int
+	cd         []float64 // destination
+	ad         []float64 // left operand (input image for jobConv)
+	bd         []float64 // right operand (weights for jobLinear/jobConv)
+	bias       []float64
+	m, k, n    int
+	acc        bool
+	g          tensor.Conv2DGeom
+	outC       int
+	stationary bool // jobConv: run the output-stationary loop (see outputStationary)
 }
 
 // runUnit executes unit u of job j: one destination row for the matmul
@@ -156,7 +157,7 @@ func runUnit(j *pjob, u int) {
 	case jobConv:
 		si := j.g.InC * j.g.InH * j.g.InW
 		so := j.outC * j.g.OutH * j.g.OutW
-		convStackPanel(j.g, j.outC, 1, j.cd[u*so:(u+1)*so], j.ad[u*si:(u+1)*si], j.bd, j.bias, j.dense)
+		convStackPanel(j.g, j.outC, 1, j.cd[u*so:(u+1)*so], j.ad[u*si:(u+1)*si], j.bd, j.bias, j.stationary)
 	}
 }
 

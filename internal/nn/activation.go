@@ -133,13 +133,7 @@ func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	for i, v := range out.Data {
 		q.inRange[i] = v >= 0 && v <= q.Max
-		if v < 0 {
-			out.Data[i] = 0
-		} else if v > q.Max {
-			out.Data[i] = q.Max
-		} else {
-			out.Data[i] = math.Round(v/step) * step
-		}
+		out.Data[i] = q.level(v, step)
 	}
 	return out
 }
@@ -161,14 +155,115 @@ func (q *QuantAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.
 		return
 	}
 	for i, v := range x.Data {
-		if v < 0 {
-			dst.Data[i] = 0
-		} else if v > q.Max {
-			dst.Data[i] = q.Max
-		} else {
-			dst.Data[i] = math.Round(v/step) * step
+		dst.Data[i] = q.level(v, step)
+	}
+}
+
+// level is the quantizer's map of one value at step = Max/Levels ≠ 0:
+// negatives clamp to 0, values above Max to Max, the rest round to the
+// nearest multiple of step. It is the one definition of the rounding.
+func (q *QuantAct) level(v, step float64) float64 {
+	switch {
+	case v < 0:
+		return 0
+	case v > q.Max:
+		return q.Max
+	}
+	return math.Round(v/step) * step
+}
+
+// ForwardReLUInto writes, in one pass over x, what ReLU's ForwardInto and
+// then q's would write; with pool, what a MaxPool2D with a 2×2 window and
+// stride 2 would write after them. Evaluation plans run every ReLU →
+// QuantAct (→ 2×2 MaxPool2D) as this one step, reading Max, Bits and
+// Disabled at every call. The bits are the chain's.
+//
+// With pool it takes each window's max first and quantizes once. ReLU and
+// the quantizer are monotone non-decreasing, so the max of the quantized
+// values is the quantized max, except at the clamp: the top level,
+// Round(Max/step)·step, can exceed Max by an ulp, while every value above
+// Max maps to Max. A window holding an element that rounds to the top
+// level and one above Max must give the top level. Windows whose max
+// exceeds Max or is a NaN therefore run the chain element by element, as
+// does every window when the quantizer is not monotone at all (a NaN,
+// infinite or negative step).
+func (q *QuantAct) ForwardReLUInto(dst, x *tensor.Tensor, pool bool) {
+	quant, step := false, 0.0
+	if !q.Disabled {
+		step = q.Max / float64(q.Levels())
+		quant = step != 0
+	}
+	if !pool {
+		z := q.reluLevel(0, quant, step) // every v ≤ 0, and NaN, maps to z
+		for i, v := range x.Data {
+			switch {
+			case !(v > 0):
+				dst.Data[i] = z
+			case quant:
+				dst.Data[i] = q.level(v, step)
+			default:
+				dst.Data[i] = v
+			}
+		}
+		return
+	}
+	// A window's max is taken over the int64 bit patterns of its elements,
+	// starting from +0's. Negatives and −0 have the sign bit set, so they
+	// drop out as ReLU zeroes them; the rest order as their values do, with
+	// a NaN above +Inf. A window whose max exceeds lim runs the chain: lim
+	// is +Inf for a pass-through, Max for a quantizer with a positive
+	// finite step, and below +0 (every window) for any other.
+	lim := int64(math.Float64bits(math.Inf(1)))
+	if quant {
+		lim = -1
+		if step > 0 && step <= math.MaxFloat64 {
+			lim = int64(math.Float64bits(q.Max))
 		}
 	}
+	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	o := 0
+	for p := 0; p < b*c; p++ {
+		plane := x.Data[p*h*w : (p+1)*h*w]
+		for i := 1; i < h; i += 2 {
+			r0, r1 := plane[(i-1)*w:i*w], plane[i*w:(i+1)*w]
+			for j := 1; j < w; j += 2 {
+				m := max(0, int64(math.Float64bits(r0[j-1])), int64(math.Float64bits(r0[j])),
+					int64(math.Float64bits(r1[j-1])), int64(math.Float64bits(r1[j])))
+				switch v := math.Float64frombits(uint64(m)); {
+				case m > lim:
+					dst.Data[o] = q.chainMax(quant, step, r0[j-1], r0[j], r1[j-1], r1[j])
+				case quant:
+					dst.Data[o] = q.level(v, step)
+				default:
+					dst.Data[o] = v
+				}
+				o++
+			}
+		}
+	}
+}
+
+// reluLevel is ReLU and then q on one value.
+func (q *QuantAct) reluLevel(v float64, quant bool, step float64) float64 {
+	if !(v > 0) {
+		v = 0
+	}
+	if quant {
+		v = q.level(v, step)
+	}
+	return v
+}
+
+// chainMax is the unfused chain on one pooling window: MaxPool2D's max, in
+// its scan order, of ReLU and then q on each element.
+func (q *QuantAct) chainMax(quant bool, step float64, window ...float64) float64 {
+	best := math.Inf(-1)
+	for _, v := range window {
+		if v = q.reluLevel(v, quant, step); v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // Backward implements Layer.

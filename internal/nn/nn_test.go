@@ -417,6 +417,23 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 	}
 }
 
+// TestPoolRejectsMapNarrowerThanWindow: a map with fewer rows or columns
+// than the window has no output position. (in-k)/stride truncates toward
+// zero, so without the check a 2×2 window over one row reported one output
+// row and read past the row.
+func TestPoolRejectsMapNarrowerThanWindow(t *testing.T) {
+	for _, l := range []Layer{NewMaxPool2D("max", 2, 2), NewAvgPool2D("avg", 2, 2)} {
+		for _, in := range [][]int{{1, 2, 1, 4}, {1, 2, 4, 1}} {
+			if shape, err := l.OutShape(in); err == nil {
+				t.Fatalf("%s accepted %v with output %v", l.Name(), in, shape)
+			}
+		}
+		if shape, err := l.OutShape([]int{1, 2, 2, 3}); err != nil || shape[2] != 1 || shape[3] != 1 {
+			t.Fatalf("%s on [1 2 2 3] = %v, %v; want [1 2 1 1]", l.Name(), shape, err)
+		}
+	}
+}
+
 func TestAvgPoolSecondUsesSquaredCoeff(t *testing.T) {
 	p := NewAvgPool2D("p", 2, 2)
 	x := tensor.New(1, 1, 2, 2)

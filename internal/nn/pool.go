@@ -29,7 +29,15 @@ func NewMaxPool2D(name string, k, stride int) *MaxPool2D {
 // Name implements Layer.
 func (m *MaxPool2D) Name() string { return m.name }
 
-func poolOut(in, k, stride int) int { return (in-k)/stride + 1 }
+// poolOut is the output extent of a k-wide, stride-strided window over in
+// positions: 0 when the window does not fit (Go's division truncates
+// toward zero, so (in-k)/stride alone would give 1 for in = k-1).
+func poolOut(in, k, stride int) int {
+	if in < k {
+		return 0
+	}
+	return (in-k)/stride + 1
+}
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
