@@ -58,7 +58,9 @@ import (
 type opKind uint8
 
 const (
-	// opForward runs step.layer.ForwardInto(buf[dst], buf[src], scratch, kern).
+	// opForward runs step.layer.ForwardInto(buf[dst], buf[src], scratch,
+	// kern); a fused step (relu set) runs its QuantAct's
+	// ForwardReLUInto(buf[dst], buf[src], pool) instead.
 	opForward opKind = iota
 	// opAdd accumulates buf[operand] into buf[dst] (residual branch sum).
 	opAdd
@@ -73,9 +75,9 @@ type step struct {
 	dst     int        // output buffer index
 	operand int        // opAdd: buffer accumulated into dst
 
-	// act is set on a QuantAct's step that also runs the ReLU before it
-	// and, with pool, the 2×2 stride-2 MaxPool2D after it (see fuse).
-	act  *nn.QuantAct
+	// relu marks a QuantAct's step that also runs the ReLU before it and,
+	// with pool, the 2×2 stride-2 MaxPool2D after it (see fuse).
+	relu bool
 	pool bool
 }
 
@@ -262,7 +264,6 @@ func fuse(ls []nn.Layer) int {
 // compileFused compiles the layers fuse picked as one step of the
 // QuantAct's, which runs nn.QuantAct.ForwardReLUInto.
 func (p *Plan) compileFused(ls []nn.Layer, src int, srcShape []int) (int, error) {
-	q := ls[1].(*nn.QuantAct)
 	shape, names := srcShape, make([]string, len(ls))
 	for i, l := range ls {
 		var err error
@@ -271,7 +272,7 @@ func (p *Plan) compileFused(ls []nn.Layer, src int, srcShape []int) (int, error)
 		}
 		names[i] = l.Name()
 	}
-	st := step{layer: q, src: src, act: q, pool: len(ls) == 3}
+	st := step{layer: ls[1], src: src, relu: true, pool: len(ls) == 3}
 	return p.addForward(st, strings.Join(names, "+"), shape), nil
 }
 
@@ -348,8 +349,8 @@ func (p *Plan) run(x *tensor.Tensor, from int, ck [][]float64, lo int) *tensor.T
 		st := &p.steps[i]
 		switch st.kind {
 		case opForward:
-			if st.act != nil {
-				st.act.ForwardReLUInto(p.bufs[st.dst], p.bufs[st.src], st.pool)
+			if st.relu {
+				st.layer.(*nn.QuantAct).ForwardReLUInto(p.bufs[st.dst], p.bufs[st.src], st.pool)
 			} else {
 				st.layer.ForwardInto(p.bufs[st.dst], p.bufs[st.src], p.scratch, p.kern)
 			}

@@ -18,8 +18,9 @@ import (
 // against literal zeros in the lowered matmul and are skipped here (a
 // bitwise no-op for finite operands, since an accumulator that starts at +0
 // can never reach -0). On a near-dense input, such as a stem's raw pixels,
-// and at any stride above 1 it is output-stationary: register sums per
-// output pixel over the kernel window, skipping only the padding.
+// and on a strided input up to two zeros in three it is output-stationary:
+// register sums per output pixel over the kernel window, skipping only the
+// padding.
 type blocked struct{}
 
 var _ Backend = blocked{}
@@ -75,14 +76,13 @@ func (blocked) Im2Col(g tensor.Conv2DGeom, cols *tensor.Tensor, x []float64) {
 }
 
 // Conv2D implements Backend with a direct convolution in output-channel
-// tiles. A strided convolution, or one whose input is near-dense (at most
-// len/convDenseZeroDiv exact zeros, counted once per call), runs the
-// output-stationary loops; any other the input-stationary scatter that
-// skips zero activations (see outputStationary). Each tile's weight rows
-// are transposed once into a p-major panel carved from the cols workspace
-// (one pack amortized over every sample of the batch); without a
-// workspace, or with one too narrow to hold a panel, the panel lives on the
-// stack instead. Every path is bit-identical.
+// tiles. It counts the exact zeros of the input once per call: an input
+// with at most convZeroLimit of them runs the output-stationary loops, any
+// other the input-stationary scatter that skips zero activations. Each
+// tile's weight rows are transposed once into a p-major panel carved from
+// the cols workspace (one pack amortized over every sample of the batch);
+// without a workspace, or with one too narrow to hold a panel, the panel
+// lives on the stack instead. Every path is bit-identical.
 func (blocked) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, bias []float64, cols *tensor.Tensor) {
 	conv2DCheck(g, outC, dst, x, w, bias)
 	stationary := outputStationary(g, x.Data)
@@ -93,13 +93,47 @@ func (blocked) Conv2D(g tensor.Conv2DGeom, outC int, dst, x, w *tensor.Tensor, b
 	convTiles(g, outC, x.Shape[0], dst.Data, x.Data, w.Data, bias, cols.Data, stationary)
 }
 
-// outputStationary picks blocked's convolution loop for input x: the
-// output-stationary one at stride > 1, where the scatter pairs no output
-// pixels and loses up to about 60% zeros on ResNet's downsampling shapes
-// (see EXPERIMENTS.md), more than any strided input measured has; at
-// stride 1, for a near-dense input (denseInput).
+// outputStationary reports whether blocked's convolution under g runs the
+// output-stationary loop on input x: whether at most convZeroLimit(g,
+// len(x)) entries of x are exactly zero. Zeros sit at unpredictable
+// positions, so a branch per entry mispredicts often (such a count cost
+// 0.30× a trained ResNet-18's strided convolutions); it counts
+// zeroCountBlock entries at a time without one and stops at the first
+// block that settles the answer either way.
 func outputStationary(g tensor.Conv2DGeom, x []float64) bool {
-	return g.Stride > 1 || denseInput(x)
+	limit := convZeroLimit(g, len(x))
+	zeros := 0
+	for lo := 0; lo < len(x); lo += zeroCountBlock {
+		hi := min(lo+zeroCountBlock, len(x))
+		for _, v := range x[lo:hi] {
+			if v == 0 {
+				zeros++
+			}
+		}
+		if zeros > limit {
+			return false
+		}
+		if hi-zeros >= len(x)-limit {
+			return true
+		}
+	}
+	return true
+}
+
+// zeroCountBlock is how many entries outputStationary counts between
+// checks: few enough that a sparse stride-1 input stops early, enough that
+// the checks cost nothing beside the count.
+const zeroCountBlock = 256
+
+// convZeroLimit returns the most exact zeros an input of n entries may
+// hold and still run blocked's output-stationary loop under g:
+// n/convDenseZeroDiv at stride 1, n − n/convStridedNonzeroDiv at any larger
+// stride.
+func convZeroLimit(g tensor.Conv2DGeom, n int) int {
+	if g.Stride > 1 {
+		return n - n/convStridedNonzeroDiv
+	}
+	return n / convDenseZeroDiv
 }
 
 // convDenseZeroDiv sets the switch between blocked's two convolution
@@ -115,20 +149,17 @@ func outputStationary(g tensor.Conv2DGeom, x []float64) bool {
 // every hidden feature map measured has 23–59%.
 const convDenseZeroDiv = 16
 
-// denseInput reports whether at most len(x)/convDenseZeroDiv entries of x
-// are exactly zero, stopping at the first zero past that count.
-func denseInput(x []float64) bool {
-	left := len(x) / convDenseZeroDiv
-	for _, v := range x {
-		if v == 0 {
-			if left == 0 {
-				return false
-			}
-			left--
-		}
-	}
-	return true
-}
+// convStridedNonzeroDiv sets the switch at stride > 1: an input at least
+// len/convStridedNonzeroDiv of whose entries are nonzero (at most two zeros
+// in three) runs output-stationary. The scatter pairs output pixels only at
+// stride 1, so at stride 2 the output-stationary loop keeps its lead far
+// longer: on ResNet-18's 3×3 downsampling shapes it meets the scatter at
+// 64–71% zeros, on its 1×1 projections at 70% or more (see EXPERIMENTS.md).
+// A downsampling block's 3×3 convolution and 1×1 projection read the same
+// input, and the 3×3 one costs about four times as much, so the switch
+// sits at the 3×3 shapes' crossover. Strided inputs measured in trained
+// and untrained ResNet-18s hold 22–60% zeros.
+const convStridedNonzeroDiv = 3
 
 // panelMaxKR bounds the kernel-position count (inC·kh·kw) for which
 // convStackPanel packs weight panels on the stack; larger geometries run

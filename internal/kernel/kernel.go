@@ -21,8 +21,9 @@
 //   - "blocked": register-tiled matmul loops and a direct convolution with
 //     two loops, picked by a count of the input's exact zeros: a sparse
 //     scatter that skips the zeros ReLU and quantization leave in hidden
-//     feature maps, and, for near-dense inputs such as a stem's raw pixels,
-//     an output-stationary loop that sums each output pixel in registers.
+//     feature maps, and, for near-dense inputs such as a stem's raw pixels
+//     and for strided convolutions up to two zeros in three, an
+//     output-stationary loop that sums each output pixel in registers.
 //     Same accumulation order per output element, so results are
 //     bit-identical to scalar. This is the default everywhere.
 //   - "parallel": batch-row parallelism over a bounded shared worker pool,

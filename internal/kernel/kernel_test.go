@@ -255,14 +255,15 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 }
 
 // TestConv2DDenseSwitchBitIdentical pins both of blocked's convolution
-// loops against the im2col reference across the zero-count switch: the
-// output-stationary loop (at most len/convDenseZeroDiv exact zeros, or any
-// stride above 1) and the scatter, on every convGeoms entry plus the ResNet
-// and LeNet stems and ResNet's downsampling shapes, at no zeros, one below,
-// at and one above the switch, and all zeros. Planted zeros mix +0 and -0,
-// the weights and bias carry both, and every destination starts as NaN.
-// blocked runs with and without the panel workspace, parallel at one worker
-// and at all CPUs.
+// loops against the im2col reference across the zero-count switch
+// (convZeroLimit): the output-stationary loop and the scatter, on every
+// convGeoms entry plus the ResNet and LeNet stems and ResNet's downsampling
+// shapes, at no zeros, one below, at and one above the switch, and all
+// zeros; strided shapes also at 60% zeros, about the sparsest strided
+// input measured, which must run output-stationary. Planted zeros mix +0
+// and -0, the weights and bias carry both, and every destination starts as
+// NaN. blocked runs with and without the panel workspace, parallel at one
+// worker and at all CPUs.
 func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 	geoms := append(convGeoms[:len(convGeoms):len(convGeoms)],
 		convGeom{3, 32, 32, 4, 3, 3, 1, 1}, // resnet stem
@@ -271,12 +272,14 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 		convGeom{4, 32, 32, 8, 1, 1, 2, 0}, // resnet projection
 	)
 	r := rng.New(37)
-	var dense, sparse, strided int
+	// Inputs per side: stride 1 dense and sparse; stride > 1 sparse (more
+	// zeros than stride 1 allows) on either loop.
+	var dense, sparse, stridedOS, stridedScatter int
 	for _, cg := range geoms {
 		g := tensor.NewConv2DGeom(cg.inC, cg.inH, cg.inW, cg.kh, cg.kw, cg.stride, cg.pad)
 		const batch = 2
 		n := batch * g.InC * g.InH * g.InW
-		limit := n / convDenseZeroDiv
+		limit := convZeroLimit(g, n)
 		w := tensor.New(cg.outC, g.ColRows())
 		fill(w, r)
 		bias := make([]float64, cg.outC)
@@ -284,8 +287,12 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 			bias[i] = r.Gauss(0, 1)
 		}
 		bias[0] = math.Copysign(0, -1)
-		for _, zeros := range []int{0, limit - 1, limit, limit + 1, n} {
-			if zeros < 0 {
+		counts := []int{0, limit - 1, limit, limit + 1, n}
+		if cg.stride > 1 {
+			counts = append(counts, n*60/100)
+		}
+		for _, zeros := range counts {
+			if zeros < 0 || zeros > n {
 				continue
 			}
 			x := tensor.New(batch, g.InC, g.InH, g.InW)
@@ -295,19 +302,23 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 			for _, i := range r.Perm(n)[:zeros] {
 				x.Data[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
 			}
-			if denseInput(x.Data) != (zeros <= limit) {
-				t.Fatalf("%+v: denseInput with %d of %d zeros = %v, switch at %d", cg, zeros, n, !(zeros <= limit), limit)
+			stationary := outputStationary(g, x.Data)
+			if stationary != (zeros <= limit) {
+				t.Fatalf("%+v: outputStationary with %d of %d zeros = %v, switch at %d", cg, zeros, n, stationary, limit)
 			}
-			if got, want := outputStationary(g, x.Data), zeros <= limit || cg.stride > 1; got != want {
-				t.Fatalf("%+v: outputStationary with %d of %d zeros = %v, want %v", cg, zeros, n, got, want)
+			if cg.stride > 1 && zeros == n*60/100 && !stationary {
+				t.Fatalf("%+v: a strided input with 60%% zeros (%d of %d) runs the scatter", cg, zeros, n)
 			}
 			switch {
-			case zeros <= limit:
+			case cg.stride == 1 && stationary:
 				dense++
-			case cg.stride > 1:
-				strided++
-			default:
+			case cg.stride == 1:
 				sparse++
+			case zeros <= n/convDenseZeroDiv:
+			case stationary:
+				stridedOS++
+			default:
+				stridedScatter++
 			}
 			want := tensor.New(batch, cg.outC, g.OutH, g.OutW)
 			referenceConv(g, cg.outC, want, x, w, bias)
@@ -330,9 +341,62 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if dense == 0 || sparse == 0 || strided == 0 {
-		t.Fatalf("loop switch not exercised on every side: %d dense, %d sparse stride-1 and %d sparse strided inputs",
-			dense, sparse, strided)
+	if dense == 0 || sparse == 0 || stridedOS == 0 || stridedScatter == 0 {
+		t.Fatalf("loop switch not exercised on every side: stride 1 %d dense and %d sparse, "+
+			"stride > 1 %d sparse output-stationary and %d scatter inputs", dense, sparse, stridedOS, stridedScatter)
+	}
+}
+
+// TestOutputStationaryCountsEveryZero pins the blocked zero count against
+// a plain one: inputs whose length is not a multiple of zeroCountBlock,
+// shorter than one block, and empty, with the zeros (of both signs, beside
+// NaNs and infinities, which are not zeros) planted at the front, at the
+// back or spread, at and around both switches.
+func TestOutputStationaryCountsEveryZero(t *testing.T) {
+	r := rng.New(41)
+	for _, stride := range []int{1, 2} {
+		g := tensor.Conv2DGeom{Stride: stride}
+		for _, n := range []int{0, 1, 3, 255, 256, 257, 1000, 3 * zeroCountBlock} {
+			limit := convZeroLimit(g, n)
+			for _, zeros := range []int{0, limit - 1, limit, limit + 1, n} {
+				if zeros < 0 || zeros > n {
+					continue
+				}
+				for _, layout := range []string{"front", "back", "spread"} {
+					x := make([]float64, n)
+					for i := range x {
+						switch r.Intn(8) {
+						case 0:
+							x[i] = math.NaN()
+						case 1:
+							x[i] = math.Inf(1 - 2*r.Intn(2))
+						default:
+							x[i] = r.Gauss(0, 1)
+						}
+					}
+					pos := r.Perm(n)[:zeros]
+					switch layout {
+					case "front":
+						pos = pos[:0]
+						for i := 0; i < zeros; i++ {
+							pos = append(pos, i)
+						}
+					case "back":
+						pos = pos[:0]
+						for i := n - zeros; i < n; i++ {
+							pos = append(pos, i)
+						}
+					}
+					for _, i := range pos {
+						x[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+					}
+					if got, want := outputStationary(g, x), zeros <= limit; got != want {
+						t.Fatalf("stride %d, %d entries, %d zeros (%s), switch at %d: outputStationary = %v, want %v",
+							stride, n, zeros, layout, limit, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
