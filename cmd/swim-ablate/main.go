@@ -19,75 +19,32 @@ import (
 	"fmt"
 	"os"
 
+	"swim/internal/cli"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
 	"swim/internal/mc"
-	"swim/internal/nonideal"
 	"swim/internal/program"
 )
 
 func main() {
+	c := cli.New("swim-ablate", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel)
 	what := flag.String("what", "granularity", "granularity | tiebreak | kbits | hessian | spatial | fisher | all")
 	policy := flag.String("policy", "swim", "registry policy probed by the granularity/kbits/spatial ablations")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario applied at read time ('list' prints the registered models)")
-	readTime := flag.Float64("readtime", 0, "read time in seconds after programming for -nonideal")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = SWIM_WORKERS or all CPUs)")
-	kernelFlag := flag.String("kernel", "",
-		"kernel backend for the eval plans' dense primitives (bit-identical to scalar; 'list' prints registered backends)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-	experiments.SetStateDir(*stateFlag)
-
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "swim-ablate:", err)
-		os.Exit(1)
-	}
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-ablate:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-ablate:", err)
-		os.Exit(2)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	scn := experiments.ReadScenario{Models: scenario, ReadTime: *readTime}
-	if *kernelFlag != "" {
-		scn.Kernel = kern
-	}
+	c.Parse()
+	scn := c.ReadScenario()
 	pol, err := program.Lookup(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-ablate:", err)
-		os.Exit(2)
-	}
+	c.CheckFlag(err)
 	w := experiments.LeNetMNIST()
 	trials := mc.Trials(5)
 	run := map[string]func(){
 		"granularity": func() {
 			rows, err := experiments.AblateGranularity(w, pol, experiments.SigmaHigh, 1.0,
 				[]float64{0.01, 0.05, 0.1, 0.25}, scn, trials, 40)
-			if err != nil {
-				fatal(err)
-			}
+			c.Check(err)
 			experiments.PrintGranularity(os.Stdout, w, 1.0, rows)
 		},
 		"tiebreak": func() {
 			res, err := experiments.AblateTieBreak(w, experiments.SigmaHigh, 0.1, scn, trials, 41)
-			if err != nil {
-				fatal(err)
-			}
+			c.Check(err)
 			fmt.Printf("Ablation: SWIM magnitude tie-breaker at NWC=%.1f (tied weights: %.1f%%)\n",
 				res.NWC, 100*res.TiedFraction)
 			fmt.Printf("  with tie-break    %s\n", res.WithTie)
@@ -96,9 +53,7 @@ func main() {
 		"kbits": func() {
 			rows, err := experiments.AblateDeviceBits(w, pol, experiments.SigmaTypical, 0.1,
 				[]int{1, 2, 4}, scn, trials, 42)
-			if err != nil {
-				fatal(err)
-			}
+			c.Check(err)
 			experiments.PrintKBits(os.Stdout, w, pol.Name(), experiments.SigmaTypical, 0.1, rows)
 		},
 		"hessian": func() {
@@ -108,16 +63,12 @@ func main() {
 		},
 		"spatial": func() {
 			rows, err := experiments.AblateSpatial(w, pol, experiments.SigmaHigh, 0.1, scn, trials, 44)
-			if err != nil {
-				fatal(err)
-			}
+			c.Check(err)
 			experiments.PrintSpatial(os.Stdout, w, pol.Name(), 0.1, rows)
 		},
 		"fisher": func() {
 			sw, fi, err := experiments.CompareFisher(w, experiments.SigmaHigh, 0.1, scn, trials, 45)
-			if err != nil {
-				fatal(err)
-			}
+			c.Check(err)
 			fmt.Printf("Extension: ranking metric at NWC=0.1 (sigma=%.2f)\n", experiments.SigmaHigh)
 			fmt.Printf("  SWIM (Hessian diagonal)     %s\n", sw)
 			fmt.Printf("  empirical Fisher (grad^2)   %s\n", fi)
@@ -132,8 +83,7 @@ func main() {
 	}
 	f, ok := run[*what]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "swim-ablate: unknown ablation %q\n", *what)
-		os.Exit(2)
+		c.CheckFlag(fmt.Errorf("unknown ablation %q", *what))
 	}
 	f()
 }

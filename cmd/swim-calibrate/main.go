@@ -13,14 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 
+	"swim/internal/cli"
 	"swim/internal/device"
 	"swim/internal/experiments"
 	"swim/internal/mc"
 	"swim/internal/nonideal"
-	"swim/internal/program"
 	"swim/internal/rng"
 	"swim/internal/stat"
 )
@@ -51,29 +49,10 @@ func printNonideal(m device.Model, models []nonideal.Nonideality, times []float6
 }
 
 func main() {
+	c := cli.New("swim-calibrate", cli.Workers|cli.Nonideal|cli.ListPolicies)
 	n := flag.Int("n", 100000, "simulated weights per row")
 	bits := flag.Int("bits", 4, "weight precision M")
-	listPolicies := flag.Bool("list-policies", false,
-		"print the registered programming policies (the -policy values other tools accept) and exit")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario to characterize ('list' prints the registered models)")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = SWIM_WORKERS or all CPUs)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-
-	if *listPolicies {
-		fmt.Println(strings.Join(program.Names(), "\n"))
-		return
-	}
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-calibrate:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
+	c.Parse()
 
 	fmt.Printf("device model calibration (M=%d, K=4, tolerance 0.06)\n\n", *bits)
 	fmt.Printf("%-8s %-22s %-22s %s\n", "sigma", "uniform magnitudes", "gaussian weights", "no-verify noise (LSB)")
@@ -93,7 +72,7 @@ func main() {
 	}
 	fmt.Println("\npaper anchors: ~10 cycles per weight, residual sigma ~0.03 after write-verify")
 
-	if len(scenario) > 0 {
-		printNonideal(device.Default(*bits, 0.5), scenario, []float64{0, 3600, 86400})
+	if len(c.Nonideal) > 0 {
+		printNonideal(device.Default(*bits, 0.5), c.Nonideal, []float64{0, 3600, 86400})
 	}
 }

@@ -17,16 +17,14 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
+	"swim/internal/cli"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
-	"swim/internal/mc"
-	"swim/internal/nonideal"
 )
 
 func main() {
+	c := cli.New("swim-fig1", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel)
 	cfg := experiments.DefaultFig1()
 	flag.IntVar(&cfg.NumWeights, "weights", cfg.NumWeights, "weights to sample")
 	flag.IntVar(&cfg.Repeats, "repeats", cfg.Repeats, "Monte-Carlo repeats per weight")
@@ -35,46 +33,11 @@ func main() {
 	flag.IntVar(&cfg.EvalBatch, "batch", cfg.EvalBatch, "accuracy-measurement batch size")
 	flag.StringVar(&cfg.Rank, "policy", cfg.Rank,
 		"selector-backed registry policy whose ranking stratifies the weight sample")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario applied at read time ('list' prints the registered models)")
-	flag.Float64Var(&cfg.ReadTime, "readtime", 0, "read time in seconds after programming for -nonideal")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = SWIM_WORKERS or all CPUs)")
-	kernelFlag := flag.String("kernel", "",
-		"kernel backend for the per-clone compiled evaluators (bit-identical to scalar; 'list' prints registered backends)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-	experiments.SetStateDir(*stateFlag)
-
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig1:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
-	cfg.Nonideal = scenario
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig1:", err)
-		os.Exit(2)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	if *kernelFlag != "" {
-		cfg.Kernel = kern.Spec()
-	}
+	c.Parse()
+	cfg.Nonideal, cfg.ReadTime, cfg.Kernel = c.Nonideal, c.ReadTime, c.Kernel
 
 	w := experiments.LeNetMNIST()
 	res, err := experiments.Fig1(w, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig1:", err)
-		os.Exit(2)
-	}
+	c.Check(err)
 	experiments.PrintFig1(os.Stdout, w, cfg, res)
 }

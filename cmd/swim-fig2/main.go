@@ -14,105 +14,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"swim/internal/calib"
+	"swim/internal/cli"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
-	"swim/internal/mc"
-	"swim/internal/nonideal"
-	"swim/internal/program"
 )
 
+// panels maps each figure panel to the workload it evaluates.
+var panels = map[string]string{"a": "convnet", "b": "resnet", "c": "tiny"}
+
 func main() {
+	c := cli.New("swim-fig2", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel|cli.Calib)
+	c.Policies("")
 	panel := flag.String("panel", "a", "figure panel: a, b or c")
-	trials := flag.Int("trials", 0, "Monte-Carlo trials (0 = default / SWIM_MC)")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = SWIM_WORKERS or all CPUs)")
 	sigma := flag.Float64("sigma", experiments.SigmaHigh,
 		"device variation before write-verify (deeper models reach the paper's drop regime at lower sigma)")
-	policiesFlag := flag.String("policies", "",
-		"comma-separated programming policies from the registry (default swim,magnitude,random,insitu; 'list' prints the registered names)")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario applied at read time ('list' prints the registered models)")
-	readTime := flag.Float64("readtime", 0, "read time in seconds after programming for -nonideal")
-	kernelFlag := flag.String("kernel", "",
-		"kernel backend for the eval plans' dense primitives (bit-identical to scalar; 'list' prints registered backends)")
-	calibFlag := flag.String("calib", "",
-		"calibration model fitting a digital read-out correction, e.g. gainoffset or pertile:probes=16 ('list' prints registered models)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-	experiments.SetStateDir(*stateFlag)
+	c.Parse()
+	cfg := c.Sweep()
 
-	if *policiesFlag == "list" {
-		fmt.Println(strings.Join(program.Names(), "\n"))
-		return
+	name, ok := panels[*panel]
+	if !ok {
+		c.CheckFlag(fmt.Errorf("unknown panel %q (want a, b or c)", *panel))
 	}
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig2:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig2:", err)
-		os.Exit(2)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	cm, cok, clisting, err := calib.FromFlag(*calibFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig2:", err)
-		os.Exit(2)
-	}
-	if clisting != "" {
-		fmt.Println(clisting)
-		return
-	}
-	cfg := experiments.DefaultSweep()
-	cfg.Scenario = experiments.ReadScenario{Models: scenario, ReadTime: *readTime}
-	if *kernelFlag != "" {
-		cfg.Kernel = kern.Spec()
-	}
-	if cok {
-		cfg.Calib = cm.Spec()
-	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	policies, err := program.ResolveNames(*policiesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig2:", err)
-		os.Exit(2)
-	}
-	cfg.Policies = policies
-
-	var w *experiments.Workload
-	switch *panel {
-	case "a":
-		fmt.Println("training ConvNet on the CIFAR-like task...")
-		w = experiments.ConvNetCIFAR()
-	case "b":
-		fmt.Println("training ResNet-18 on the CIFAR-like task...")
-		w = experiments.ResNetCIFAR()
-	case "c":
-		fmt.Println("training ResNet-18 on the TinyImageNet-like task...")
-		w = experiments.ResNetTiny()
-	default:
-		fmt.Fprintf(os.Stderr, "swim-fig2: unknown panel %q (want a, b or c)\n", *panel)
-		os.Exit(2)
-	}
+	w := c.Workload(name, os.Stdout)
 	res, err := experiments.Fig2At(w, *sigma, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-fig2:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	experiments.PrintFig2At(os.Stdout, w, *sigma, cfg, res)
 }

@@ -33,35 +33,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
 
-	"swim/internal/calib"
-	"swim/internal/cost"
+	"swim/internal/cli"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
-	"swim/internal/mc"
-	"swim/internal/program"
 	"swim/internal/serialize"
 	"swim/internal/stat"
 )
-
-func parseFloats(csv string) ([]float64, error) {
-	if strings.TrimSpace(csv) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 // paretoPoint is one costed sweep cell flattened for frontier analysis.
 type paretoPoint struct {
@@ -96,122 +73,30 @@ func markFrontier(pts []paretoPoint) {
 }
 
 func main() {
+	c := cli.New("swim-pareto", cli.Trials|cli.Workers|cli.State|cli.Kernel|cli.Calib|cli.Cost)
+	c.Policies("swim,magnitude,noverify")
 	workload := flag.String("workload", "lenet", "lenet | convnet | resnet | tiny")
-	costFlag := flag.String("cost", "rram",
-		"hardware cost model spec, e.g. rram or rram:write_pj=12,par=64 ('list' prints the registered presets)")
 	nwcsFlag := flag.String("nwcs", "", "comma-separated NWC grid (default 0,0.1,0.3)")
-	policiesFlag := flag.String("policies", "swim,magnitude,noverify",
-		"comma-separated registry policies ('list' prints the registered names)")
 	sigma := flag.Float64("sigma", experiments.SigmaHigh, "device variation before write-verify")
 	jsonFlag := flag.String("json", "",
 		"also write the costed sweep as a serialized result envelope to this path ('-' = stdout) — byte-identical to the swim-serve result endpoint")
-	trials := flag.Int("trials", 0, "Monte-Carlo trials (0 = default / SWIM_MC)")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = SWIM_WORKERS or all CPUs)")
-	kernelFlag := flag.String("kernel", "",
-		"kernel backend for the eval plans' dense primitives (bit-identical to scalar; 'list' prints registered backends)")
-	calibFlag := flag.String("calib", "",
-		"calibration model fitting a digital read-out correction, e.g. gainoffset or pertile:probes=16; the probe pass is priced into the frontier ('list' prints registered models)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-	experiments.SetStateDir(*stateFlag)
-
-	if *policiesFlag == "list" {
-		fmt.Println(strings.Join(program.Names(), "\n"))
-		return
-	}
-	fatal := func(code int, err error) {
-		fmt.Fprintln(os.Stderr, "swim-pareto:", err)
-		os.Exit(code)
-	}
-	model, ok, listing, err := cost.FromFlag(*costFlag)
-	if err != nil {
-		fatal(2, err)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
-	if !ok {
-		fatal(2, fmt.Errorf("a cost model is required (-cost %q disables cost accounting; try -cost rram)", *costFlag))
-	}
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fatal(2, err)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	cm, cok, clisting, err := calib.FromFlag(*calibFlag)
-	if err != nil {
-		fatal(2, err)
-	}
-	if clisting != "" {
-		fmt.Println(clisting)
-		return
-	}
-
-	cfg := experiments.DefaultScenarioConfig()
+	c.Parse()
+	cfg := c.ScenarioConfig()
 	cfg.Times = []float64{0} // the frontier is a programming-time question
-	cfg.Cost = model.Spec()
-	if *kernelFlag != "" {
-		cfg.Kernel = kern.Spec()
-	}
-	if cok {
-		cfg.Calib = cm.Spec()
-	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	if ns, err := parseFloats(*nwcsFlag); err != nil {
-		fatal(2, err)
-	} else if ns != nil {
+	if ns := c.Floats("number", *nwcsFlag); ns != nil {
 		cfg.NWCs = ns
 	}
-	policies, err := program.ResolveNames(*policiesFlag)
-	if err != nil {
-		fatal(2, err)
-	}
-	if policies != nil {
-		cfg.Policies = policies
-	}
 
-	// With -json - the envelope owns stdout; route the human-readable
-	// commentary to stderr so the JSON stays machine-parseable.
-	human := io.Writer(os.Stdout)
-	if *jsonFlag == "-" {
-		human = os.Stderr
-	}
-	var w *experiments.Workload
-	switch *workload {
-	case "lenet":
-		fmt.Fprintln(human, "training LeNet on the MNIST-like task (cached per process)...")
-		w = experiments.LeNetMNIST()
-	case "convnet":
-		fmt.Fprintln(human, "training ConvNet on the CIFAR-like task...")
-		w = experiments.ConvNetCIFAR()
-	case "resnet":
-		fmt.Fprintln(human, "training ResNet-18 on the CIFAR-like task...")
-		w = experiments.ResNetCIFAR()
-	case "tiny":
-		fmt.Fprintln(human, "training ResNet-18 on the TinyImageNet-like task...")
-		w = experiments.ResNetTiny()
-	default:
-		fatal(2, fmt.Errorf("unknown workload %q (want lenet, convnet, resnet or tiny)", *workload))
-	}
-
+	human := c.Human(*jsonFlag)
+	w := c.Workload(*workload, human)
 	results, err := experiments.ScenarioResults(context.Background(), w, *sigma, nil, cfg)
-	if err != nil {
-		fatal(1, err)
-	}
+	c.Check(err)
 
 	var pts []paretoPoint
 	rep := results[0].Result.Cost
 	for _, sr := range results {
 		if sr.Result.Cost == nil {
-			fatal(1, fmt.Errorf("policy %s returned no cost report", sr.Policy))
+			c.Check(fmt.Errorf("policy %s returned no cost report", sr.Policy))
 		}
 		// Calibration is a fixed per-programming-pass surcharge: shifting a
 		// Welford aggregate by a constant is exact (same n and m2, mean + c),
@@ -259,25 +144,6 @@ func main() {
 	fmt.Fprintln(human, "\n* = Pareto-optimal: no cell reaches higher mean accuracy for less programming energy")
 
 	if *jsonFlag != "" {
-		out := os.Stdout
-		if *jsonFlag != "-" {
-			f, err := os.Create(*jsonFlag)
-			if err != nil {
-				fatal(1, err)
-			}
-			out = f
-		}
-		env := &serialize.ResultEnvelope{Cells: experiments.EnvelopeCells(*workload, *sigma, results)}
-		err := serialize.EncodeEnvelope(out, env)
-		if out != os.Stdout {
-			// A failed close can lose buffered bytes: report it, not just
-			// encode errors.
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatal(1, err)
-		}
+		c.WriteEnvelope(*jsonFlag, &serialize.ResultEnvelope{Cells: experiments.EnvelopeCells(*workload, *sigma, results)})
 	}
 }

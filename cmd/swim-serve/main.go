@@ -57,22 +57,19 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"swim/internal/experiments"
-	"swim/internal/kernel"
+	"swim/internal/cli"
 	"swim/internal/serve"
 )
 
 func main() {
+	c := cli.New("swim-serve", cli.State|cli.Kernel)
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	jobs := flag.Int("jobs", 2, "jobs executed concurrently (each gets workers/jobs worker goroutines)")
 	queue := flag.Int("queue", 64, "queued-job backlog bound (further submissions get 503)")
 	workers := flag.Int("workers", 0, "total Monte-Carlo worker budget split across jobs (0 = all CPUs)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain window before in-flight jobs are cancelled")
 	portfile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
 	coordinator := flag.String("coordinator", "",
@@ -81,42 +78,17 @@ func main() {
 	shardTarget := flag.Duration("shard-target", 0,
 		"coordinator shard-size autotuning target duration per shard (0 = 1s default, negative = disable tuning)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict finished jobs from listings after this long (0 = 1h, negative = never)")
-	kernelFlag := flag.String("kernel", "",
-		"daemon-default kernel backend for requests that leave the axis empty (bit-identical to scalar; 'list' prints registered backends)")
 	cacheEntries := flag.Int("cache-max-entries", 0, "LRU bound on result-cache entries (0 = unbounded)")
 	cacheBytes := flag.Int64("cache-max-bytes", 0, "LRU bound on encoded result-cache bytes (0 = unbounded)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve net/http/pprof on this separate address (empty = off; never exposed on the API listener)")
-	flag.Parse()
+	c.Parse()
 
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-serve:", err)
-		os.Exit(2)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	kernelSpec := ""
-	if *kernelFlag != "" {
-		kernelSpec = kern.Spec()
-	}
-
-	experiments.SetStateDir(*stateFlag)
 	total := *workers
 	if total <= 0 {
 		total = runtime.NumCPU()
 	}
-
-	var workerURLs []string
-	if *coordinator != "" {
-		for _, u := range strings.Split(*coordinator, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				workerURLs = append(workerURLs, u)
-			}
-		}
-	}
+	workerURLs := cli.List(*coordinator)
 
 	s := serve.New(serve.Config{
 		MaxConcurrent:   *jobs,
@@ -127,8 +99,8 @@ func main() {
 		ShardTrials:     *shardTrials,
 		ShardTarget:     *shardTarget,
 		JobTTL:          *jobTTL,
-		StateDir:        *stateFlag,
-		Kernel:          kernelSpec,
+		StateDir:        c.State,
+		Kernel:          c.Kernel,
 		CacheMaxEntries: *cacheEntries,
 		CacheMaxBytes:   *cacheBytes,
 	})
@@ -143,19 +115,13 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-serve:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		fmt.Printf("swim-serve pprof on %s\n", dl.Addr())
 		go func() { _ = http.Serve(dl, dmux) }()
 	}
 
 	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-serve:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	if len(workerURLs) > 0 {
 		fmt.Printf("swim-serve coordinating %d shard workers, listening on %s (%d concurrent jobs)\n",
 			len(workerURLs), l.Addr(), *jobs)
@@ -164,17 +130,11 @@ func main() {
 			l.Addr(), total, *jobs)
 	}
 	if *portfile != "" {
-		if err := os.WriteFile(*portfile, []byte(l.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "swim-serve:", err)
-			os.Exit(1)
-		}
+		c.Check(os.WriteFile(*portfile, []byte(l.Addr().String()), 0o644))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := s.Run(ctx, l); err != nil {
-		fmt.Fprintln(os.Stderr, "swim-serve:", err)
-		os.Exit(1)
-	}
+	c.Check(s.Run(ctx, l))
 	fmt.Println("swim-serve drained cleanly")
 }

@@ -18,108 +18,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"swim/internal/calib"
+	"swim/internal/cli"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
-	"swim/internal/mc"
-	"swim/internal/nonideal"
-	"swim/internal/program"
 )
 
 func main() {
-	trials := flag.Int("trials", 0, "Monte-Carlo trials (0 = default / SWIM_MC)")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = SWIM_WORKERS or all CPUs)")
+	c := cli.New("swim-table1", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel|cli.Calib)
+	c.Policies("")
 	sigmaFlag := flag.String("sigmas", "", "comma-separated device sigma grid (default 0.5,0.75,1.0)")
-	policiesFlag := flag.String("policies", "",
-		"comma-separated programming policies from the registry (default swim,magnitude,random,insitu; 'list' prints the registered names)")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario applied at read time ('list' prints the registered models)")
-	readTime := flag.Float64("readtime", 0, "read time in seconds after programming for -nonideal")
-	kernelFlag := flag.String("kernel", "",
-		"kernel backend for the eval plans' dense primitives (bit-identical to scalar; 'list' prints registered backends)")
-	calibFlag := flag.String("calib", "",
-		"calibration model fitting a digital read-out correction, e.g. gainoffset or pertile:probes=16 ('list' prints registered models)")
-	stateFlag := flag.String("state", "",
-		"directory of serialized workload states: restore instead of retraining, persist after training (see swim-train -state)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-	experiments.SetStateDir(*stateFlag)
-
-	if *policiesFlag == "list" {
-		fmt.Println(strings.Join(program.Names(), "\n"))
-		return
-	}
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-table1:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
-	kern, klisting, err := kernel.FromFlag(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-table1:", err)
-		os.Exit(2)
-	}
-	if klisting != "" {
-		fmt.Println(klisting)
-		return
-	}
-	cm, cok, clisting, err := calib.FromFlag(*calibFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-table1:", err)
-		os.Exit(2)
-	}
-	if clisting != "" {
-		fmt.Println(clisting)
-		return
-	}
-	cfg := experiments.DefaultSweep()
-	cfg.Scenario = experiments.ReadScenario{Models: scenario, ReadTime: *readTime}
-	if *kernelFlag != "" {
-		cfg.Kernel = kern.Spec()
-	}
-	if cok {
-		cfg.Calib = cm.Spec()
-	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	policies, err := program.ResolveNames(*policiesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-table1:", err)
-		os.Exit(2)
-	}
-	cfg.Policies = policies
-	sigmas := experiments.SigmaGrid()
-	if *sigmaFlag != "" {
-		sigmas = nil
-		for _, s := range strings.Split(*sigmaFlag, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "swim-table1: bad sigma %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			sigmas = append(sigmas, v)
-		}
+	c.Parse()
+	cfg := c.Sweep()
+	sigmas := c.Floats("sigma", *sigmaFlag)
+	if sigmas == nil {
+		sigmas = experiments.SigmaGrid()
 	}
 
-	fmt.Println("training LeNet on the MNIST-like task (cached per process)...")
-	w := experiments.LeNetMNIST()
+	w := c.Workload("lenet", os.Stdout)
 	res, err := experiments.Table1(w, sigmas, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-table1:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	experiments.PrintTable1(os.Stdout, w, sigmas, cfg, res)
 
 	// Headline speedups at the paper's NWC = 0.1 operating point, against
 	// every other policy in the run.
+	policies := cfg.Policies
 	if len(policies) == 0 {
 		policies = experiments.Methods
 	}

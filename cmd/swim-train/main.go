@@ -25,13 +25,12 @@ import (
 	"fmt"
 	"os"
 
+	"swim/internal/cli"
 	"swim/internal/data"
 	"swim/internal/device"
 	"swim/internal/experiments"
-	"swim/internal/mc"
 	"swim/internal/models"
 	"swim/internal/nn"
-	"swim/internal/nonideal"
 	"swim/internal/program"
 	"swim/internal/rng"
 	"swim/internal/serialize"
@@ -39,36 +38,18 @@ import (
 )
 
 func main() {
+	c := cli.New("swim-train", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime)
 	model := flag.String("model", "lenet", "lenet | convnet | resnet18")
 	epochs := flag.Int("epochs", 8, "training epochs")
 	trainN := flag.Int("train", 2000, "training samples")
 	testN := flag.Int("test", 800, "test samples")
 	save := flag.String("save", "", "write trained state to this path")
 	load := flag.String("load", "", "load state from this path instead of training")
-	stateFlag := flag.String("state", "",
-		"workload-registry state directory: save the trained state under the registry name so daemons/CLIs run with -state skip training")
 	policy := flag.String("policy", "",
 		"after training, evaluate on-device accuracy with this registry policy (empty = skip)")
 	nwc := flag.Float64("nwc", 0.1, "write budget for the -policy evaluation (normalized write cycles)")
 	sigma := flag.Float64("sigma", 1.0, "device variation for the -policy evaluation")
-	trials := flag.Int("trials", 0, "Monte-Carlo trials for the -policy evaluation (0 = default / SWIM_MC)")
-	nonidealFlag := flag.String("nonideal", "",
-		"'+'-stacked device-nonideality scenario for the -policy evaluation ('list' prints the registered models)")
-	readTime := flag.Float64("readtime", 0, "read time in seconds after programming for -nonideal")
-	workers := flag.Int("workers", 0,
-		"Monte-Carlo worker goroutines for downstream mc-based paths (0 = SWIM_WORKERS or all CPUs)")
-	flag.Parse()
-	mc.SetWorkers(*workers)
-
-	scenario, listing, err := nonideal.FromFlag(*nonidealFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swim-train:", err)
-		os.Exit(2)
-	}
-	if listing != "" {
-		fmt.Println(listing)
-		return
-	}
+	c.Parse()
 
 	var (
 		net          *nn.Network
@@ -91,21 +72,14 @@ func main() {
 		net = models.ResNet18(10, 8, 6, r)
 		bits, registryName = 6, "resnet-cifar"
 	default:
-		fmt.Fprintf(os.Stderr, "swim-train: unknown model %q\n", *model)
-		os.Exit(2)
+		c.CheckFlag(fmt.Errorf("unknown model %q", *model))
 	}
 
 	if *load != "" {
 		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		defer f.Close()
-		if err := serialize.Load(f, net); err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(serialize.Load(f, net))
 		fmt.Printf("loaded %s from %s\n", *model, *load)
 	} else {
 		cfg := train.DefaultConfig()
@@ -122,33 +96,24 @@ func main() {
 
 	if *policy != "" {
 		pol, err := program.Lookup(*policy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(2)
-		}
+		c.CheckFlag(err)
 		calX, calY := data.Subset(ds.TrainX, ds.TrainY, 512)
 		opts := []program.Option{
 			program.WithDevice(device.Default(bits, *sigma)),
 			program.WithEval(ds.TestX, ds.TestY),
 			program.WithCalibration(calX, calY),
 			program.WithTraining(ds.TrainX, ds.TrainY),
-			program.WithNonidealities(scenario...),
-			program.WithReadTime(*readTime),
+			program.WithNonidealities(c.Nonideal...),
+			program.WithReadTime(c.ReadTime),
 			program.WithSeed(1000),
 		}
-		if *trials > 0 {
-			opts = append(opts, program.WithTrials(*trials))
+		if c.Trials > 0 {
+			opts = append(opts, program.WithTrials(c.Trials))
 		}
 		p, err := program.New(net, pol, program.GridBudget(*nwc), opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		res, err := p.Run(context.Background())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		pt := res.Points[0]
 		fmt.Printf("on-device accuracy via %s at NWC %.2f (sigma=%.2f, %d trials): %s\n",
 			res.Policy, pt.Target, *sigma, res.Trials, pt.Accuracy)
@@ -156,27 +121,17 @@ func main() {
 
 	if *save != "" {
 		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		err = serialize.Save(f, net)
 		if cerr := f.Close(); err == nil {
 			err = cerr // a failed close can lose buffered bytes
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		fmt.Printf("state saved to %s\n", *save)
 	}
 
-	if *stateFlag != "" {
-		experiments.SetStateDir(*stateFlag)
-		if err := experiments.SaveState(registryName, net); err != nil {
-			fmt.Fprintln(os.Stderr, "swim-train:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("workload state saved as %s/%s\n", *stateFlag, experiments.StateFile(registryName))
+	if c.State != "" {
+		c.Check(experiments.SaveState(registryName, net))
+		fmt.Printf("workload state saved as %s/%s\n", c.State, experiments.StateFile(registryName))
 	}
 }

@@ -175,6 +175,26 @@ func ResNetTiny() *Workload {
 	})
 }
 
+// NamedWorkload is one row of the workload table: the name -workload flags
+// and serve requests use, the line a binary prints before building it, and
+// the builder.
+type NamedWorkload struct {
+	Name     string
+	Announce string
+	Build    func() *Workload
+}
+
+// Workloads returns the workload table: the paper's four model/task pairs,
+// in the order help and error text list them.
+func Workloads() []NamedWorkload {
+	return []NamedWorkload{
+		{"lenet", "training LeNet on the MNIST-like task (cached per process)...", LeNetMNIST},
+		{"convnet", "training ConvNet on the CIFAR-like task...", ConvNetCIFAR},
+		{"resnet", "training ResNet-18 on the CIFAR-like task...", ResNetCIFAR},
+		{"tiny", "training ResNet-18 on the TinyImageNet-like task...", ResNetTiny},
+	}
+}
+
 // Workload persistence: train-once, serve-many. A configured state
 // directory backs the registry with serialized state dictionaries
 // (package serialize), so daemons and CLIs stop retraining per process.

@@ -488,10 +488,6 @@ func (mp *Mapped) recalibrate() {
 	}
 }
 
-// Corrections returns the last fitted per-parameter corrections (nil without
-// SetCalibration), for diagnostics and tests.
-func (mp *Mapped) Corrections() []calib.Correction { return mp.corr }
-
 // SetEvalArena shares an arena with the compiled evaluation engine — its
 // scratch and its binding's checkpoints — so successive trials handled by
 // the same Monte-Carlo worker reuse one arena instead of growing a fresh

@@ -166,12 +166,13 @@ func escapeLabel(v string) string {
 }
 
 // writeHistogram emits one histogram's _bucket/_sum/_count series. labels is
-// the pre-rendered label prefix ("" or `worker="..."`).
+// the pre-rendered label prefix (`worker="..."`), or "" for an unlabeled
+// histogram, whose series read `name_sum 0.1`, not `name_sum{} 0.1`.
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	counts, count, sum := h.snapshotBuckets()
-	sep := ""
+	bucketLabels, series := "", ""
 	if labels != "" {
-		sep = ","
+		bucketLabels, series = labels+",", "{"+labels+"}"
 	}
 	cum := int64(0)
 	for i, n := range counts {
@@ -180,14 +181,14 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 		if i < len(h.bounds) {
 			le = formatFloat(h.bounds[i])
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, bucketLabels, le, cum); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, formatFloat(sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, series, formatFloat(sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, series, count)
 	return err
 }
 
@@ -223,7 +224,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
 		case kindHistogram:
-			err = writeHistogramClean(w, f.name, f.hist)
+			err = writeHistogram(w, f.name, "", f.hist)
 		case kindHistogramVec:
 			values, hists := f.vec.snapshot()
 			for i, val := range values {
@@ -238,28 +239,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeHistogramClean is writeHistogram for the unlabeled case, emitting
-// `name_sum 0.1` instead of `name_sum{} 0.1`.
-func writeHistogramClean(w io.Writer, name string, h *Histogram) error {
-	counts, count, sum := h.snapshotBuckets()
-	cum := int64(0)
-	for i, n := range counts {
-		cum += n
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, count)
-	return err
 }
 
 // histogramJSON renders one histogram for Snapshot.

@@ -81,11 +81,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return float64(len(s.queued))
 	})
 	r.GaugeFunc("swim_jobs_queued", "jobs in the queued state", func() float64 {
-		q, _ := s.jobStates()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		q, _ := s.jobStatesLocked()
 		return float64(q)
 	})
 	r.GaugeFunc("swim_jobs_running", "jobs in the running state", func() float64 {
-		_, run := s.jobStates()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, run := s.jobStatesLocked()
 		return float64(run)
 	})
 	r.GaugeFunc("swim_jobs_total", "jobs retained in the job table", func() float64 {
@@ -121,10 +125,8 @@ func (m *serverMetrics) ObservePlan(backend string, seconds float64) {
 	m.planLatency.With(backend).Observe(seconds)
 }
 
-// jobStates counts queued and running jobs under the server mutex.
-func (s *Server) jobStates() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// jobStatesLocked counts queued and running jobs; the caller holds s.mu.
+func (s *Server) jobStatesLocked() (queued, running int) {
 	for _, j := range s.jobs {
 		switch j.status {
 		case serialize.JobQueued:

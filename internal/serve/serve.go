@@ -141,15 +141,13 @@ type Config struct {
 }
 
 // DefaultWorkloads returns the standard registry workload set served by
-// swim-serve: the paper's four model/task pairs, keyed by the same names
-// the CLIs use.
+// swim-serve: experiments.Workloads, keyed by the same names the CLIs use.
 func DefaultWorkloads() map[string]func() *experiments.Workload {
-	return map[string]func() *experiments.Workload{
-		"lenet":   experiments.LeNetMNIST,
-		"convnet": experiments.ConvNetCIFAR,
-		"resnet":  experiments.ResNetCIFAR,
-		"tiny":    experiments.ResNetTiny,
+	out := make(map[string]func() *experiments.Workload)
+	for _, nw := range experiments.Workloads() {
+		out[nw.Name] = nw.Build
 	}
+	return out
 }
 
 // workloadEntry lazily builds one workload exactly once, without holding
@@ -661,15 +659,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 	}
 	s.evictLocked(nowMS())
-	var queued, running int
-	for _, j := range s.jobs {
-		switch j.status {
-		case serialize.JobQueued:
-			queued++
-		case serialize.JobRunning:
-			running++
-		}
-	}
+	queued, running := s.jobStatesLocked()
 	stats := map[string]any{
 		"status":          status,
 		"mode":            "standalone",
@@ -710,15 +700,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		status = "draining"
 	}
-	var queued, running int
-	for _, j := range s.jobs {
-		switch j.status {
-		case serialize.JobQueued:
-			queued++
-		case serialize.JobRunning:
-			running++
-		}
-	}
+	queued, running := s.jobStatesLocked()
 	queueDepth := len(s.queued)
 	jobsTotal := len(s.jobs)
 	inflight := len(s.inflight)
