@@ -26,14 +26,14 @@ import (
 )
 
 func main() {
-	c := cli.New("swim-ablate", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel)
+	c := cli.New("swim-ablate", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime)
 	what := flag.String("what", "granularity", "granularity | tiebreak | kbits | hessian | spatial | fisher | all")
 	policy := flag.String("policy", "swim", "registry policy probed by the granularity/kbits/spatial ablations")
 	c.Parse()
 	scn := c.ReadScenario()
 	pol, err := program.Lookup(*policy)
 	c.CheckFlag(err)
-	w := experiments.LeNetMNIST()
+	var w *experiments.Workload // built once -what is known to name ablations
 	trials := mc.Trials(5)
 	run := map[string]func(){
 		"granularity": func() {
@@ -74,16 +74,17 @@ func main() {
 			fmt.Printf("  empirical Fisher (grad^2)   %s\n", fi)
 		},
 	}
+	steps := []string{*what}
 	if *what == "all" {
-		for _, k := range []string{"granularity", "tiebreak", "kbits", "hessian", "spatial", "fisher"} {
-			run[k]()
-			fmt.Println()
-		}
-		return
-	}
-	f, ok := run[*what]
-	if !ok {
+		steps = []string{"granularity", "tiebreak", "kbits", "hessian", "spatial", "fisher"}
+	} else if run[*what] == nil {
 		c.CheckFlag(fmt.Errorf("unknown ablation %q", *what))
 	}
-	f()
+	w = experiments.LeNetMNIST()
+	for _, k := range steps {
+		run[k]()
+		if *what == "all" {
+			fmt.Println()
+		}
+	}
 }

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	c := cli.New("swim-fig1", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel)
+	c := cli.New("swim-fig1", cli.Workers|cli.State|cli.Nonideal|cli.ReadTime)
 	cfg := experiments.DefaultFig1()
 	flag.IntVar(&cfg.NumWeights, "weights", cfg.NumWeights, "weights to sample")
 	flag.IntVar(&cfg.Repeats, "repeats", cfg.Repeats, "Monte-Carlo repeats per weight")
@@ -34,7 +34,9 @@ func main() {
 	flag.StringVar(&cfg.Rank, "policy", cfg.Rank,
 		"selector-backed registry policy whose ranking stratifies the weight sample")
 	c.Parse()
-	cfg.Nonideal, cfg.ReadTime, cfg.Kernel = c.Nonideal, c.ReadTime, c.Kernel
+	_, err := experiments.Fig1Ranking(cfg.Rank)
+	c.CheckFlag(err)
+	cfg.Nonideal, cfg.ReadTime = c.Nonideal, c.ReadTime
 
 	w := experiments.LeNetMNIST()
 	res, err := experiments.Fig1(w, cfg)

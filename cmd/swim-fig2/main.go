@@ -23,7 +23,7 @@ import (
 var panels = map[string]string{"a": "convnet", "b": "resnet", "c": "tiny"}
 
 func main() {
-	c := cli.New("swim-fig2", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel|cli.Calib)
+	c := cli.New("swim-fig2", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Calib)
 	c.Policies("")
 	panel := flag.String("panel", "a", "figure panel: a, b or c")
 	sigma := flag.Float64("sigma", experiments.SigmaHigh,

@@ -73,7 +73,7 @@ func markFrontier(pts []paretoPoint) {
 }
 
 func main() {
-	c := cli.New("swim-pareto", cli.Trials|cli.Workers|cli.State|cli.Kernel|cli.Calib|cli.Cost)
+	c := cli.New("swim-pareto", cli.Trials|cli.Workers|cli.State|cli.Calib|cli.Cost)
 	c.Policies("swim,magnitude,noverify")
 	workload := flag.String("workload", "lenet", "lenet | convnet | resnet | tiny")
 	nwcsFlag := flag.String("nwcs", "", "comma-separated NWC grid (default 0,0.1,0.3)")

@@ -12,7 +12,6 @@
 //	              [-times 0,3600,86400] [-nwcs 0,0.1,0.3]
 //	              [-policies swim,magnitude,noverify]
 //	              [-sigma 1.0] [-trials N] [-workers N]
-//	              [-kernel scalar|blocked|parallel[:workers=N]]
 //	              [-calib gainoffset|pertile[:probes=N]]
 //	              [-json path] [-state dir]
 //
@@ -37,7 +36,7 @@ import (
 )
 
 func main() {
-	c := cli.New("swim-scenario", cli.Trials|cli.Workers|cli.State|cli.Scenarios|cli.Kernel|cli.Calib)
+	c := cli.New("swim-scenario", cli.Trials|cli.Workers|cli.State|cli.Scenarios|cli.Calib)
 	c.Policies("")
 	workload := flag.String("workload", "lenet", "lenet | convnet | resnet | tiny")
 	timesFlag := flag.String("times", "", "comma-separated read times in seconds (default 0,3600,86400)")

@@ -11,7 +11,6 @@
 //	swim-serve [-addr 127.0.0.1:8080] [-jobs 2] [-queue 64] [-workers N]
 //	           [-state dir] [-drain 30s] [-portfile path] [-job-ttl 1h]
 //	           [-coordinator url1,url2,...] [-shard-trials N] [-shard-target 1s]
-//	           [-kernel scalar|blocked|parallel[:workers=N]]
 //	           [-cache-max-entries N] [-cache-max-bytes N] [-debug-addr addr]
 //
 // With -coordinator, the daemon computes nothing locally: each job's trial
@@ -65,7 +64,7 @@ import (
 )
 
 func main() {
-	c := cli.New("swim-serve", cli.State|cli.Kernel)
+	c := cli.New("swim-serve", cli.State)
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	jobs := flag.Int("jobs", 2, "jobs executed concurrently (each gets workers/jobs worker goroutines)")
 	queue := flag.Int("queue", 64, "queued-job backlog bound (further submissions get 503)")
@@ -100,7 +99,6 @@ func main() {
 		ShardTarget:     *shardTarget,
 		JobTTL:          *jobTTL,
 		StateDir:        c.State,
-		Kernel:          c.Kernel,
 		CacheMaxEntries: *cacheEntries,
 		CacheMaxBytes:   *cacheBytes,
 	})

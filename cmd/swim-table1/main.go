@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	c := cli.New("swim-table1", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Kernel|cli.Calib)
+	c := cli.New("swim-table1", cli.Trials|cli.Workers|cli.State|cli.Nonideal|cli.ReadTime|cli.Calib)
 	c.Policies("")
 	sigmaFlag := flag.String("sigmas", "", "comma-separated device sigma grid (default 0.5,0.75,1.0)")
 	c.Parse()

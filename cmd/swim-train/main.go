@@ -50,6 +50,12 @@ func main() {
 	nwc := flag.Float64("nwc", 0.1, "write budget for the -policy evaluation (normalized write cycles)")
 	sigma := flag.Float64("sigma", 1.0, "device variation for the -policy evaluation")
 	c.Parse()
+	var pol program.Policy
+	if *policy != "" {
+		var err error
+		pol, err = program.Lookup(*policy)
+		c.CheckFlag(err)
+	}
 
 	var (
 		net          *nn.Network
@@ -94,9 +100,7 @@ func main() {
 	fmt.Printf("%s: test accuracy %.2f%% (%d mapped weights, %d-bit)\n",
 		*model, acc, net.NumMappedWeights(), bits)
 
-	if *policy != "" {
-		pol, err := program.Lookup(*policy)
-		c.CheckFlag(err)
+	if pol != nil {
 		calX, calY := data.Subset(ds.TrainX, ds.TrainY, 512)
 		opts := []program.Option{
 			program.WithDevice(device.Default(bits, *sigma)),

@@ -6,16 +6,17 @@
 //
 // # Exit codes
 //
-// A registry flag (-nonideal, -kernel, -calib, -cost, -policies) set to
-// "list" prints the registered names and exits 0. A malformed flag value
-// prints "<binary>: <error>" to stderr and exits 2; a run that fails prints
-// the same line and exits 1.
+// A registry flag (-nonideal, -calib, -cost, -policies) set to "list"
+// prints the registered names and exits 0. A malformed flag value prints
+// "<binary>: <error>" to stderr and exits 2, before any workload is built;
+// a run that fails prints the same line and exits 1.
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -23,7 +24,6 @@ import (
 	"swim/internal/calib"
 	"swim/internal/cost"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
 	"swim/internal/mc"
 	"swim/internal/nonideal"
 	"swim/internal/program"
@@ -49,8 +49,6 @@ const (
 	// Scenarios registers -nonideal, in place of Nonideal, as a
 	// ';'-separated list of scenarios.
 	Scenarios
-	// Kernel registers -kernel: a kernel-backend spec.
-	Kernel
 	// Calib registers -calib: a calibration-model spec.
 	Calib
 	// Cost registers -cost: a hardware cost-model spec, which must select
@@ -74,19 +72,16 @@ type Command struct {
 	ReadTime float64
 	// Scenarios is the -nonideal scenario list of Scenarios.
 	Scenarios []experiments.Scenario
-	// Kernel is the canonical -kernel spec, "" when the flag is empty.
-	Kernel string
 
 	name  string
 	flags Flag
 	fs    *flag.FlagSet
 	args  []string
 
-	workers                                               int
-	listPolicies                                          bool
-	nonidealFlag, kernelFlag, calibFlag, costFlag, policy string
+	workers                                   int
+	listPolicies                              bool
+	nonidealFlag, calibFlag, costFlag, policy string
 
-	backend        kernel.Backend
 	calib, cost    string
 	policies       []string
 	stdout, stderr io.Writer
@@ -123,10 +118,6 @@ func newCommand(name string, flags Flag, fs *flag.FlagSet, args []string) *Comma
 	if c.has(Scenarios) {
 		fs.StringVar(&c.nonidealFlag, "nonideal", "none;drift",
 			"';'-separated nonideality scenarios, models stacked with '+' ('list' prints registered models)")
-	}
-	if c.has(Kernel) {
-		fs.StringVar(&c.kernelFlag, "kernel", "",
-			"kernel backend for the eval plans' dense primitives (bit-identical to scalar; 'list' prints registered backends)")
 	}
 	if c.has(Calib) {
 		fs.StringVar(&c.calibFlag, "calib", "",
@@ -165,7 +156,7 @@ func (c *Command) Parse() {
 	if c.has(State) {
 		experiments.SetStateDir(c.State)
 	}
-	if c.listPolicies || (c.has(policies) && c.policy == "list") {
+	if c.listPolicies || (c.has(policies) && strings.TrimSpace(c.policy) == "list") {
 		c.list(strings.Join(program.Names(), "\n"))
 	}
 	if c.has(policies) {
@@ -187,13 +178,6 @@ func (c *Command) Parse() {
 		scenarios, err := experiments.ParseScenarios(c.nonidealFlag)
 		c.CheckFlag(err)
 		c.Scenarios = scenarios
-	}
-	if c.has(Kernel) {
-		k, listing, err := kernel.FromFlag(c.kernelFlag)
-		c.registry(listing, err)
-		if c.kernelFlag != "" {
-			c.backend, c.Kernel = k, k.Spec()
-		}
 	}
 	if c.has(Calib) {
 		m, ok, listing, err := calib.FromFlag(c.calibFlag)
@@ -241,11 +225,11 @@ func (c *Command) fail(code int, err error) {
 }
 
 // Sweep returns experiments.DefaultSweep with -trials, -nonideal,
-// -readtime, -kernel, -calib and -policies applied.
+// -readtime, -calib and -policies applied.
 func (c *Command) Sweep() experiments.SweepConfig {
 	cfg := experiments.DefaultSweep()
-	cfg.Scenario = experiments.ReadScenario{Models: c.Nonideal, ReadTime: c.ReadTime}
-	cfg.Kernel, cfg.Calib, cfg.Policies = c.Kernel, c.calib, c.policies
+	cfg.Scenario = c.ReadScenario()
+	cfg.Calib, cfg.Policies = c.calib, c.policies
 	if c.Trials > 0 {
 		cfg.Trials = c.Trials
 	}
@@ -253,10 +237,10 @@ func (c *Command) Sweep() experiments.SweepConfig {
 }
 
 // ScenarioConfig returns experiments.DefaultScenarioConfig with -trials,
-// -kernel, -calib, -cost and -policies applied.
+// -calib, -cost and -policies applied.
 func (c *Command) ScenarioConfig() experiments.ScenarioConfig {
 	cfg := experiments.DefaultScenarioConfig()
-	cfg.Kernel, cfg.Calib, cfg.Cost = c.Kernel, c.calib, c.cost
+	cfg.Calib, cfg.Cost = c.calib, c.cost
 	if c.policies != nil {
 		cfg.Policies = c.policies
 	}
@@ -266,10 +250,9 @@ func (c *Command) ScenarioConfig() experiments.ScenarioConfig {
 	return cfg
 }
 
-// ReadScenario returns the -nonideal stack read at -readtime on the -kernel
-// backend (nil = kernel.Default()).
+// ReadScenario returns the -nonideal stack read at -readtime.
 func (c *Command) ReadScenario() experiments.ReadScenario {
-	return experiments.ReadScenario{Models: c.Nonideal, ReadTime: c.ReadTime, Kernel: c.backend}
+	return experiments.ReadScenario{Models: c.Nonideal, ReadTime: c.ReadTime}
 }
 
 // Workload builds the experiments.Workloads entry called name, first
@@ -288,8 +271,9 @@ func (c *Command) Workload(name string, w io.Writer) *experiments.Workload {
 	return nil
 }
 
-// Floats parses a comma-separated list of numbers, nil for an empty one. A
-// bad number is a malformed flag value, reported as "bad <noun>".
+// Floats parses a comma-separated list of finite numbers, nil for an empty
+// one. A bad or non-finite number is a malformed flag value, reported as
+// "bad <noun>".
 func (c *Command) Floats(noun, csv string) []float64 {
 	if strings.TrimSpace(csv) == "" {
 		return nil
@@ -297,6 +281,9 @@ func (c *Command) Floats(noun, csv string) []float64 {
 	var out []float64
 	for _, s := range strings.Split(csv, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%v is not finite", v)
+		}
 		if err != nil {
 			c.CheckFlag(fmt.Errorf("bad %s %q: %v", noun, s, err))
 		}

@@ -14,7 +14,6 @@ import (
 	"swim/internal/calib"
 	"swim/internal/cost"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
 	"swim/internal/nonideal"
 	"swim/internal/program"
 	"swim/internal/serialize"
@@ -64,10 +63,10 @@ func TestListPrintsRegistryNames(t *testing.T) {
 		{Nonideal, []string{"-nonideal", "list"}, nonideal.Registered()},
 		{Nonideal, []string{"-nonideal", " list "}, nonideal.Registered()},
 		{Scenarios, []string{"-nonideal", "list"}, nonideal.Registered()},
-		{Kernel, []string{"-kernel", "list"}, kernel.Registered()},
 		{Calib, []string{"-calib", "list"}, calib.Registered()},
 		{Cost, []string{"-cost", "list"}, cost.Registered()},
 		{policies, []string{"-policies", "list"}, program.Names()},
+		{policies, []string{"-policies", " list "}, program.Names()},
 		{ListPolicies, []string{"-list-policies"}, program.Names()},
 	} {
 		c, stdout, stderr := newTest(tc.flags, tc.args...)
@@ -103,11 +102,7 @@ func TestEmptyAndNoneSelectDefaultOrNothing(t *testing.T) {
 	if c := parse(Scenarios); len(c.Scenarios) != 2 || len(c.Scenarios[0].Models) != 0 {
 		t.Errorf("default -nonideal = %+v, want none;drift", c.Scenarios)
 	}
-	c := parse(Kernel, "-kernel", "")
-	if c.Kernel != "" || c.ReadScenario().Kernel != nil || c.Sweep().Kernel != "" {
-		t.Errorf("-kernel \"\" = %q, want the default backend", c.Kernel)
-	}
-	c = parse(policies, "-policies", "")
+	c := parse(policies, "-policies", "")
 	if c.Sweep().Policies != nil {
 		t.Errorf("-policies \"\" gave a sweep %v, want the default set", c.Sweep().Policies)
 	}
@@ -138,8 +133,6 @@ func TestMalformedSpecExits2(t *testing.T) {
 		{Nonideal, []string{"-nonideal", "drift:nu=x"}, errOf(nonideal.ParseStack("drift:nu=x"))},
 		{Nonideal, []string{"-nonideal", "nosuch"}, errOf(nonideal.ParseStack("nosuch"))},
 		{Scenarios, []string{"-nonideal", "none;drift:bogus=1"}, errOf(experiments.ParseScenarios("none;drift:bogus=1"))},
-		{Kernel, []string{"-kernel", "nope"}, errOf(kernel.Parse("nope"))},
-		{Kernel, []string{"-kernel", "parallel:workers=-1"}, errOf(kernel.Parse("parallel:workers=-1"))},
 		{Calib, []string{"-calib", "gainoffset:probes=1"}, errOf(calib.Parse("gainoffset:probes=1"))},
 		{Cost, []string{"-cost", "rram:par=0"}, errOf(cost.Parse("rram:par=0"))},
 		{policies, []string{"-policies", "swim,nope"}, errOf(program.ResolveNames("swim,nope"))},
@@ -156,24 +149,24 @@ func TestMalformedSpecExits2(t *testing.T) {
 }
 
 func TestFlagsReachConfigs(t *testing.T) {
-	c, _, stderr := newTest(Trials|Nonideal|ReadTime|Kernel|Calib|policies,
-		"-trials", "5", "-nonideal", "drift", "-readtime", "60", "-kernel", "scalar",
+	c, _, stderr := newTest(Trials|Nonideal|ReadTime|Calib|policies,
+		"-trials", "5", "-nonideal", "drift", "-readtime", "60",
 		"-calib", "gainoffset", "-policies", "swim, random")
 	if code := exitCode(c.Parse); code != -1 {
 		t.Fatalf("exit %d (%s)", code, stderr)
 	}
 	gain, _ := calib.Parse("gainoffset")
 	sw := c.Sweep()
-	if sw.Trials != 5 || sw.Kernel != "scalar" || sw.Calib != gain.Spec() ||
+	if sw.Trials != 5 || sw.Calib != gain.Spec() ||
 		!reflect.DeepEqual(sw.Policies, []string{"swim", "random"}) ||
 		nonideal.StackString(sw.Scenario.Models) != nonideal.StackString(c.Nonideal) || sw.Scenario.ReadTime != 60 {
 		t.Errorf("Sweep() = %+v", sw)
 	}
 	sc := c.ScenarioConfig()
-	if sc.Trials != 5 || sc.Kernel != "scalar" || sc.Calib != gain.Spec() || !reflect.DeepEqual(sc.Policies, sw.Policies) {
+	if sc.Trials != 5 || sc.Calib != gain.Spec() || !reflect.DeepEqual(sc.Policies, sw.Policies) {
 		t.Errorf("ScenarioConfig() = %+v", sc)
 	}
-	if rs := c.ReadScenario(); rs.Kernel == nil || rs.Kernel.Name() != "scalar" || rs.ReadTime != 60 || len(rs.Models) != 1 {
+	if rs := c.ReadScenario(); rs.ReadTime != 60 || len(rs.Models) != 1 {
 		t.Errorf("ReadScenario() = %+v", rs)
 	}
 }
@@ -195,7 +188,7 @@ func TestFloats(t *testing.T) {
 			t.Errorf("Floats(%q) = %v (exit %d), want %v", csv, got, code, want)
 		}
 	}
-	for _, csv := range []string{"0,x", "0,,1"} {
+	for _, csv := range []string{"0,x", "0,,1", "0.5,NaN", "inf", "-Inf"} {
 		stderr.Reset()
 		if code := exitCode(func() { c.Floats("nwc", csv) }); code != 2 || !strings.HasPrefix(stderr.String(), "swim-test: bad nwc ") {
 			t.Errorf("Floats(%q): exit %d stderr %q, want 2 and a bad nwc line", csv, code, stderr)

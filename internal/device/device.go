@@ -93,6 +93,8 @@ func (m Model) Validate() error {
 		return fmt.Errorf("device: device bits %d < 1", m.DeviceBits)
 	case m.Sigma < 0:
 		return fmt.Errorf("device: negative sigma %v", m.Sigma)
+	case math.IsNaN(m.Sigma) || math.IsInf(m.Sigma, 0):
+		return fmt.Errorf("device: non-finite sigma %v", m.Sigma)
 	case m.Tolerance <= 0:
 		return fmt.Errorf("device: non-positive tolerance %v", m.Tolerance)
 	case m.CoarseStep <= 0:

@@ -25,6 +25,11 @@ func TestValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("accepted negative sigma")
 	}
+	for _, sigma := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if Default(4, sigma).Validate() == nil {
+			t.Fatalf("accepted sigma %v", sigma)
+		}
+	}
 }
 
 func TestNumDevices(t *testing.T) {

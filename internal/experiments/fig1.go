@@ -9,7 +9,6 @@ import (
 	"swim/internal/data"
 	"swim/internal/device"
 	"swim/internal/eval"
-	"swim/internal/kernel"
 	"swim/internal/mapping"
 	"swim/internal/mc"
 	"swim/internal/nn"
@@ -49,9 +48,6 @@ type Fig1Config struct {
 	// evaluation instant in seconds.
 	Nonideal []nonideal.Nonideality
 	ReadTime float64
-	// Kernel is a kernel-backend spec for the per-clone compiled
-	// evaluators; "" = kernel.Default(). Bit-identical across backends.
-	Kernel string
 }
 
 // DefaultFig1 returns the Fig. 1 configuration.
@@ -73,6 +69,24 @@ type Fig1Result struct {
 	SpearmanHess     float64
 }
 
+// Fig1Ranking resolves Fig1Config.Rank ("" = swim) to the registry policy
+// whose ranking stratifies the weight sample; a policy without a weight
+// ranking is an error.
+func Fig1Ranking(name string) (program.SelectorBacked, error) {
+	if name == "" {
+		name = "swim"
+	}
+	pol, err := program.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	ranked, ok := pol.(program.SelectorBacked)
+	if !ok {
+		return nil, fmt.Errorf("policy %q has no weight ranking", name)
+	}
+	return ranked, nil
+}
+
 // Fig1 reproduces the paper's Fig. 1 experiment: perturb individual weights
 // with value-independent Gaussian noise, record the mean accuracy drop over
 // repeats, and correlate the drop against weight magnitude (Fig. 1a — weak)
@@ -84,14 +98,6 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 	batch := cfg.EvalBatch
 	if batch <= 0 {
 		batch = 64
-	}
-	var kern kernel.Backend
-	if cfg.Kernel != "" {
-		k, err := kernel.Parse(cfg.Kernel)
-		if err != nil {
-			return Fig1Result{}, fmt.Errorf("fig1 on %s: %w", w.Name, err)
-		}
-		kern = k
 	}
 	r := rng.New(cfg.Seed)
 	evalX, evalY := data.Subset(w.DS.TestX, w.DS.TestY, cfg.EvalN)
@@ -112,17 +118,9 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 	// shows they are the majority), which pins most drops at exactly zero
 	// and attenuates the correlations; the paper's scatter visibly spans the
 	// sensitivity range.
-	rankName := cfg.Rank
-	if rankName == "" {
-		rankName = "swim"
-	}
-	pol, err := program.Lookup(rankName)
+	ranked, err := Fig1Ranking(cfg.Rank)
 	if err != nil {
 		return Fig1Result{}, fmt.Errorf("fig1 on %s: %w", w.Name, err)
-	}
-	ranked, ok := pol.(program.SelectorBacked)
-	if !ok {
-		return Fig1Result{}, fmt.Errorf("fig1 on %s: policy %q has no weight ranking", w.Name, rankName)
 	}
 	sel, err := ranked.Selector(&program.Env{Net: w.Net, Hess: w.Hess, Weights: w.Weights})
 	if err != nil {
@@ -193,7 +191,7 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 			arena = tensor.NewArena()
 		}
 		defer arenas.Put(arena)
-		bound, err := eval.NewEvaluatorKernel(net, arena, kern).Bind(evalX, evalY, batch)
+		bound, err := eval.NewEvaluator(net, arena).Bind(evalX, evalY, batch)
 		if err != nil {
 			return fig1Out{err: err}
 		}

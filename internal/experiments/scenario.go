@@ -9,7 +9,6 @@ import (
 	"swim/internal/calib"
 	"swim/internal/cost"
 	"swim/internal/data"
-	"swim/internal/kernel"
 	"swim/internal/mc"
 	"swim/internal/nonideal"
 	"swim/internal/program"
@@ -27,26 +26,16 @@ type ReadScenario struct {
 	Models []nonideal.Nonideality
 	// ReadTime is when accuracy is measured, in seconds after programming.
 	ReadTime float64
-	// Kernel optionally overrides the kernel backend executing the dense
-	// primitives of the scenario's compiled evaluation plans (nil =
-	// kernel.Default()). Backends are bit-identical, so this never changes
-	// results; it rides here so every pipeline-backed experiment and
-	// ablation that threads a ReadScenario picks the backend up without
-	// signature churn.
-	Kernel kernel.Backend
 }
 
 // Options returns the pipeline options implementing the scenario (nil for
-// the ideal baseline with the default kernel).
+// the ideal baseline).
 func (s ReadScenario) Options() []program.Option {
 	var opts []program.Option
 	if len(s.Models) > 0 {
 		opts = append(opts,
 			program.WithNonidealities(s.Models...),
 			program.WithReadTime(s.ReadTime))
-	}
-	if s.Kernel != nil {
-		opts = append(opts, program.WithKernelBackend(s.Kernel))
 	}
 	return opts
 }
@@ -117,16 +106,10 @@ type ScenarioConfig struct {
 	// Calib is a calibration-model spec (package calib grammar); every
 	// cell's pipeline then fits a digital read-out correction from a probe
 	// pass and applies it before accuracy evaluation. Empty disables
-	// calibration (the default). Unlike Kernel, calibration changes
-	// results — corrected read-outs are a different computation — so the
-	// serving tier includes it in cache keys like the cost axis.
+	// calibration (the default). Calibration changes results — corrected
+	// read-outs are a different computation — so the serving tier includes
+	// it in cache keys like the cost axis.
 	Calib string
-	// Kernel is a kernel-backend spec (package kernel grammar) selecting
-	// how every cell's compiled evaluation plans execute their dense
-	// primitives. Empty selects kernel.Default(). Backends are
-	// bit-identical, so this never changes results — it is a throughput
-	// knob only, and the serving tier excludes it from cache keys.
-	Kernel string
 }
 
 // DefaultScenarioConfig returns the scenario-sweep defaults, honouring
@@ -277,13 +260,6 @@ func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg Scenari
 			return err
 		}
 		costOpts = append(costOpts, program.WithCalibrationModel(cm))
-	}
-	if cfg.Kernel != "" {
-		k, err := kernel.Parse(cfg.Kernel)
-		if err != nil {
-			return err
-		}
-		costOpts = append(costOpts, program.WithKernelBackend(k))
 	}
 	dm := w.DeviceFor(sigma)
 	table := dm.CycleTable(300, rng.New(cfg.Seed^0x5ce11a))

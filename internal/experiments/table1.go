@@ -7,7 +7,6 @@ import (
 
 	"swim/internal/calib"
 	"swim/internal/data"
-	"swim/internal/kernel"
 	"swim/internal/mc"
 	"swim/internal/program"
 	"swim/internal/stat"
@@ -43,15 +42,10 @@ type SweepConfig struct {
 	// sweep (the explicit replacement for the removed process-global
 	// SetScenario). Zero value = ideal devices.
 	Scenario ReadScenario
-	// Kernel is a kernel-backend spec (package kernel grammar) for the
-	// sweep's compiled evaluation plans; "" = kernel.Default().
-	// Bit-identical across backends — a throughput knob, never a results
-	// axis.
-	Kernel string
 	// Calib is a calibration-model spec (package calib grammar); every cell
 	// then fits a digital read-out correction from a probe pass and applies
-	// it before accuracy evaluation. "" = no calibration. Unlike Kernel this
-	// IS a results axis — corrected read-outs are a different computation.
+	// it before accuracy evaluation. "" = no calibration. This is a results
+	// axis — corrected read-outs are a different computation.
 	Calib string
 }
 
@@ -100,13 +94,6 @@ func Sweep(w *Workload, sigma float64, method string, cfg SweepConfig) ([]Cell, 
 func SweepPolicy(w *Workload, sigma float64, pol program.Policy, cfg SweepConfig) ([]Cell, error) {
 	evalX, evalY := data.Subset(w.DS.TestX, w.DS.TestY, mc.EvalSize(len(w.DS.TestY)))
 	opts := append(w.Options(sigma), cfg.Scenario.Options()...)
-	if cfg.Kernel != "" {
-		k, err := kernel.Parse(cfg.Kernel)
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
-		}
-		opts = append(opts, program.WithKernelBackend(k))
-	}
 	if cfg.Calib != "" {
 		cm, err := calib.Parse(cfg.Calib)
 		if err != nil {

@@ -49,9 +49,10 @@
 // cross-backend tests in this package and in package eval pin the contract
 // for every model in internal/models, digital and analog.
 //
-// Because backends are bit-identical, the choice of backend is an execution
-// hint, not a computation axis: swim-serve records it in the request record
-// but excludes it from cache keys (see internal/serialize).
+// Because backends are bit-identical, the backend is not a user setting:
+// every run executes on Default. The other backends are reached through
+// Parse, by the tests that pin them against scalar and the benchmarks that
+// time them.
 //
 // # Convolution backward pass
 //
@@ -123,8 +124,7 @@ type Backend interface {
 }
 
 // Default returns the default backend, blocked: bit-identical to the scalar
-// reference and faster on both models BENCH_kernels.json records. It is the
-// backend used anywhere no explicit selection is threaded through — the
-// layers' Forward and Backward passes, plans compiled without one, and an
-// empty -kernel flag or request axis.
+// reference and faster on both models BENCH_kernels.json records. It runs
+// everything no explicit backend is passed to: the layers' Forward and
+// Backward passes and every plan the binaries and the daemon compile.
 func Default() Backend { return blocked{} }

@@ -1,9 +1,7 @@
 package kernel
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -500,28 +498,5 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	if b.Spec() != "parallel" {
 		t.Fatalf("parallel:workers=0 should render as %q, got %q", "parallel", b.Spec())
-	}
-}
-
-func TestFromFlag(t *testing.T) {
-	b, listing, err := FromFlag("")
-	if err != nil || listing != "" || b == nil || b.Name() != Default().Name() {
-		t.Fatalf("FromFlag(\"\") = %v, %q, %v; want the %s default", b, listing, err, Default().Name())
-	}
-	b, listing, err = FromFlag("list")
-	if err != nil || b != nil {
-		t.Fatalf("FromFlag(list) = %v, %v", b, err)
-	}
-	for _, want := range []string{"scalar", "blocked", "parallel"} {
-		if !strings.Contains(listing, want) {
-			t.Fatalf("listing %q missing %q", listing, want)
-		}
-	}
-	if _, _, err = FromFlag("nope"); err == nil {
-		t.Fatal("FromFlag(nope) should fail")
-	}
-	b, _, err = FromFlag(fmt.Sprintf("parallel:workers=%d", runtime.NumCPU()))
-	if err != nil || b.Name() != "parallel" {
-		t.Fatalf("FromFlag(parallel:workers=N) = %v, %v", b, err)
 	}
 }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"strings"
 
 	"swim/internal/spec"
 )
@@ -21,21 +20,6 @@ func Registered() []string { return backends.Names() }
 // followed by colon-separated parameters, e.g. "blocked" or
 // "parallel:workers=4". Every built-in's Spec() round-trips through Parse.
 func Parse(s string) (Backend, error) { return backends.Parse(s) }
-
-// FromFlag resolves the CLIs' shared -kernel flag convention: the literal
-// "list" requests the registered-backend listing (returned in listing, with
-// no backend); the empty string selects Default(); anything else parses as a
-// backend spec.
-func FromFlag(s string) (k Backend, listing string, err error) {
-	if listing, ok := backends.Listing(s); ok {
-		return nil, listing, nil
-	}
-	if strings.TrimSpace(s) == "" {
-		return Default(), "", nil
-	}
-	k, err = Parse(s)
-	return k, "", err
-}
 
 func init() {
 	backends.MustRegister("scalar", func(*spec.Params) (Backend, error) { return scalar{}, nil })

@@ -496,9 +496,9 @@ func (mp *Mapped) recalibrate() {
 func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
-// their dense primitives through (nil keeps kernel.Default()). Backends
-// are bit-identical, so this changes evaluation speed, never results. Call
-// it before the first Accuracy measurement, alongside SetEvalArena.
+// their dense primitives through (nil keeps kernel.Default()). Pipelines
+// never call it; a benchmark does, to time the backend. Call it before the
+// first Accuracy measurement, alongside SetEvalArena.
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 
 // Accuracy evaluates the programmed network's top-1 accuracy (%) over the

@@ -18,6 +18,7 @@ func FuzzParseStack(f *testing.F) {
 	f.Add("+")
 	f.Add("drift:nu=0.05;stuckat")
 	f.Add("stuckat:p=1e309")
+	f.Add("drift:t0=inf") // would canonicalize to "t0=+Inf", split by the stack's '+'
 	f.Fuzz(func(t *testing.T, spec string) {
 		models, err := ParseStack(spec)
 		if err != nil {

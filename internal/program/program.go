@@ -54,7 +54,6 @@ import (
 	"swim/internal/calib"
 	"swim/internal/cost"
 	"swim/internal/device"
-	"swim/internal/kernel"
 	"swim/internal/mapping"
 	"swim/internal/mc"
 	"swim/internal/nn"
@@ -101,7 +100,6 @@ type Pipeline struct {
 	readTime    float64
 	costModel   *cost.Model
 	calibModel  *calib.Model
-	kern        kernel.Backend
 
 	deviceSet bool
 }
@@ -123,19 +121,6 @@ func WithDevice(m device.Model) Option {
 	return func(p *Pipeline) error {
 		p.env.Device = m
 		p.deviceSet = true
-		return nil
-	}
-}
-
-// WithKernelBackend selects the kernel backend executing the dense forward
-// primitives (matmul, fused bias+matmul, convolution) of every compiled
-// evaluation plan the pipeline's trials run. All registered backends are
-// bit-identical to the scalar reference, so this is purely a throughput
-// knob: accuracy bits, Monte-Carlo streams and cache keys are unchanged. nil
-// restores kernel.Default().
-func WithKernelBackend(k kernel.Backend) Option {
-	return func(p *Pipeline) error {
-		p.kern = k
 		return nil
 	}
 }
@@ -499,9 +484,6 @@ func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *map
 		arena = tensor.NewArena()
 	}
 	mp.SetEvalArena(arena)
-	if p.kern != nil {
-		mp.SetKernel(p.kern)
-	}
 	return mp, trial, func() { arenas.Put(arena) }
 }
 

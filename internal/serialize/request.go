@@ -66,19 +66,10 @@ type RequestRecord struct {
 	// Calib names a calibration-model spec (package calib grammar, e.g.
 	// "gainoffset" or "pertile:probes=16"); "" and "none" disable the
 	// calibration stage. The daemon canonicalizes the spec before hashing.
-	// Unlike the kernel axis, Calib changes results — corrected read-outs
-	// are a different computation — so it participates in the canonical key
-	// like the cost axis does.
+	// Calib changes results — corrected read-outs are a different
+	// computation — so it participates in the canonical key like the cost
+	// axis does.
 	Calib string `json:"calib,omitempty"`
-	// Kernel names a kernel-backend spec (package kernel grammar, e.g.
-	// "blocked" or "parallel:workers=4") selecting how the daemon executes
-	// the dense primitives of the request's evaluation plans. "" selects
-	// kernel.Default(). The daemon canonicalizes the spec before
-	// recording it, but — unlike every other axis — Kernel is EXCLUDED from
-	// the canonical key: backends are bit-identical by contract, so two
-	// requests differing only in kernel are the same computation and share
-	// a cache entry.
-	Kernel string `json:"kernel,omitempty"`
 	// Seed is the Monte-Carlo master seed shared by every cell.
 	Seed uint64 `json:"seed,omitempty"`
 	// Trials is the Monte-Carlo trial count per cell.
@@ -95,7 +86,7 @@ type RequestRecord struct {
 // fields.
 var knownRequestFields = []string{
 	"version", "kind", "workload", "sigmas", "policies", "nwcs",
-	"scenarios", "cost", "calib", "kernel", "times", "seed", "trials", "eval_batch",
+	"scenarios", "cost", "calib", "times", "seed", "trials", "eval_batch",
 }
 
 // MarshalJSON emits the known fields plus any preserved unknown ones.
@@ -136,10 +127,6 @@ func (r *RequestRecord) CanonicalKey() (string, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return "", fmt.Errorf("serialize: canonical key: %w", err)
 	}
-	// The kernel backend never changes results (bit-identical contract), so
-	// it is excluded from the key: a request served with "blocked" hits the
-	// cache entry a "scalar" request populated, and vice versa.
-	delete(m, "kernel")
 	// encoding/json marshals maps in sorted-key order, which canonicalizes
 	// the top level; array order below it is semantic and kept as-is.
 	canon, err := json.Marshal(m)

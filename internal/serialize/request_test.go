@@ -65,6 +65,12 @@ func TestCanonicalKey(t *testing.T) {
 	if ka != kb {
 		t.Fatalf("equal requests hash differently: %s vs %s", ka, kb)
 	}
+	// The key is what result caches and coordinator journals are filed
+	// under, so it must not drift between versions: this request hashed to
+	// the same value before the kernel field was dropped from the record.
+	if want := "ab19def9ddbbe0671f509f7f1f2e2bbb5f0ddc186631cde5b1c980611d0e8c4c"; ka != want {
+		t.Fatalf("canonical key drifted: %s, want %s", ka, want)
+	}
 	b.Seed = 6
 	if kb, _ = b.CanonicalKey(); ka == kb {
 		t.Fatal("different seeds share a canonical key")
@@ -82,45 +88,17 @@ func TestCanonicalKey(t *testing.T) {
 	if kc == ka {
 		t.Fatal("unknown field did not change the canonical key")
 	}
-}
-
-// TestCanonicalKeyIgnoresKernel pins the one deliberate exception to
-// "every field hashes": backends are bit-identical, so the kernel axis is
-// recorded in the request yet excluded from the cache key — a request served
-// with "blocked" hits the entry a "scalar" request populated.
-func TestCanonicalKeyIgnoresKernel(t *testing.T) {
-	a := &RequestRecord{Version: 1, Kind: KindSweep, Workload: "lenet", Seed: 5, Trials: 4}
-	b := &RequestRecord{Version: 1, Kind: KindSweep, Workload: "lenet", Seed: 5, Trials: 4,
-		Kernel: "parallel:workers=4"}
-	ka, err := a.CanonicalKey()
+	// "kernel" is no longer a field: a request carrying it keeps it as an
+	// unknown field, which the daemon rejects, and it hashes like one.
+	d, err := DecodeRequest(strings.NewReader(`{"version":1,"kind":"sweep","workload":"lenet","seed":5,"trials":4,"kernel":"blocked"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := b.CanonicalKey()
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := d.Extra["kernel"]; !ok || len(d.Extra) != 1 {
+		t.Fatalf("kernel not kept as an unknown field: %v", d.Extra)
 	}
-	if ka != kb {
-		t.Fatalf("kernel axis changed the canonical key: %s vs %s", ka, kb)
-	}
-	// The axis still round-trips on the wire: excluded from the hash, not
-	// from the record.
-	raw, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"kernel":"parallel:workers=4"`) {
-		t.Fatalf("kernel axis missing from the encoded request: %s", raw)
-	}
-	got, err := DecodeRequest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kernel != b.Kernel {
-		t.Fatalf("kernel axis mangled in round trip: %q", got.Kernel)
-	}
-	if len(got.Extra) != 0 {
-		t.Fatalf("kernel treated as an unknown field: %v", got.Extra)
+	if kd, _ := d.CanonicalKey(); kd == ka {
+		t.Fatal("the kernel field did not change the canonical key")
 	}
 }
 

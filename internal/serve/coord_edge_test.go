@@ -58,7 +58,7 @@ func TestCoordinatorCalibByteIdentity(t *testing.T) {
 
 // A request spelling the calibration model loosely must normalize to the
 // canonical spec, and a calibrated request must never share a cache key
-// with its uncalibrated twin (unlike the kernel axis).
+// with its uncalibrated twin.
 func TestCalibAxisNormalizedAndKeyed(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workloads: testWorkloads()})
 	base := testRequest(307, "")

@@ -9,7 +9,6 @@ import (
 	"swim/internal/calib"
 	"swim/internal/cost"
 	"swim/internal/experiments"
-	"swim/internal/kernel"
 	"swim/internal/mc"
 	"swim/internal/program"
 	"swim/internal/serialize"
@@ -143,8 +142,7 @@ func (s *Server) normalize(req *serialize.RequestRecord) (*serialize.RequestReco
 	}
 	// Canonicalize the calibration axis like the cost axis: "none" collapses
 	// to the empty (disabled) form, anything else re-renders fully spelled
-	// out. Unlike kernel, calib DOES enter the canonical key — corrected
-	// read-outs are a different computation.
+	// out.
 	switch c := strings.TrimSpace(n.Calib); c {
 	case "", "none":
 		n.Calib = ""
@@ -154,25 +152,6 @@ func (s *Server) normalize(req *serialize.RequestRecord) (*serialize.RequestReco
 			return nil, err
 		}
 		n.Calib = m.Spec()
-	}
-	// Canonicalize the kernel axis: an empty request inherits the daemon
-	// default, then "" and kernel.Default()'s spec collapse to the empty
-	// (default) form and anything else re-renders through the registry. The
-	// spec is recorded in the job's request for observability, but it never
-	// enters the canonical key — backends are bit-identical, so requests
-	// differing only here share a cache entry (see RequestRecord.Kernel).
-	if strings.TrimSpace(n.Kernel) == "" {
-		n.Kernel = s.cfg.Kernel
-	}
-	switch k := strings.TrimSpace(n.Kernel); k {
-	case "", kernel.Default().Spec():
-		n.Kernel = ""
-	default:
-		kb, err := kernel.Parse(k)
-		if err != nil {
-			return nil, err
-		}
-		n.Kernel = kb.Spec()
 	}
 	return &n, nil
 }
@@ -191,23 +170,10 @@ func defaultStrings(v, def []string) []string {
 	return append([]string(nil), def...)
 }
 
-// execute runs one normalized request to completion: the workload is built
-// (or restored) once and cached, then every σ-slice of the request grid runs
-// through experiments.ScenarioResults with the job's fair-share worker gate.
-// A non-nil feed observes per-trial and per-cell progress out-of-band via
-// program.WithProgress. The resulting envelope is bit-identical to the
-// equivalent CLI invocation at any worker split, by the mc determinism
-// contract — progress observation cannot perturb it (see
-// program.ProgressFunc).
-func (s *Server) execute(ctx context.Context, req *serialize.RequestRecord, gate mc.Gate, feed *progressFeed) (*serialize.ResultEnvelope, error) {
-	w, err := s.workload(req.Workload)
-	if err != nil {
-		return nil, err
-	}
-	scenarios, err := experiments.ParseScenarios(req.Scenarios)
-	if err != nil {
-		return nil, err
-	}
+// resolve returns what a normalized request computes: its workload (built or
+// restored once and cached), its scenarios and the sweep configuration its
+// fields set. execute and executeShard both start here.
+func (s *Server) resolve(req *serialize.RequestRecord) (*experiments.Workload, []experiments.Scenario, experiments.ScenarioConfig, error) {
 	cfg := experiments.ScenarioConfig{
 		NWCs:      req.NWCs,
 		Times:     req.Times,
@@ -217,7 +183,27 @@ func (s *Server) execute(ctx context.Context, req *serialize.RequestRecord, gate
 		EvalBatch: req.EvalBatch,
 		Cost:      req.Cost,
 		Calib:     req.Calib,
-		Kernel:    req.Kernel,
+	}
+	scenarios, err := experiments.ParseScenarios(req.Scenarios)
+	if err != nil {
+		return nil, nil, cfg, err
+	}
+	w, err := s.workload(req.Workload)
+	return w, scenarios, cfg, err
+}
+
+// execute runs one normalized request to completion: the workload is built
+// (or restored) once and cached, then every σ-slice of the request grid runs
+// through experiments.ScenarioResults with the job's fair-share worker gate.
+// A non-nil feed observes per-trial and per-cell progress out-of-band via
+// program.WithProgress. The resulting envelope is bit-identical to the
+// equivalent CLI invocation at any worker split, by the mc determinism
+// contract — progress observation cannot perturb it (see
+// program.ProgressFunc).
+func (s *Server) execute(ctx context.Context, req *serialize.RequestRecord, gate mc.Gate, feed *progressFeed) (*serialize.ResultEnvelope, error) {
+	w, scenarios, cfg, err := s.resolve(req)
+	if err != nil {
+		return nil, err
 	}
 	opts := []program.Option{
 		program.WithWorkers(s.cfg.TotalWorkers),

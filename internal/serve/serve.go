@@ -115,11 +115,6 @@ type Config struct {
 	// resumes from its checkpoint instead of recomputing; unfinished
 	// journalled jobs found at startup are re-enqueued automatically.
 	StateDir string
-	// Kernel is the daemon-default kernel-backend spec applied to requests
-	// that leave their kernel axis empty ("" = kernel.Default()). Backends
-	// are bit-identical and the axis is excluded from canonical keys, so the
-	// default changes throughput only — never results or cache identity.
-	Kernel string
 	// CacheMaxEntries bounds the canonical-key result cache's entry count
 	// (0 = unbounded). Least-recently-used entries are evicted first; the
 	// newest result is always retained.

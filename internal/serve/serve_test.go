@@ -339,6 +339,11 @@ func TestServeValidation(t *testing.T) {
 		`{"kind": "sweep", "workload": "test", "policies": ["bogus"]}`,
 		`{"kind": "sweep", "workload": "test", "scenarios": "warpfield"}`,
 		`{"kind": "sweep", "workload": "test", "future_knob": true}`,
+		`{"kind": "sweep", "workload": "test", "kernel": "blocked"}`,
+		// t0=inf would canonicalize to "t0=+Inf", whose '+' splits the
+		// stack, so the job could not parse its own spec.
+		`{"kind": "sweep", "workload": "test", "scenarios": "drift:t0=inf"}`,
+		`{"kind": "sweep", "workload": "test", "scenarios": "drift:nu=nan"}`,
 		`{"kind": "sweep", "workload": "test", "trials": 100000000}`,
 		`not json`,
 	}

@@ -112,24 +112,9 @@ func writeShard(w http.ResponseWriter, rec *serialize.ShardRecord, err error) {
 func (s *Server) executeShard(ctx context.Context, req *serialize.RequestRecord,
 	shardKey string, lo, hi int, gate mc.Gate) (*serialize.ShardRecord, error) {
 
-	w, err := s.workload(req.Workload)
+	w, scenarios, cfg, err := s.resolve(req)
 	if err != nil {
 		return nil, err
-	}
-	scenarios, err := experiments.ParseScenarios(req.Scenarios)
-	if err != nil {
-		return nil, err
-	}
-	cfg := experiments.ScenarioConfig{
-		NWCs:      req.NWCs,
-		Times:     req.Times,
-		Policies:  req.Policies,
-		Trials:    req.Trials,
-		Seed:      req.Seed,
-		EvalBatch: req.EvalBatch,
-		Cost:      req.Cost,
-		Calib:     req.Calib,
-		Kernel:    req.Kernel,
 	}
 	rec := &serialize.ShardRecord{
 		Version: serialize.ShardVersion,

@@ -6,8 +6,8 @@
 // # Grammar
 //
 // A spec is a registered name, optionally followed by ':' and a
-// comma-separated list of key=value parameters whose values are float64 in
-// strconv.ParseFloat syntax ("drift", "rram:write_pj=12,par=64").
+// comma-separated list of key=value parameters whose values are finite
+// float64 in strconv.ParseFloat syntax ("drift", "rram:write_pj=12,par=64").
 // Whitespace around the whole spec, around keys and around values is
 // ignored. A builder reads the parameters it knows through Params.Get with
 // its defaults; Parse rejects any parameter the builder did not read.
@@ -28,6 +28,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,6 +119,10 @@ func (r *Registry[T]) Parse(spec string) (T, error) {
 				return zero, fmt.Errorf("%s: bad parameter %q in spec %q (want key=value)", r.pkg, kv, spec)
 			}
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				// No model takes one, and "+Inf" would split a stack.
+				err = fmt.Errorf("%v is not finite", f)
+			}
 			if err != nil {
 				return zero, fmt.Errorf("%s: bad value for %q in spec %q: %v", r.pkg, k, spec, err)
 			}

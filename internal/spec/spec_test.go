@@ -94,6 +94,10 @@ func TestParse(t *testing.T) {
 		"nope:a=1,b=2":  `test: unknown model "nope" (registered: [bare pt])`,
 		"pt:a=1:b=2":    `test: bad value for "a" in spec "pt:a=1:b=2"`,
 		"pt:a=1e+06+pt": `test: bad value for "a"`,
+		"pt:a=NaN":      `test: bad value for "a" in spec "pt:a=NaN": NaN is not finite`,
+		"pt:b=inf":      `test: bad value for "b" in spec "pt:b=inf": +Inf is not finite`,
+		"pt:b=-Inf":     `test: bad value for "b" in spec "pt:b=-Inf": -Inf is not finite`,
+		"pt:a=1e309":    `test: bad value for "a" in spec "pt:a=1e309": strconv.ParseFloat`,
 	} {
 		_, err := r.Parse(in)
 		if err == nil || !strings.HasPrefix(err.Error(), want) {

@@ -6,7 +6,12 @@
 #   - `-<flag> list` exits 0 and prints exactly the registry's names;
 #   - a malformed spec exits 2 with a "<binary>: " line on stderr.
 #
-# Both paths exit before any workload is built, so nothing trains and the
+# A binary's own flag values that name an ablation or a policy (swim-ablate
+# -what, swim-train and swim-fig1 -policy), and a non-finite number in a
+# comma list, must be rejected the same way before any workload is built:
+# nothing on stdout, and the -state directory left empty.
+#
+# Every path exits before any workload is built, so nothing trains and the
 # script runs in seconds.
 set -euo pipefail
 
@@ -18,7 +23,6 @@ go build -o "$bindir" ./cmd/...
 # The registries' names in the order `list` prints them (sorted). A
 # registry that gains an entry is updated here too.
 nonideal="d2d drift quantlevels retention stuckat"
-kernel="blocked parallel scalar"
 calib="gainoffset pertile"
 cost="lightening ramwich rram"
 policies="insitu magnitude noverify random swim swim+calib"
@@ -49,6 +53,25 @@ expect_bad() {
   fi
 }
 
+# expect_early <binary> <args...>: exit 2 with a "<binary>: " line on
+# stderr, nothing on stdout, and an empty -state directory still empty: the
+# value was rejected before any workload was built or trained.
+expect_early() {
+  local bin=$1 state out err code=0
+  shift
+  state="$bindir/state-$bin"
+  mkdir "$state"
+  out="$("$bindir/$bin" -state "$state" "$@" 2>"$bindir/stderr")" || code=$?
+  err="$(cat "$bindir/stderr")"
+  if [ "$code" -ne 2 ] || [ "${err#"$bin: "}" = "$err" ] || [ -n "$out" ] || [ -n "$(ls -A "$state")" ]; then
+    echo "FAIL: $bin $*: exit $code, want 2, a \"$bin: \" line, no stdout and an empty -state; stderr:" >&2
+    echo "$err" >&2
+    echo "stdout: $out; -state holds: $(ls -A "$state")" >&2
+    fail=1
+  fi
+  rm -rf "$state"
+}
+
 for bin in swim-table1 swim-fig1 swim-fig2 swim-ablate swim-calibrate swim-train; do
   expect_list "$bin" "$nonideal" -nonideal list
   expect_bad "$bin" -nonideal drift:nu=x
@@ -56,11 +79,6 @@ done
 # swim-scenario's -nonideal is a ';'-separated list of stacks.
 expect_list swim-scenario "$nonideal" -nonideal list
 expect_bad swim-scenario -nonideal 'none;drift:nu=x'
-
-for bin in swim-table1 swim-fig1 swim-fig2 swim-ablate swim-scenario swim-pareto swim-serve; do
-  expect_list "$bin" "$kernel" -kernel list
-  expect_bad "$bin" -kernel nosuch
-done
 
 for bin in swim-table1 swim-fig2 swim-scenario swim-pareto; do
   expect_list "$bin" "$calib" -calib list
@@ -73,6 +91,13 @@ expect_list swim-pareto "$cost" -cost list
 expect_bad swim-pareto -cost rram:par=0
 expect_bad swim-pareto -cost none
 expect_list swim-calibrate "$policies" -list-policies
+
+expect_early swim-ablate -what nosuch
+expect_early swim-ablate -policy nosuch
+expect_early swim-train -policy nosuch
+expect_early swim-fig1 -policy nosuch
+expect_early swim-fig1 -policy insitu
+expect_early swim-table1 -sigmas NaN
 
 if [ "$fail" -ne 0 ]; then
   echo "cli smoke: FAILED" >&2
