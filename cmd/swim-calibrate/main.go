@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -56,10 +57,10 @@ func main() {
 
 	fmt.Printf("device model calibration (M=%d, K=4, tolerance 0.06)\n\n", *bits)
 	fmt.Printf("%-8s %-22s %-22s %s\n", "sigma", "uniform magnitudes", "gaussian weights", "no-verify noise (LSB)")
-	// The σ rows are independent; mc.Map runs them in parallel with fixed
+	// The σ rows are independent; mc.MapCtx runs them in parallel with fixed
 	// per-row seeds, so the printed table is identical at any worker count.
 	sigmas := []float64{0.1, 0.2, 0.5, 0.75, 1.0}
-	rows := mc.Map(0xca11b, len(sigmas), func(i int, _ *rng.Source) string {
+	rows, err := mc.MapCtx(context.Background(), 0xca11b, len(sigmas), 0, func(i int, _ *rng.Source) string {
 		sigma := sigmas[i]
 		m := device.Default(*bits, sigma)
 		u := m.Calibrate(*n, rng.New(uint64(1+i)))
@@ -67,6 +68,7 @@ func main() {
 		return fmt.Sprintf("%-8.2f %6.2f cyc / %.4f res %6.2f cyc / %.4f res %8.3f",
 			sigma, u.MeanCycles, u.ResidualStd, g.MeanCycles, g.ResidualStd, m.NoiseStd())
 	})
+	c.Check(err)
 	for _, row := range rows {
 		fmt.Println(row)
 	}

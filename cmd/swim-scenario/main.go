@@ -52,6 +52,7 @@ func main() {
 	if ns := c.Floats("number", *nwcsFlag); ns != nil {
 		cfg.NWCs = ns
 	}
+	c.CheckFlag(experiments.CheckGrid(cfg.NWCs, cfg.Times, cfg.Policies))
 
 	human := c.Human(*jsonFlag)
 	w := c.Workload(*workload, human)

@@ -91,7 +91,7 @@ func Fig1Ranking(name string) (program.SelectorBacked, error) {
 // with value-independent Gaussian noise, record the mean accuracy drop over
 // repeats, and correlate the drop against weight magnitude (Fig. 1a — weak)
 // and against the second derivative (Fig. 1b — strong). The sampled weights
-// are measured in parallel via mc.Map: every weight perturbs its own clone
+// are measured in parallel via mc.MapCtx: every weight perturbs its own clone
 // of the master network, so the drops are deterministic in the seed and
 // independent of the worker count.
 func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
@@ -167,7 +167,7 @@ func Fig1(w *Workload, cfg Fig1Config) (Fig1Result, error) {
 	}
 
 	// Per-trial failures flow back through the error return rather than
-	// panicking a worker (mc.Map would re-panic the converted error).
+	// panicking a worker, so the caller sees the error itself.
 	type fig1Out struct {
 		drop float64
 		err  error

@@ -152,6 +152,32 @@ func (cfg ScenarioConfig) normalized() ScenarioConfig {
 	return cfg
 }
 
+// CheckGrid checks a sweep's grid axes: NWC targets non-negative and
+// non-decreasing (each trial spends them cumulatively on one device
+// instance), read times non-negative, every policy registered. program.New
+// checks each cell again, but only once the workload is built; the CLIs
+// call this before they train and the daemon before it accepts a request.
+func CheckGrid(nwcs, times []float64, policies []string) error {
+	prev := 0.0
+	for _, nwc := range nwcs {
+		if nwc < 0 || nwc < prev {
+			return fmt.Errorf("nwcs must be non-negative and non-decreasing, got %v", nwcs)
+		}
+		prev = nwc
+	}
+	for _, t := range times {
+		if t < 0 {
+			return fmt.Errorf("read times must be non-negative, got %v", times)
+		}
+	}
+	for _, name := range policies {
+		if _, err := program.Lookup(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ScenarioRow is one cell of the sweep: a (scenario, read time, policy)
 // combination's accuracy over the NWC grid.
 type ScenarioRow struct {
@@ -325,15 +351,6 @@ func SweepRows(results []ScenarioResult) []ScenarioRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// ScenarioSweep is ScenarioResults reduced to display rows.
-func ScenarioSweep(w *Workload, sigma float64, scenarios []Scenario, cfg ScenarioConfig) ([]ScenarioRow, error) {
-	results, err := ScenarioResults(context.Background(), w, sigma, scenarios, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return SweepRows(results), nil
 }
 
 // FormatDuration renders a read time compactly (0, 1h, 1d, 90s, ...).

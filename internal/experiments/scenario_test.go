@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -41,10 +42,11 @@ func TestScenarioSweepShapesAndDegradation(t *testing.T) {
 		Trials:   2,
 		Seed:     17,
 	}
-	rows, err := ScenarioSweep(w, SigmaHigh, scs, cfg)
+	results, err := ScenarioResults(context.Background(), w, SigmaHigh, scs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := SweepRows(results)
 	if len(rows) != 4 { // 2 scenarios × 1 time × 2 policies
 		t.Fatalf("rows = %d", len(rows))
 	}

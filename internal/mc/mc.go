@@ -9,7 +9,7 @@
 // Trials are embarrassingly parallel: one trial programs one simulated device
 // instance and never touches another trial's state. The engine pre-splits one
 // child stream per trial with rng.Source.SplitN and fans the trials out over
-// a worker pool (SWIM_WORKERS / -workers / runtime.NumCPU). Map, MapCtx and
+// a worker pool (SWIM_WORKERS / -workers / runtime.NumCPU). MapCtx and
 // MapGate return one result per trial in trial order; RunSeriesShard returns
 // the raw series values of a trial range [lo, hi), and FoldSeriesRows folds
 // the rows of a whole run into per-point stat.Welford aggregates, one
@@ -266,20 +266,12 @@ func safeTrial(trial trialFn, t int, r *rng.Source) (err error) {
 	return trial(t, r)
 }
 
-// Map evaluates f(i, stream_i) for i in [0, n) on Workers() goroutines and
-// returns the results in index order. Each item owns an independent pre-split
-// stream, so the output is deterministic in seed and independent of the
-// worker count — for experiments that need per-item results rather than an
-// aggregate (e.g. Fig. 1's per-weight perturbation study).
-func Map[T any](seed uint64, n int, f func(i int, r *rng.Source) T) []T {
-	out, err := MapCtx(context.Background(), seed, n, 0, f)
-	if err != nil {
-		panic(err) // unreachable: background context, no trial errors
-	}
-	return out
-}
-
-// MapCtx is Map with an explicit context and worker count (0 = Workers()).
+// MapCtx evaluates f(i, stream_i) for i in [0, n) on workers goroutines
+// (0 = Workers()) and returns the results in index order. Each item owns an
+// independent pre-split stream, so the output is deterministic in seed and
+// independent of the worker count — for experiments that need per-item
+// results rather than an aggregate (e.g. Fig. 1's per-weight perturbation
+// study). It fails only when ctx is cancelled or an item panics.
 func MapCtx[T any](ctx context.Context, seed uint64, n, workers int, f func(i int, r *rng.Source) T) ([]T, error) {
 	return MapGate(ctx, seed, n, workers, nil, f)
 }

@@ -286,9 +286,12 @@ func TestMapOrderAndDeterminism(t *testing.T) {
 }
 
 func TestMapGenericType(t *testing.T) {
-	words := Map(1, 3, func(i int, r *rng.Source) string {
+	words, err := MapCtx(context.Background(), 1, 3, 0, func(i int, r *rng.Source) string {
 		return string(rune('a' + i))
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if words[0] != "a" || words[1] != "b" || words[2] != "c" {
 		t.Fatalf("words = %v", words)
 	}

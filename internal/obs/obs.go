@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability core of the swim stack:
 // atomic counters, gauges and fixed-bucket latency histograms behind a
-// Registry with Prometheus-text and JSON exposition, plus a lightweight
+// Registry with Prometheus-text exposition, plus a lightweight
 // Span/Stage timing API whose no-op default costs one nil check and zero
 // allocations on uninstrumented paths.
 //
@@ -22,8 +22,9 @@
 //     metrics ecosystem into the build.
 //
 // The serving daemon (internal/serve) owns the canonical Registry and
-// exposes it on GET /v1/metrics in Prometheus text or JSON via content
-// negotiation; see docs/ARCHITECTURE.md, "Observability tier".
+// exposes it on GET /v1/metrics in Prometheus text, next to the flat JSON
+// snapshot it builds itself, by content negotiation; see
+// docs/ARCHITECTURE.md, "Observability tier".
 package obs
 
 import (

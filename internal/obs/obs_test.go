@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -125,28 +124,6 @@ func TestWritePrometheus(t *testing.T) {
 	// stability: registration order is exposition order.
 	if strings.Index(out, "swim_jobs_total 3") > strings.Index(out, "swim_depth 2") {
 		t.Error("exposition does not follow registration order")
-	}
-}
-
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "").Add(2)
-	h := r.Histogram("h_seconds", "", []float64{1})
-	h.Observe(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap["c_total"].(float64); got != 2 {
-		t.Fatalf("snapshot counter = %v, want 2", got)
-	}
-	hist := snap["h_seconds"].(map[string]any)
-	if got := hist["count"].(float64); got != 1 {
-		t.Fatalf("snapshot histogram count = %v, want 1", got)
 	}
 }
 

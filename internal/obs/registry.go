@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -33,8 +32,8 @@ type family struct {
 	vec     *HistogramVec
 }
 
-// Registry is a named collection of instruments with Prometheus-text and
-// JSON exposition. Registration is idempotent per (name, kind): asking for
+// Registry is a named collection of instruments with Prometheus-text
+// exposition. Registration is idempotent per (name, kind): asking for
 // an existing name returns the existing instrument, so package-level wiring
 // and tests can re-register freely. Registering a name under a different
 // kind panics — that is a programming error, caught at wiring time, never
@@ -239,57 +238,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// histogramJSON renders one histogram for Snapshot.
-func histogramJSON(h *Histogram) map[string]any {
-	counts, count, sum := h.snapshotBuckets()
-	buckets := make(map[string]int64, len(counts))
-	cum := int64(0)
-	for i, n := range counts {
-		cum += n
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
-		}
-		buckets[le] = cum
-	}
-	return map[string]any{"count": count, "sum": sum, "buckets": buckets}
-}
-
-// Snapshot returns a point-in-time JSON-marshalable view of every metric:
-// counters and gauges as integers, live gauges as floats, histograms as
-// {count, sum, buckets} objects (vectors as label-keyed maps of those).
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-	out := make(map[string]any, len(fams))
-	for _, f := range fams {
-		switch f.kind {
-		case kindCounter:
-			out[f.name] = f.counter.Load()
-		case kindGauge:
-			out[f.name] = f.gauge.Load()
-		case kindGaugeFunc:
-			out[f.name] = f.gaugeFn()
-		case kindHistogram:
-			out[f.name] = histogramJSON(f.hist)
-		case kindHistogramVec:
-			values, hists := f.vec.snapshot()
-			m := make(map[string]any, len(values))
-			for i, val := range values {
-				m[val] = histogramJSON(hists[i])
-			}
-			out[f.name] = m
-		}
-	}
-	return out
-}
-
-// WriteJSON writes the Snapshot as an indented JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

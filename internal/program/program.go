@@ -93,7 +93,6 @@ type Pipeline struct {
 	ranged      bool
 	workers     int
 	gate        mc.Gate
-	progress    ProgressFunc
 	cycleTable  []float64
 	spatial     *device.SpatialConfig
 	nonideal    []nonideal.Nonideality
@@ -267,7 +266,8 @@ func WithWorkers(n int) Option {
 // WithWorkers (or the mc default) remains the ceiling, but between trials
 // only Gate.Limit() workers stay active. A serving layer hands each
 // concurrent job a fair-share gate so jobs split the machine instead of each
-// claiming every CPU. Results are bit-identical with or without a gate.
+// claiming every CPU. A gate that also implements mc.Observer sees every
+// trial complete. Results are bit-identical with or without a gate.
 func WithWorkerGate(g mc.Gate) Option {
 	return func(p *Pipeline) error {
 		if g == nil {
@@ -522,8 +522,7 @@ type dropOut struct {
 // from the budget's base is within MaxDrop, the policy is exhausted, or the
 // MaxNWC cap is hit.
 func (p *Pipeline) runDrop(ctx context.Context, env *Env, table []float64, b DropTarget) (*Result, error) {
-	gate, ps := p.wrapGate(p.trials)
-	outs, err := mc.MapGate(ctx, p.seed, p.trials, p.workers, gate, func(_ int, r *rng.Source) dropOut {
+	outs, err := mc.MapGate(ctx, p.seed, p.trials, p.workers, p.gate, func(_ int, r *rng.Source) dropOut {
 		mp, trial, release := p.setupTrial(env, table, r)
 		defer release()
 		n := mp.TotalWeights()
@@ -577,7 +576,6 @@ func (p *Pipeline) runDrop(ctx context.Context, env *Env, table []float64, b Dro
 	if err != nil {
 		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
 	}
-	ps.complete()
 
 	res := &Result{
 		Policy: p.policy.Name(), Budget: p.budget, Trials: p.trials,

@@ -88,12 +88,10 @@ func (p *Pipeline) runShard(ctx context.Context, env *Env, table []float64, b NW
 		lo, hi = p.rangeLo, p.rangeHi
 	}
 	points := len(b.Targets)
-	gate, ps := p.wrapGate(hi - lo)
-	rows, err := mc.RunSeriesShard(ctx, p.seed, p.trials, lo, hi, 3*points, p.workers, gate, p.gridTrial(env, table, b))
+	rows, err := mc.RunSeriesShard(ctx, p.seed, p.trials, lo, hi, 3*points, p.workers, p.gate, p.gridTrial(env, table, b))
 	if err != nil {
 		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
 	}
-	ps.complete()
 	sh := &Shard{
 		Policy:        p.policy.Name(),
 		Targets:       append([]float64(nil), b.Targets...),

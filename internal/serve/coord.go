@@ -56,7 +56,7 @@ const defaultShardTarget = time.Second
 // targets, costs at most 12 × (21×37 + 21) = 9,576 bytes. Before the
 // autotuner has samples (and after, at its one-second shards, far less) one
 // worker gets at most a third of a job, whose trials the daemon caps at
-// 100,000 by default: 33,334 × 9,576 B ≈ 319 MB. 512 MiB (537 MB) leaves
+// maxTrials = 100,000: 33,334 × 9,576 B ≈ 319 MB. 512 MiB (537 MB) leaves
 // the per-cell metadata and custom grids over half again of that. A longer
 // reply is a shard error, retried like any other; a job that needs one (a
 // custom grid far past the defaults, or a large pinned ShardTrials) needs

@@ -14,6 +14,10 @@ import (
 	"swim/internal/serialize"
 )
 
+// maxTrials caps a request's trial count, keeping one request from
+// monopolizing the daemon for hours; maxShardReplyBytes is sized from it.
+const maxTrials = 100000
+
 // normalize validates a client request and fills every defaulted field, so
 // the canonical key is computed over the fully explicit computation. A
 // request and its explicit normalization therefore share a cache entry, and
@@ -82,8 +86,8 @@ func (s *Server) normalize(req *serialize.RequestRecord) (*serialize.RequestReco
 	if n.Trials <= 0 {
 		n.Trials = def.Trials
 	}
-	if n.Trials > s.cfg.MaxTrials {
-		return nil, fmt.Errorf("trials %d exceeds the daemon's cap %d", n.Trials, s.cfg.MaxTrials)
+	if n.Trials > maxTrials {
+		return nil, fmt.Errorf("trials %d exceeds the daemon's cap %d", n.Trials, maxTrials)
 	}
 	if n.EvalBatch <= 0 {
 		n.EvalBatch = def.EvalBatch
@@ -94,22 +98,8 @@ func (s *Server) normalize(req *serialize.RequestRecord) (*serialize.RequestReco
 			return nil, fmt.Errorf("device sigma must be positive, got %g", sigma)
 		}
 	}
-	prev := 0.0
-	for _, nwc := range n.NWCs {
-		if nwc < 0 || nwc < prev {
-			return nil, fmt.Errorf("nwcs must be non-negative and non-decreasing, got %v", n.NWCs)
-		}
-		prev = nwc
-	}
-	for _, t := range n.Times {
-		if t < 0 {
-			return nil, fmt.Errorf("read times must be non-negative, got %v", n.Times)
-		}
-	}
-	for _, p := range n.Policies {
-		if _, err := program.Lookup(p); err != nil {
-			return nil, err
-		}
+	if err := experiments.CheckGrid(n.NWCs, n.Times, n.Policies); err != nil {
+		return nil, err
 	}
 	// Re-render the scenario list canonically (defaults filled in, "none"
 	// spelled out) so spelling variants of the same stack share a key.
@@ -194,27 +184,21 @@ func (s *Server) resolve(req *serialize.RequestRecord) (*experiments.Workload, [
 
 // execute runs one normalized request to completion: the workload is built
 // (or restored) once and cached, then every σ-slice of the request grid runs
-// through experiments.ScenarioResults with the job's fair-share worker gate.
-// A non-nil feed observes per-trial and per-cell progress out-of-band via
-// program.WithProgress. The resulting envelope is bit-identical to the
-// equivalent CLI invocation at any worker split, by the mc determinism
-// contract — progress observation cannot perturb it (see
-// program.ProgressFunc).
-func (s *Server) execute(ctx context.Context, req *serialize.RequestRecord, gate mc.Gate, feed *progressFeed) (*serialize.ResultEnvelope, error) {
+// through experiments.ScenarioResults with the job's fair-share worker gate,
+// which also counts the job's progress (Share.TrialDone). The resulting
+// envelope is bit-identical to the equivalent CLI invocation at any worker
+// split, by the mc determinism contract — the gate's observer sees trials
+// only after the fact and cannot perturb them.
+func (s *Server) execute(ctx context.Context, req *serialize.RequestRecord, gate mc.Gate) (*serialize.ResultEnvelope, error) {
 	w, scenarios, cfg, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	opts := []program.Option{
-		program.WithWorkers(s.cfg.TotalWorkers),
-		program.WithWorkerGate(gate),
-	}
-	if feed != nil {
-		opts = append(opts, program.WithProgress(feed.observe))
-	}
 	env := &serialize.ResultEnvelope{}
 	for _, sigma := range req.Sigmas {
-		results, err := experiments.ScenarioResults(ctx, w, sigma, scenarios, cfg, opts...)
+		results, err := experiments.ScenarioResults(ctx, w, sigma, scenarios, cfg,
+			program.WithWorkers(s.cfg.TotalWorkers),
+			program.WithWorkerGate(gate))
 		if err != nil {
 			return nil, err
 		}

@@ -39,16 +39,18 @@ func (f *fairShare) notifyLocked() {
 // mc.Gate. Obtain with acquire, return with release.
 type Share struct {
 	f        *fairShare
+	feed     *progressFeed // the standalone job's progress; nil for shards
 	released bool
 }
 
-// acquire registers one more running job and returns its gate.
-func (f *fairShare) acquire() *Share {
+// acquire registers one more running job and returns its gate. Every trial
+// the engine completes behind the gate is credited to feed (nil: none).
+func (f *fairShare) acquire(feed *progressFeed) *Share {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.active++
 	f.notifyLocked()
-	return &Share{f: f}
+	return &Share{f: f, feed: feed}
 }
 
 // release returns the share to the pool; the remaining jobs' limits grow.
@@ -81,12 +83,14 @@ func (s *Share) Limit() (int, <-chan struct{}) {
 }
 
 // TrialDone implements mc.Observer: every trial the engine completes behind
-// this share bumps the process-wide trial counter. Observe-only — the
-// engine ignores the call entirely, so results stay bit-identical.
+// this share bumps the process-wide trial counter and the job's progress
+// feed. Observe-only — the engine ignores the call entirely, so results
+// stay bit-identical.
 func (s *Share) TrialDone(int) {
 	if s.f.met != nil {
 		s.f.met.trials.Inc()
 	}
+	s.feed.trial()
 }
 
 // WorkerParked implements mc.Observer: an engine worker started blocking on

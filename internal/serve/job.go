@@ -114,8 +114,8 @@ func (s *Server) runJob(j *job) {
 	if s.coord != nil {
 		env, err = s.coord.run(ctx, j.key, j.req, j.feed)
 	} else {
-		share := s.budget.acquire()
-		env, err = s.execute(ctx, j.req, share, j.feed)
+		share := s.budget.acquire(j.feed)
+		env, err = s.execute(ctx, j.req, share)
 		share.release()
 	}
 	sp.End()

@@ -18,7 +18,10 @@
 //   - Fair-share worker budgeting. Concurrent jobs split a fixed
 //     Monte-Carlo worker budget (total ÷ running jobs, re-balanced as jobs
 //     start and finish) through cooperative mc.Gate shares, instead of each
-//     job claiming every CPU via the process-global mc.SetWorkers.
+//     job claiming every CPU via the process-global mc.SetWorkers. A share
+//     is also the job's one trial tap: as an mc.Observer it sees every
+//     trial complete and feeds both the daemon's trial counter and the
+//     job's progress stream.
 //
 //   - Canonical result caching. Requests are normalized (defaults filled,
 //     scenario specs re-rendered) and hashed (serialize.CanonicalKey);
@@ -86,9 +89,6 @@ type Config struct {
 	// TotalWorkers is the Monte-Carlo worker budget split across running
 	// jobs (default runtime.NumCPU()).
 	TotalWorkers int
-	// MaxTrials caps the per-request trial count (default 100000), keeping
-	// one request from monopolizing the daemon for hours.
-	MaxTrials int
 	// Workloads maps request workload names to builders (default: the four
 	// registry workloads lenet/convnet/resnet/tiny). Builders run at most
 	// once per process, lazily, on first request — or restore instantly
@@ -130,9 +130,6 @@ type Config struct {
 	// identically — so tuning is journal-compatible and invisible to
 	// clients.
 	ShardTarget time.Duration
-	// SSEHeartbeat is the idle-comment interval on /v1/jobs/{id}/events
-	// streams (default 15s).
-	SSEHeartbeat time.Duration
 }
 
 // DefaultWorkloads returns the standard registry workload set served by
@@ -183,9 +180,9 @@ type Server struct {
 	met *serverMetrics
 	wg  sync.WaitGroup // dispatcher goroutines
 
-	// headerTimeout and idleTimeout are serverHeaderTimeout and
-	// serverIdleTimeout (tests shorten them).
-	headerTimeout, idleTimeout time.Duration
+	// headerTimeout, idleTimeout and sseHeartbeat are serverHeaderTimeout,
+	// serverIdleTimeout and serverSSEHeartbeat (tests shorten them).
+	headerTimeout, idleTimeout, sseHeartbeat time.Duration
 }
 
 // New builds a Server and starts its dispatcher pool. In coordinator mode
@@ -200,9 +197,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.TotalWorkers < 1 {
 		cfg.TotalWorkers = runtime.NumCPU()
-	}
-	if cfg.MaxTrials < 1 {
-		cfg.MaxTrials = 100000
 	}
 	if cfg.Workloads == nil {
 		cfg.Workloads = DefaultWorkloads()
@@ -220,6 +214,7 @@ func New(cfg Config) *Server {
 
 		headerTimeout: serverHeaderTimeout,
 		idleTimeout:   serverIdleTimeout,
+		sseHeartbeat:  serverSSEHeartbeat,
 	}
 	s.met = newServerMetrics(s)
 	s.budget = newFairShare(cfg.TotalWorkers, s.met)

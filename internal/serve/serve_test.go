@@ -336,6 +336,7 @@ func TestServeValidation(t *testing.T) {
 		`{"kind": "sweep", "workload": "nope"}`,
 		`{"kind": "mystery", "workload": "test"}`,
 		`{"kind": "sweep", "workload": "test", "nwcs": [0.3, 0.1]}`,
+		`{"kind": "sweep", "workload": "test", "times": [-5]}`,
 		`{"kind": "sweep", "workload": "test", "policies": ["bogus"]}`,
 		`{"kind": "sweep", "workload": "test", "scenarios": "warpfield"}`,
 		`{"kind": "sweep", "workload": "test", "future_knob": true}`,

@@ -1,18 +1,19 @@
 package serve
 
 // Job-progress streaming: every job owns a progressFeed — an append-only
-// event log fed out-of-band by program.WithProgress (standalone mode) or by
-// the coordinator's shard accounting (distributed mode). The feed backs both
-// the progress block in GET /v1/jobs/{id} and the SSE stream on
-// GET /v1/jobs/{id}/events, which replays the log from the start for late
-// subscribers and then follows it live until the terminal done event.
+// event log fed out-of-band by the job's fair-share Share, which sees every
+// trial complete (standalone mode), or by the coordinator's shard
+// accounting (distributed mode). The feed backs both the progress block in
+// GET /v1/jobs/{id} and the SSE stream on GET /v1/jobs/{id}/events, which
+// replays the log from the start for late subscribers and then follows it
+// live until the terminal done event.
 //
 // Progress is measured in trial-execution units: a job's trial space is
 // req.Trials × cells, where cells is the scenario × read-time × policy ×
 // sigma cross product (each cell re-runs every trial). Granules are cells in
 // standalone mode and shards under a coordinator. The feed is strictly a
 // consumer of observe-only callbacks — it can never influence trial order,
-// RNG streams, or result bytes (see program.ProgressFunc).
+// RNG streams, or result bytes (see mc.Observer).
 
 import (
 	"encoding/json"
@@ -23,13 +24,13 @@ import (
 	"sync"
 	"time"
 
-	"swim/internal/program"
 	"swim/internal/serialize"
 )
 
-// defaultSSEHeartbeat keeps idle streams alive through proxies between
-// events.
-const defaultSSEHeartbeat = 15 * time.Second
+// serverSSEHeartbeat is the idle-comment interval on
+// /v1/jobs/{id}/events streams, which keeps them alive through proxies
+// between events.
+const serverSSEHeartbeat = 15 * time.Second
 
 // cellCount returns how many pipeline cells a normalized request expands
 // into. normalize guarantees every axis is non-empty (Scenarios is "none" or
@@ -51,9 +52,8 @@ type progressFeed struct {
 
 	trialsTotal   int
 	granulesTotal int
-	trialsDone    int // trials credited by completed granules
+	trialsDone    int
 	granule       int // completed granules
-	cellTrials    int // max trials observed within the current cell (standalone)
 }
 
 // newProgressFeed builds a feed for a job spanning trialsTotal trial
@@ -81,7 +81,7 @@ func (f *progressFeed) emitLocked(typ, status string) {
 		Seq:           len(f.events),
 		Type:          typ,
 		Status:        status,
-		TrialsDone:    f.trialsDone + f.cellTrials,
+		TrialsDone:    f.trialsDone,
 		TrialsTotal:   f.trialsTotal,
 		Granule:       f.granule,
 		GranulesTotal: f.granulesTotal,
@@ -90,12 +90,15 @@ func (f *progressFeed) emitLocked(typ, status string) {
 	f.changed = make(chan struct{})
 }
 
-// observe is the program.ProgressFunc for standalone execution. Trial
-// events from concurrent engine workers may arrive out of order, so the
-// within-cell counter keeps the running maximum; the cell transition happens
-// only on the pipeline's final Complete event, which is ordered after every
-// trial event of its run.
-func (f *progressFeed) observe(p program.Progress) {
+// trial credits one completed trial of a standalone job; the job's Share
+// calls it from the engine's TrialDone. It emits one progress event per
+// trial and a granule event each time a cell's trials are all in. A plain
+// count tells cells apart because a job's cells run one after another, each
+// over all of the request's trials (trialsTotal ÷ granulesTotal, from
+// newFeedFor), and the engine delivers every TrialDone of a run before the
+// run returns: no trial of the next cell can arrive before the last one of
+// the current cell.
+func (f *progressFeed) trial() {
 	if f == nil {
 		return
 	}
@@ -104,17 +107,11 @@ func (f *progressFeed) observe(p program.Progress) {
 	if f.closed {
 		return
 	}
-	switch {
-	case p.Complete:
-		f.trialsDone += p.TrialsTotal
+	f.trialsDone++
+	f.emitLocked(serialize.EventProgress, "")
+	if f.trialsDone%(f.trialsTotal/f.granulesTotal) == 0 {
 		f.granule++
-		f.cellTrials = 0
 		f.emitLocked(serialize.EventGranule, "")
-	case p.TrialDone:
-		if p.TrialsDone > f.cellTrials {
-			f.cellTrials = p.TrialsDone
-			f.emitLocked(serialize.EventProgress, "")
-		}
 	}
 }
 
@@ -134,7 +131,6 @@ func (f *progressFeed) setPlan(granulesDone, granulesTotal, trialsDone int) {
 	f.granule = granulesDone
 	f.granulesTotal = granulesTotal
 	f.trialsDone = trialsDone
-	f.cellTrials = 0
 	f.emitLocked(serialize.EventProgress, "")
 }
 
@@ -171,7 +167,6 @@ func (f *progressFeed) finish(status string) {
 		f.trialsDone = f.trialsTotal
 		f.granule = f.granulesTotal
 	}
-	f.cellTrials = 0
 	f.emitLocked(serialize.EventDone, status)
 	f.closed = true
 }
@@ -184,7 +179,7 @@ func (f *progressFeed) snapshot() *serialize.ProgressRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return &serialize.ProgressRecord{
-		TrialsDone:    f.trialsDone + f.cellTrials,
+		TrialsDone:    f.trialsDone,
 		TrialsTotal:   f.trialsTotal,
 		Granule:       f.granule,
 		GranulesTotal: f.granulesTotal,
@@ -214,14 +209,6 @@ func writeSSE(w io.Writer, ev *serialize.ProgressEvent) error {
 	return err
 }
 
-// sseHeartbeat resolves the configured heartbeat interval.
-func (s *Server) sseHeartbeat() time.Duration {
-	if s.cfg.SSEHeartbeat > 0 {
-		return s.cfg.SSEHeartbeat
-	}
-	return defaultSSEHeartbeat
-}
-
 // handleEvents streams a job's progress events as Server-Sent Events. The
 // full log replays from the start (late subscribers see every event), then
 // the stream follows live appends, emits comment heartbeats while idle, and
@@ -248,7 +235,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.met.sseClients.Add(1)
 	defer s.met.sseClients.Add(-1)
 
-	ticker := time.NewTicker(s.sseHeartbeat())
+	ticker := time.NewTicker(s.sseHeartbeat)
 	defer ticker.Stop()
 	next := 0
 	for {

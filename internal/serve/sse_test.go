@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -281,7 +282,8 @@ func TestSSEShutdownClosesStreams(t *testing.T) {
 // TestSSEHeartbeat shrinks the heartbeat interval and asserts idle comment
 // frames flow while no events fire.
 func TestSSEHeartbeat(t *testing.T) {
-	s, ts := newTestServer(t, Config{SSEHeartbeat: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Config{})
+	s.sseHeartbeat = 20 * time.Millisecond
 	feed := newProgressFeed(4, 1)
 	insertFakeJob(s, "job-idle", feed)
 
@@ -367,4 +369,41 @@ func TestSSEJobIntegration(t *testing.T) {
 		t.Fatalf("cached terminal event = %+v", ev)
 	}
 	st2.expectEOF(t)
+}
+
+// TestSSEStandaloneTrialFrames pins the standalone feed's frame sequence
+// with two engine workers racing: the job's share credits every trial, so
+// the replay holds one progress frame per trial in counting order and one
+// granule frame as each cell's last trial lands.
+func TestSSEStandaloneTrialFrames(t *testing.T) {
+	_, ts := newTestServer(t, Config{TotalWorkers: 2})
+	rec, _ := submit(t, ts, testRequest(37, "")) // 2 cells × 5 trials
+	if final := await(t, ts, rec.ID); final.Status != serialize.JobDone {
+		t.Fatalf("job finished %s: %s", final.Status, final.Error)
+	}
+	st := openSSE(t, ts.URL, rec.ID)
+	var progress, granules []int
+	for {
+		f := st.next(t)
+		ev := decodeEvent(t, f)
+		switch f.event {
+		case serialize.EventProgress:
+			progress = append(progress, ev.TrialsDone)
+		case serialize.EventGranule:
+			if ev.Granule != len(granules)+1 {
+				t.Fatalf("granule frame %+v, want granule %d", ev, len(granules)+1)
+			}
+			granules = append(granules, ev.TrialsDone)
+		}
+		if f.event == serialize.EventDone {
+			break
+		}
+	}
+	st.expectEOF(t)
+	if fmt.Sprint(progress) != "[1 2 3 4 5 6 7 8 9 10]" {
+		t.Fatalf("progress frames read trials_done %v, want 1…10", progress)
+	}
+	if fmt.Sprint(granules) != "[5 10]" {
+		t.Fatalf("granule frames read trials_done %v, want [5 10]", granules)
+	}
 }

@@ -85,7 +85,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// Run under the daemon lifecycle context, not the request's: if the
 	// coordinator that asked gives up, the shard still completes and any
 	// retry attaches to it through the single-flight map.
-	share := s.budget.acquire()
+	share := s.budget.acquire(nil)
 	c.rec, c.err = s.executeShard(s.baseCtx, norm, shardKey, sreq.Lo, sreq.Hi, share)
 	share.release()
 	close(c.done)

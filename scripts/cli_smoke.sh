@@ -7,9 +7,11 @@
 #   - a malformed spec exits 2 with a "<binary>: " line on stderr.
 #
 # A binary's own flag values that name an ablation or a policy (swim-ablate
-# -what, swim-train and swim-fig1 -policy), and a non-finite number in a
-# comma list, must be rejected the same way before any workload is built:
-# nothing on stdout, and the -state directory left empty.
+# -what, swim-train and swim-fig1 -policy), a non-finite number in a comma
+# list, and a sweep grid program.New would refuse (swim-scenario -times,
+# swim-scenario and swim-pareto -nwcs) must be rejected the same way before
+# any workload is built: nothing on stdout, and the -state directory left
+# empty.
 #
 # Every path exits before any workload is built, so nothing trains and the
 # script runs in seconds.
@@ -98,6 +100,9 @@ expect_early swim-train -policy nosuch
 expect_early swim-fig1 -policy nosuch
 expect_early swim-fig1 -policy insitu
 expect_early swim-table1 -sigmas NaN
+expect_early swim-scenario -times -5
+expect_early swim-scenario -nwcs 0.3,0.1
+expect_early swim-pareto -nwcs 0.3,0.1
 
 if [ "$fail" -ne 0 ]; then
   echo "cli smoke: FAILED" >&2
