@@ -571,16 +571,6 @@ func benchEvalWorkers(b *testing.B, name string, master *nn.Network, x *tensor.T
 	})
 }
 
-// BenchmarkWriteVerifyWeight measures the per-weight write-verify simulation.
-func BenchmarkWriteVerifyWeight(b *testing.B) {
-	m := device.Default(4, 0.1)
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.WriteVerify(i&15, r)
-	}
-}
-
 // BenchmarkMapNetwork measures programming a full LeNet onto devices.
 func BenchmarkMapNetwork(b *testing.B) {
 	net := models.LeNet(10, 4, rng.New(1))

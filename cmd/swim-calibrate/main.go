@@ -54,6 +54,9 @@ func main() {
 	n := flag.Int("n", 100000, "simulated weights per row")
 	bits := flag.Int("bits", 4, "weight precision M")
 	c.Parse()
+	// Every row runs the same M: a width the device model refuses (0 rows
+	// of zeros, a negative shift, a 2^64-entry table) exits 2 before any.
+	c.CheckFlag(device.Default(*bits, 0).Validate())
 
 	fmt.Printf("device model calibration (M=%d, K=4, tolerance 0.06)\n\n", *bits)
 	fmt.Printf("%-8s %-22s %-22s %s\n", "sigma", "uniform magnitudes", "gaussian weights", "no-verify noise (LSB)")

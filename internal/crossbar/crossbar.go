@@ -106,10 +106,11 @@ func NewArray(cfg Config, w *tensor.Tensor, r *rng.Source) (*Array, error) {
 	for d := range a.conduct {
 		a.conduct[d] = make([]float64, out*in)
 	}
-	mags, signs := quant.QuantizeInt(w, a.scale, cfg.Device.WeightBits)
+	mags, signs := make([]int, out*in), make([]float64, out*in)
+	quant.QuantizeInt(mags, signs, w, a.scale, cfg.Device.WeightBits)
 	for i, mag := range mags {
-		for d, target := range cfg.Device.SliceMagnitude(mag) {
-			a.conduct[d][i] = signs[i] * (float64(target) + r.Gauss(0, cfg.Device.Sigma))
+		for d := range a.conduct {
+			a.conduct[d][i] = signs[i] * (float64(cfg.Device.SliceTarget(mag, d)) + r.Gauss(0, cfg.Device.Sigma))
 		}
 	}
 	return a, nil
@@ -124,7 +125,7 @@ func NewArray(cfg Config, w *tensor.Tensor, r *rng.Source) (*Array, error) {
 // reproducing the mapping layer's global indexing. A nil inst restores
 // ideal reads.
 func (a *Array) SetNonideal(inst nonideal.Instance, readTime float64) {
-	a.inst, a.readTime = inst, readTime
+	a.inst, a.readTime = nonideal.At(inst, readTime), readTime
 	if inst == nil {
 		a.eff = nil
 		return

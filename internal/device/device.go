@@ -20,6 +20,15 @@
 // With the default parameters this reproduces the paper's anchors — roughly
 // ten write cycles per weight on average and a post-verify residual spread of
 // σ ≈ 0.03 — see cmd/swim-calibrate and calibrate tests.
+//
+// Simulation cost. Every write, coarse pulse and fine pulse is its own
+// Gaussian draw from the trial's stream, and the programming loops cost
+// little beyond those draws: significances 2^(i·K) are exact running
+// products, SliceTarget slices a magnitude by shift and mask without
+// allocating, and the fine phase runs through rng.GaussWithin, which
+// decides most rejected pulses without computing them. The results are
+// bit-identical to one Gauss per pulse (device_test.go keeps that loop as
+// its oracle).
 package device
 
 import (
@@ -84,13 +93,18 @@ func (m Model) Increment(delta float64, r *rng.Source) float64 {
 	return delta*(1+r.Gauss(0, m.IncJitter)) + r.Gauss(0, m.IncNoise)
 }
 
+// maxBits bounds WeightBits and DeviceBits: quant.Config's weight-precision
+// limit, and small enough that the 2^M-entry cycle table (CycleTable) and
+// every shift by M or K stay in range.
+const maxBits = 16
+
 // Validate checks the model parameters.
 func (m Model) Validate() error {
 	switch {
-	case m.WeightBits < 1:
-		return fmt.Errorf("device: weight bits %d < 1", m.WeightBits)
-	case m.DeviceBits < 1:
-		return fmt.Errorf("device: device bits %d < 1", m.DeviceBits)
+	case m.WeightBits < 1 || m.WeightBits > maxBits:
+		return fmt.Errorf("device: weight bits %d out of range [1,%d]", m.WeightBits, maxBits)
+	case m.DeviceBits < 1 || m.DeviceBits > maxBits:
+		return fmt.Errorf("device: device bits %d out of range [1,%d]", m.DeviceBits, maxBits)
 	case m.Sigma < 0:
 		return fmt.Errorf("device: negative sigma %v", m.Sigma)
 	case math.IsNaN(m.Sigma) || math.IsInf(m.Sigma, 0):
@@ -121,15 +135,27 @@ func (m Model) DeviceLevels(i int) int {
 	return int(1)<<bits - 1
 }
 
-// SliceMagnitude splits an integer weight magnitude into per-device targets
-// (device i holds bits [i·K, (i+1)·K)).
-func (m Model) SliceMagnitude(mag int) []int {
-	n := m.NumDevices()
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = (mag >> (i * m.DeviceBits)) & (int(1)<<m.DeviceBits - 1)
+// SliceTarget returns device i's share of an integer weight magnitude, the
+// bit group [i·K, (i+1)·K) of Eq. 14. It is the one bit-slicing rule the
+// device, mapping and crossbar layers share.
+func (m Model) SliceTarget(mag, i int) int {
+	return (mag >> (i * m.DeviceBits)) & (int(1)<<m.DeviceBits - 1)
+}
+
+// devices returns NumDevices, read off perDev's length when the caller
+// passes one: the per-weight loops then skip NumDevices' integer division.
+func (m Model) devices(perDev []float64) int {
+	if perDev != nil {
+		return len(perDev)
 	}
-	return out
+	return m.NumDevices()
+}
+
+// sliceScale returns 2^K, the significance step between adjacent devices:
+// device i's significance 2^(i·K) is the product of i steps, exact in
+// float64 for K < 64 (Validate bounds K by maxBits).
+func (m Model) sliceScale() float64 {
+	return float64(uint64(1) << uint(m.DeviceBits))
 }
 
 // NoiseStd returns the std of the weight-level programming error without
@@ -157,13 +183,14 @@ func (m Model) ProgramNoVerify(r *rng.Source) float64 {
 // view exists so the mapping layer can track bit-slice conductances for
 // read-time nonideality models (package nonideal).
 func (m Model) ProgramNoVerifyDevices(r *rng.Source, perDev []float64) float64 {
-	e := 0.0
-	for i := 0; i < m.NumDevices(); i++ {
+	e, sig, step := 0.0, 1.0, m.sliceScale()
+	for i, nd := 0, m.devices(perDev); i < nd; i++ {
 		g := r.Gauss(0, m.Sigma)
 		if perDev != nil {
 			perDev[i] = g
 		}
-		e += math.Pow(2, float64(i*m.DeviceBits)) * g
+		e += sig * g
+		sig *= step // 2^(i·K), exact
 	}
 	return e
 }
@@ -186,13 +213,15 @@ func (m Model) WriteVerify(mag int, r *rng.Source) (residual float64, cycles int
 // aggregate are bit-identical to WriteVerify; the per-device view feeds the
 // mapping layer's conductance tracking for read-time nonidealities.
 func (m Model) WriteVerifyDevices(mag int, r *rng.Source, perDev []float64) (residual float64, cycles int) {
-	for i, target := range m.SliceMagnitude(mag) {
-		e, c := m.writeVerifyDevice(float64(target), r)
+	sig, step := 1.0, m.sliceScale()
+	for i, nd := 0, m.devices(perDev); i < nd; i++ {
+		e, c := m.writeVerifyDevice(float64(m.SliceTarget(mag, i)), r)
 		if perDev != nil {
 			perDev[i] = e
 		}
-		residual += math.Pow(2, float64(i*m.DeviceBits)) * e
+		residual += sig * e
 		cycles += c
+		sig *= step // 2^(i·K), exact
 	}
 	return residual, cycles
 }
@@ -211,14 +240,10 @@ func (m Model) writeVerifyDevice(target float64, r *rng.Source) (float64, int) {
 		return 0, 0
 	}
 	// Fine phase: re-program around the target (error N(0, σ)), read back,
-	// repeat until within tolerance.
-	e := r.Gauss(0, m.Sigma)
-	cycles++
-	for math.Abs(e) > m.Tolerance && cycles < m.MaxPulses {
-		e = r.Gauss(0, m.Sigma)
-		cycles++
-	}
-	return e, cycles
+	// repeat until within tolerance — at least once, and within the pulse
+	// cap the coarse ramp left.
+	e, fine := r.GaussWithin(m.Sigma, m.Tolerance, m.MaxPulses-cycles)
+	return e, cycles + fine
 }
 
 // CostModel converts write-cycle counts into wall-clock programming time and

@@ -30,6 +30,23 @@ func TestValidate(t *testing.T) {
 			t.Fatalf("accepted sigma %v", sigma)
 		}
 	}
+	// Bit widths outside [1, maxBits]: CycleTable sizes a 2^M table, and a
+	// negative or 64-bit shift would panic inside a Monte-Carlo trial.
+	for _, bits := range []int{-1, 0, maxBits + 1, 64} {
+		if Default(bits, 0.1).Validate() == nil {
+			t.Fatalf("accepted weight bits %d", bits)
+		}
+		bad = Default(4, 0.1)
+		bad.DeviceBits = bits
+		if bad.Validate() == nil {
+			t.Fatalf("accepted device bits %d", bits)
+		}
+	}
+	wide := Default(maxBits, 0.1)
+	wide.DeviceBits = maxBits
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("rejected M = K = %d: %v", maxBits, err)
+	}
 }
 
 func TestNumDevices(t *testing.T) {
@@ -51,9 +68,9 @@ func TestSliceMagnitudeReconstructs(t *testing.T) {
 		m := Default(8, 0.1)
 		m.DeviceBits = []int{1, 2, 4, 8}[int(kSel)%4]
 		mag := int(raw)
-		slices := m.SliceMagnitude(mag)
 		sum := 0
-		for i, s := range slices {
+		for i := 0; i < m.NumDevices(); i++ {
+			s := m.SliceTarget(mag, i)
 			if s < 0 || s >= int(1)<<m.DeviceBits {
 				return false
 			}
@@ -226,5 +243,105 @@ func TestIncrementStatistics(t *testing.T) {
 	want := math.Sqrt(delta*delta*m.IncJitter*m.IncJitter + m.IncNoise*m.IncNoise)
 	if math.Abs(std-want) > 0.01 {
 		t.Fatalf("increment std = %v, want ~%v", std, want)
+	}
+}
+
+// The programming loops as first written — math.Pow significances, a slice
+// allocated per weight, one Gauss per fine pulse — kept as the bit-for-bit
+// reference for the loops that replaced them.
+func oracleNoVerify(m Model, r *rng.Source, perDev []float64) float64 {
+	e := 0.0
+	for i := 0; i < m.NumDevices(); i++ {
+		g := r.Gauss(0, m.Sigma)
+		if perDev != nil {
+			perDev[i] = g
+		}
+		e += math.Pow(2, float64(i*m.DeviceBits)) * g
+	}
+	return e
+}
+
+func oracleWriteVerify(m Model, mag int, r *rng.Source, perDev []float64) (residual float64, cycles int) {
+	slices := make([]int, m.NumDevices())
+	for i := range slices {
+		slices[i] = (mag >> (i * m.DeviceBits)) & (int(1)<<m.DeviceBits - 1)
+	}
+	for i, target := range slices {
+		e, c := oracleWriteVerifyDevice(m, float64(target), r)
+		if perDev != nil {
+			perDev[i] = e
+		}
+		residual += math.Pow(2, float64(i*m.DeviceBits)) * e
+		cycles += c
+	}
+	return residual, cycles
+}
+
+func oracleWriteVerifyDevice(m Model, target float64, r *rng.Source) (float64, int) {
+	cycles := 0
+	v := 0.0
+	for target-v > m.CoarseStep && cycles < m.MaxPulses {
+		v += m.CoarseStep * (1 + r.Gauss(0, m.CoarseJitter))
+		cycles++
+	}
+	if target == 0 && cycles == 0 {
+		return 0, 0
+	}
+	e := r.Gauss(0, m.Sigma)
+	cycles++
+	for math.Abs(e) > m.Tolerance && cycles < m.MaxPulses {
+		e = r.Gauss(0, m.Sigma)
+		cycles++
+	}
+	return e, cycles
+}
+
+// The hoisted loops (exact powers of two, shift-and-mask slicing, the
+// squeezed fine phase) must return the oracle's bits, per-device errors and
+// cycle counts, and leave the stream where the oracle leaves it — across
+// one-device weights, partial top slices (M=6/K=4, M=8/K=3, M=2/K=4) and
+// pulse caps the coarse ramp alone can exhaust.
+func TestProgrammingLoopsMatchOracle(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, mk := range [][2]int{{4, 4}, {6, 4}, {8, 3}, {16, 4}, {2, 4}} {
+		for _, sigma := range []float64{0, 0.1, 0.5, 1} {
+			for _, maxPulses := range []int{1, 3, 12, 500} {
+				m := Default(mk[0], sigma)
+				m.DeviceBits, m.MaxPulses = mk[1], maxPulses
+				nd := m.NumDevices()
+				got, want := make([]float64, nd), make([]float64, nd)
+				levels := int(1)<<m.WeightBits - 1
+				mags := rng.New(uint64(mk[0]*100 + mk[1]))
+				for trial := 0; trial < 300; trial++ {
+					mag := mags.Intn(levels + 1)
+					if trial < 2 {
+						mag = trial * levels // zero and full scale
+					}
+					seed := uint64(trial + 1)
+					r, o := rng.New(seed), rng.New(seed)
+					res, cyc := m.WriteVerifyDevices(mag, r, got)
+					wres, wcyc := oracleWriteVerify(m, mag, o, want)
+					e, we := m.ProgramNoVerifyDevices(r, nil), oracleNoVerify(m, o, nil)
+					if !same(res, wres) || cyc != wcyc || !same(e, we) || r.Uint64() != o.Uint64() {
+						t.Fatalf("M=%d K=%d sigma=%v cap=%d mag=%d: got (%v, %d, %v), oracle (%v, %d, %v)",
+							mk[0], mk[1], sigma, maxPulses, mag, res, cyc, e, wres, wcyc, we)
+					}
+					for d := range got {
+						if !same(got[d], want[d]) {
+							t.Fatalf("M=%d K=%d sigma=%v cap=%d mag=%d: device %d residual %v, oracle %v",
+								mk[0], mk[1], sigma, maxPulses, mag, d, got[d], want[d])
+						}
+					}
+					m.ProgramNoVerifyDevices(r, got)
+					oracleNoVerify(m, o, want)
+					for d := range got {
+						if !same(got[d], want[d]) {
+							t.Fatalf("M=%d K=%d sigma=%v: device %d unverified error %v, oracle %v",
+								mk[0], mk[1], sigma, d, got[d], want[d])
+						}
+					}
+				}
+			}
+		}
 	}
 }

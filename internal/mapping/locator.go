@@ -31,7 +31,7 @@ func NewLocator(params []*nn.Param) *Locator {
 	flat := 0
 	for pi, p := range params {
 		l.offsets[pi] = flat
-		for k := 0; k < p.Size(); k++ {
+		for k, n := 0, p.Size(); k < n; k++ {
 			l.paramOf[flat] = int32(pi)
 			flat++
 		}

@@ -114,19 +114,21 @@ func New(master *nn.Network, m device.Model, cycleTable []float64, r *rng.Source
 	if len(params) == 0 {
 		return nil, fmt.Errorf("mapping: network %q has no mapped parameters", master.Name)
 	}
-	mp := &Mapped{Net: net, Model: m, cycleTable: cycleTable}
-	for _, p := range params {
-		scale := quant.ScaleFor(p.Data, m.WeightBits)
-		mp.scales = append(mp.scales, scale)
-		mags, signs := quant.QuantizeInt(p.Data, scale, m.WeightBits)
-		des := quant.Dequantize(mags, signs, scale)
-		mp.mags = append(mp.mags, mags...)
-		mp.signs = append(mp.signs, signs...)
-		mp.desired = append(mp.desired, des...)
-		mp.total += p.Size()
+	loc := NewLocator(params)
+	total := loc.Total()
+	mp := &Mapped{
+		Net: net, Model: m, cycleTable: cycleTable,
+		loc: loc, total: total, scales: make([]float64, len(params)),
+		desired: make([]float64, total), mags: make([]int, total), signs: make([]float64, total),
+		Verified: make([]bool, total),
 	}
-	mp.loc = NewLocator(params)
-	mp.Verified = make([]bool, mp.total)
+	for pi, p := range params {
+		lo, hi := loc.offsets[pi], loc.offsets[pi]+p.Size()
+		scale := quant.ScaleFor(p.Data, m.WeightBits)
+		mp.scales[pi] = scale
+		quant.QuantizeInt(mp.mags[lo:hi], mp.signs[lo:hi], p.Data, scale, m.WeightBits)
+		quant.Dequantize(mp.desired[lo:hi], mp.mags[lo:hi], mp.signs[lo:hi], scale)
+	}
 	nd := m.NumDevices()
 	mp.cond = make([]float64, mp.total*nd)
 	mp.devScratch = make([]float64, nd)
@@ -157,12 +159,16 @@ func (mp *Mapped) Desired() []float64 { return mp.desired }
 // pass: every weight lands at desired + noise per Eq. 16. It costs zero NWC
 // and resets all verification marks.
 func (mp *Mapped) ProgramAll(r *rng.Source) {
-	for i := 0; i < mp.total; i++ {
-		p, off, scale := mp.locate(i)
-		e := mp.Model.ProgramNoVerifyDevices(r, mp.devScratch)
-		p.Data.Data[off] = mp.desired[i] + mp.signs[i]*e*scale
-		mp.Verified[i] = false
-		mp.trackCond(i, 0)
+	i := 0 // flat index: parameters in order, offsets within each
+	for pi, p := range mp.loc.params {
+		scale := mp.scales[pi]
+		for off := range p.Data.Data {
+			e := mp.Model.ProgramNoVerifyDevices(r, mp.devScratch)
+			p.Data.Data[off] = mp.desired[i] + mp.signs[i]*e*scale
+			mp.Verified[i] = false
+			mp.trackCond(i, 0)
+			i++
+		}
 	}
 	mp.needFull = mp.tracking()
 }
@@ -179,10 +185,9 @@ func (mp *Mapped) tracking() bool { return mp.inst != nil || mp.cal != nil }
 func (mp *Mapped) trackCond(i int, extra float64) {
 	nd := len(mp.devScratch)
 	mag, sign := mp.mags[i], mp.signs[i]
-	mask := int(1)<<mp.Model.DeviceBits - 1
-	for d := 0; d < nd; d++ {
-		target := float64((mag >> (d * mp.Model.DeviceBits)) & mask)
-		mp.cond[i*nd+d] = sign * (target + mp.devScratch[d] + extra)
+	cond := mp.cond[i*nd : (i+1)*nd]
+	for d, e := range mp.devScratch {
+		cond[d] = sign * (float64(mp.Model.SliceTarget(mag, d)) + e + extra)
 	}
 }
 
@@ -197,13 +202,17 @@ func (mp *Mapped) ProgramAllSpatial(r *rng.Source, field *device.SpatialField) {
 	for d := 0; d < mp.Model.NumDevices(); d++ {
 		amp += math.Pow(2, float64(d*mp.Model.DeviceBits))
 	}
-	for i := 0; i < mp.total; i++ {
-		p, off, scale := mp.locate(i)
-		f := field.AtFlat(i)
-		e := mp.Model.ProgramNoVerifyDevices(r, mp.devScratch) + amp*f
-		p.Data.Data[off] = mp.desired[i] + mp.signs[i]*e*scale
-		mp.Verified[i] = false
-		mp.trackCond(i, f)
+	i := 0
+	for pi, p := range mp.loc.params {
+		scale := mp.scales[pi]
+		for off := range p.Data.Data {
+			f := field.AtFlat(i)
+			e := mp.Model.ProgramNoVerifyDevices(r, mp.devScratch) + amp*f
+			p.Data.Data[off] = mp.desired[i] + mp.signs[i]*e*scale
+			mp.Verified[i] = false
+			mp.trackCond(i, f)
+			i++
+		}
 	}
 	mp.needFull = mp.tracking()
 }
@@ -315,10 +324,9 @@ func (mp *Mapped) IncrementAt(i int, delta float64, r *rng.Source) {
 	}
 	magf := abs(next) / scale
 	intMag := int(magf)
-	mask := int(1)<<mp.Model.DeviceBits - 1
 	nd := len(mp.devScratch)
 	for d := 0; d < nd; d++ {
-		target := float64((intMag >> (d * mp.Model.DeviceBits)) & mask)
+		target := float64(mp.Model.SliceTarget(intMag, d))
 		if d == 0 {
 			target += magf - float64(intMag)
 		}
@@ -355,7 +363,7 @@ func (mp *Mapped) NWC() float64 {
 // study. A nil inst clears the hook; the weights keep their last-synced
 // values until the next programming operation rewrites them.
 func (mp *Mapped) SetNonideal(inst nonideal.Instance, readTime float64) {
-	mp.inst, mp.readTime = inst, readTime
+	mp.inst, mp.readTime = nonideal.At(inst, readTime), readTime
 	mp.dirty = mp.dirty[:0]
 	if mp.tracking() {
 		mp.needFull = true

@@ -42,6 +42,19 @@ func (d Drift) NewTrial(_ device.Model, r *rng.Source) Instance {
 type driftInstance struct {
 	cfg Drift
 	key uint64
+	// When bound, logX = log(readAt/T0), taken once by bindAt for a finite
+	// readAt/T0 above 1.
+	bound        bool
+	readAt, logX float64
+}
+
+// bindAt returns the instance with read time t bound (see At).
+func (in driftInstance) bindAt(t float64) driftInstance {
+	in.bound = false
+	if x := t / in.cfg.T0; t > in.cfg.T0 && x != 1 && !math.IsInf(x, 0) {
+		in.bound, in.readAt, in.logX = true, t, math.Log(x)
+	}
+	return in
 }
 
 func (in driftInstance) Apply(dev int, g float64, t float64) float64 {
@@ -52,6 +65,12 @@ func (in driftInstance) Apply(dev int, g float64, t float64) float64 {
 	nu := in.cfg.Nu + in.cfg.NuStd*s.Norm()
 	if nu <= 0 {
 		return g
+	}
+	if nu < 0.5 && in.bound && t == in.readAt {
+		// math.Pow(x, −ν)'s own branch for 0 < ν < ½ and finite x ≠ 1: no
+		// integer part, no squaring loop, and Ldexp(a, 0) == a. Only the
+		// Log(x) is taken once per read time instead of once per device.
+		return g * (1 / math.Exp(nu*in.logX))
 	}
 	return g * math.Pow(t/in.cfg.T0, -nu)
 }

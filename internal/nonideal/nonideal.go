@@ -26,6 +26,15 @@
 // device's randomness by mixing the key with the device index
 // (splitmix-style), never by consuming a shared stream at read time. Reads
 // are pure: Apply(dev, g, t) is a function of (trial key, dev, g, t).
+//
+// # Read time
+//
+// A trial reads every device at one fixed time. At binds that time into a
+// copy of an instance (a Stack's members included), so work that depends on
+// the time alone is done once per trial instead of once per device: drift
+// takes log(t/t0) there and then costs one Exp per device, returning
+// exactly what math.Pow would. A bound instance still answers any other t,
+// bit for bit, by doing that work itself.
 package nonideal
 
 import (
@@ -73,6 +82,28 @@ func (s Stack) Apply(dev int, g float64, t float64) float64 {
 		g = inst.Apply(dev, g, t)
 	}
 	return g
+}
+
+// At returns inst prepared for reads at t seconds: an Instance whose Apply
+// returns the same bits as inst's for every (dev, g, t'), and does less
+// work when t' == t, because work that depends only on the read time —
+// drift's log(t/t0) — is done here once instead of once per device. A
+// Stack comes back as a copy whose members are prepared; inst itself is
+// not modified, so both stay pure and safe to share. Instances with no
+// per-read-time work, and nil, come back as they are. Callers that fix the
+// read time (mapping.SetNonideal, crossbar.Array.SetNonideal) bind it here.
+func At(inst Instance, t float64) Instance {
+	switch in := inst.(type) {
+	case Stack:
+		out := make(Stack, len(in))
+		for i, m := range in {
+			out[i] = At(m, t)
+		}
+		return out
+	case driftInstance:
+		return in.bindAt(t)
+	}
+	return inst
 }
 
 // NewTrials mints one Instance per model, each from its own child stream

@@ -245,3 +245,72 @@ func TestNewTrialsStreamDiscipline(t *testing.T) {
 		t.Fatal("equal-size stacks consumed different amounts of the parent stream")
 	}
 }
+
+// The drift read-out, bound to its read time by At or not, must return
+// g·math.Pow(t/t0, −ν) bit for bit: for ν in (0, ½), where a bound instance
+// takes Pow's own branch with the log taken once, and at ½, ½+ulp, 0.9 and
+// 1.5, where it calls Pow. A bound instance read at another time computes
+// that time's log itself.
+func TestDriftReadoutMatchesPow(t *testing.T) {
+	m := testModel()
+	half := 0.5
+	nus := []float64{5e-324, 1e-9, 0.005, 0.02, 0.1, 0.25, 0.4, math.Nextafter(half, 0),
+		half, math.Nextafter(half, 1), 0.9, 1.5}
+	r := rng.New(41)
+	for i := 0; i < 20; i++ {
+		nus = append(nus, 0.5*r.Float64())
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, t0 := range []float64{1, 3} {
+		for _, ratio := range []float64{math.Nextafter(1, 2), 2, 86400, 1e300} {
+			readT := ratio * t0
+			for _, nu := range nus {
+				inst := Drift{Nu: nu, NuStd: 0, T0: t0}.NewTrial(m, rng.New(7))
+				bound, stacked := At(inst, readT), At(Stack{inst}, readT)
+				for dev, g := range []float64{0.03, 1, 7.5, 15} {
+					for _, at := range []float64{readT, 2 * readT, 3600} {
+						want := g
+						if at > t0 {
+							want = g * math.Pow(at/t0, -nu)
+						}
+						for _, got := range []float64{inst.Apply(dev, g, at), bound.Apply(dev, g, at), stacked.Apply(dev, g, at)} {
+							if !same(got, want) {
+								t.Fatalf("t0=%v t=%v nu=%v g=%v: read-out %v, want g·Pow = %v", t0, at, nu, g, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Per-device coefficients straddling ½ and 0 in one instance.
+	inst := Drift{Nu: 0.3, NuStd: 0.3, T0: 1}.NewTrial(m, rng.New(8))
+	bound := At(inst, 86400)
+	key := inst.(driftInstance).key
+	for dev := 0; dev < 4000; dev++ {
+		s := rng.NewLocal(devKey(key, dev))
+		nu := 0.3 + 0.3*s.Norm()
+		want := 2.5
+		if nu > 0 {
+			want = 2.5 * math.Pow(86400, -nu)
+		}
+		if got := bound.Apply(dev, 2.5, 86400); !same(got, want) {
+			t.Fatalf("device %d (nu=%v): bound read-out %v, want %v", dev, nu, got, want)
+		}
+	}
+}
+
+// At leaves nil and instances with no per-read-time work as they are, and
+// hands back a Stack of the same length.
+func TestAtKeepsOtherInstances(t *testing.T) {
+	if At(nil, 86400) != nil {
+		t.Fatal("At(nil) is not nil")
+	}
+	st := StuckAt{P: 0.5, High: 0.5}.NewTrial(testModel(), rng.New(1))
+	if At(st, 86400) != st {
+		t.Fatal("At changed a stuck-at instance")
+	}
+	if s, ok := At(Stack{}, 1).(Stack); !ok || len(s) != 0 {
+		t.Fatalf("At(empty Stack) = %#v", s)
+	}
+}

@@ -51,12 +51,12 @@ func ScaleFor(w *tensor.Tensor, bits int) float64 {
 	return m / float64(int(1)<<bits-1)
 }
 
-// QuantizeInt returns the integer magnitudes and signs of w under the given
-// step. Magnitudes are clamped to [0, levels].
-func QuantizeInt(w *tensor.Tensor, scale float64, bits int) (mags []int, signs []float64) {
+// QuantizeInt writes the integer magnitudes and signs of w under the given
+// step into mags and signs, which must each hold len(w.Data) values.
+// Magnitudes are clamped to [0, levels].
+func QuantizeInt(mags []int, signs []float64, w *tensor.Tensor, scale float64, bits int) {
 	levels := (1 << bits) - 1
-	mags = make([]int, len(w.Data))
-	signs = make([]float64, len(w.Data))
+	mags, signs = mags[:len(w.Data)], signs[:len(w.Data)]
 	for i, v := range w.Data {
 		s := 1.0
 		if v < 0 {
@@ -69,16 +69,15 @@ func QuantizeInt(w *tensor.Tensor, scale float64, bits int) (mags []int, signs [
 		mags[i] = q
 		signs[i] = s
 	}
-	return mags, signs
 }
 
-// Dequantize reconstructs float weights from integer magnitudes and signs.
-func Dequantize(mags []int, signs []float64, scale float64) []float64 {
-	out := make([]float64, len(mags))
+// Dequantize writes the float weights sign·q·scale reconstructed from
+// integer magnitudes and signs into out, which must hold len(mags) values.
+func Dequantize(out []float64, mags []int, signs []float64, scale float64) {
+	out = out[:len(mags)]
 	for i, q := range mags {
 		out[i] = signs[i] * float64(q) * scale
 	}
-	return out
 }
 
 // FakeQuantize rounds w in place to its quantized grid (straight-through

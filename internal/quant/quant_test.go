@@ -39,8 +39,10 @@ func TestRoundTripErrorBound(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		w := randWeights(seed, 64)
 		scale := ScaleFor(w, 6)
-		mags, signs := QuantizeInt(w, scale, 6)
-		back := Dequantize(mags, signs, scale)
+		n := len(w.Data)
+		mags, signs, back := make([]int, n), make([]float64, n), make([]float64, n)
+		QuantizeInt(mags, signs, w, scale, 6)
+		Dequantize(back, mags, signs, scale)
 		for i, v := range w.Data {
 			if math.Abs(back[i]-v) > scale/2+1e-12 {
 				return false
@@ -55,7 +57,8 @@ func TestRoundTripErrorBound(t *testing.T) {
 func TestQuantizeIntRange(t *testing.T) {
 	w := tensor.FromSlice([]float64{-3, -0.1, 0, 0.1, 3}, 5)
 	scale := ScaleFor(w, 4)
-	mags, signs := QuantizeInt(w, scale, 4)
+	mags, signs := make([]int, 5), make([]float64, 5)
+	QuantizeInt(mags, signs, w, scale, 4)
 	for i, q := range mags {
 		if q < 0 || q > 15 {
 			t.Fatalf("mag out of range: %d", q)

@@ -202,3 +202,110 @@ func TestShuffle(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+// gaussWithinLoop is the rejection loop GaussWithin reproduces: one Gauss
+// per draw, every draw computed.
+func gaussWithinLoop(s *Source, std, bound float64, maxDraws int) (float64, int) {
+	x, draws := s.Gauss(0, std), 1
+	for math.Abs(x) > bound && draws < maxDraws {
+		x, draws = s.Gauss(0, std), draws+1
+	}
+	return x, draws
+}
+
+// checkGaussWithin runs GaussWithin and the loop on copies of s and fails
+// unless they return the same bits and draw count and leave the stream in
+// the same place.
+func checkGaussWithin(t *testing.T, s Source, std, bound float64, maxDraws int) {
+	t.Helper()
+	a, b := s, s
+	x, n := a.GaussWithin(std, bound, maxDraws)
+	wx, wn := gaussWithinLoop(&b, std, bound, maxDraws)
+	if math.Float64bits(x) != math.Float64bits(wx) || n != wn || a.Uint64() != b.Uint64() {
+		t.Fatalf("GaussWithin(%v, %v, %d) = (%v, %d), loop = (%v, %d) (or the streams diverged)",
+			std, bound, maxDraws, x, n, wx, wn)
+	}
+}
+
+func TestGaussWithinMatchesLoop(t *testing.T) {
+	for _, std := range []float64{0, 1e-3, 0.06, 0.5, 1, 5, 1e4} {
+		for _, bound := range []float64{0.06, 0.5} {
+			for _, maxDraws := range []int{1, 2, 3, 500} {
+				for seed := uint64(0); seed < 2000; seed++ {
+					checkGaussWithin(t, *New(seed), std, bound, maxDraws)
+				}
+			}
+		}
+	}
+}
+
+// Bounds placed at, and a few ulps around, the two thresholds of a known
+// first draw: the exact acceptance |x| = bound, and the squeeze's decision
+// L = (bound/std)²·(1+δ). A bound that over-estimates T, or a skip that
+// returns the capped draw without computing it, fails here.
+func TestGaussWithinAtSkipBoundary(t *testing.T) {
+	for seed := uint64(0); seed < 2000; seed++ {
+		peek := *New(seed)
+		u1 := peek.Float64()
+		for u1 == 0 {
+			u1 = peek.Float64()
+		}
+		u2 := peek.Float64()
+		a := 1 - u1
+		d := math.Min(math.Abs(u2-0.25), math.Abs(u2-0.75))
+		c := 2 * math.Pi * d
+		c -= c * c * c / 6
+		lower := a * (2 + a*(1+a*(2.0/3))) * (c * c)
+		n := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+		for _, std := range []float64{0.06, 0.5, 1} {
+			for _, b := range []float64{math.Abs(0 + std*n), std * math.Sqrt(lower/(1+squeezeSlack))} {
+				for k := 0; k < 4; k++ {
+					b = math.Nextafter(b, 0)
+				}
+				for k := 0; k < 8; k++ {
+					if b > 0 {
+						checkGaussWithin(t, *New(seed), std, b, 2)
+						checkGaussWithin(t, *New(seed), std, b, 1)
+					}
+					b = math.Nextafter(b, math.Inf(1))
+				}
+			}
+		}
+	}
+}
+
+// unmix inverts Uint64's output mixing: the state whose next Uint64 is out.
+func unmix(out uint64) uint64 {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for s := k; s < 64; s += k {
+			x ^= y >> s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 { // c odd: Newton's iteration mod 2^64
+		x := c
+		for i := 0; i < 6; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z := unshift(out, 31)
+	z = unshift(z*inverse(0x94d049bb133111eb), 27)
+	z = unshift(z*inverse(0xbf58476d1ce4e5b9), 30)
+	return z - 0x9e3779b97f4a7c15
+}
+
+// A first uniform of exactly 0 is redrawn, on the skip path as on the
+// loop's.
+func TestGaussWithinRedrawsZeroUniform(t *testing.T) {
+	s := Source{state: unmix(0)}
+	if probe := s; probe.Float64() != 0 {
+		t.Fatal("unmix(0) does not yield a zero uniform")
+	}
+	for _, std := range []float64{0.06, 0.5, 5} {
+		for _, maxDraws := range []int{1, 2, 500} {
+			checkGaussWithin(t, s, std, 0.06, maxDraws)
+		}
+	}
+}

@@ -11,7 +11,8 @@
 # list, and a sweep grid program.New would refuse (swim-scenario -times,
 # swim-scenario and swim-pareto -nwcs) must be rejected the same way before
 # any workload is built: nothing on stdout, and the -state directory left
-# empty.
+# empty. A swim-calibrate -bits the device model refuses exits 2 with
+# nothing on stdout too.
 #
 # Every path exits before any workload is built, so nothing trains and the
 # script runs in seconds.
@@ -93,6 +94,16 @@ expect_list swim-pareto "$cost" -cost list
 expect_bad swim-pareto -cost rram:par=0
 expect_bad swim-pareto -cost none
 expect_list swim-calibrate "$policies" -list-policies
+# swim-calibrate builds no workload (it has no -state), but a -bits the
+# device model refuses (M outside [1, 16]) must still exit 2 before the
+# first row prints.
+for bits in 0 -1 17 64; do
+  expect_bad swim-calibrate -bits "$bits" -n 1000
+  if [ -n "$("$bindir/swim-calibrate" -bits "$bits" -n 1000 2>/dev/null)" ]; then
+    echo "FAIL: swim-calibrate -bits $bits printed to stdout before exiting" >&2
+    fail=1
+  fi
+done
 
 expect_early swim-ablate -what nosuch
 expect_early swim-ablate -policy nosuch
