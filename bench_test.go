@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -469,7 +471,7 @@ func mappedLeNet(b *testing.B, x *tensor.Tensor, y []int) *mapping.Mapped {
 // BenchmarkEvalPlanCostAccounting measures the eval hot path exactly as the
 // cost tier drives it: a device-programmed mapping evaluated through the
 // compiled plan with the write-cycle aggregates (CyclesUsed, NWC) read back
-// each iteration — the same reads gridTrial performs per trial to feed
+// each iteration — the same reads a grid trial performs per point to feed
 // cost.Report. Each iteration rewrites one conv1 weight (a sign flip), so
 // every measurement is a full pass rather than a remembered count. It
 // shares the BenchmarkEvalPlan* 0 allocs/op CI gate: cost accounting must
@@ -629,6 +631,79 @@ func BenchmarkTrialSetup(b *testing.B) {
 				}
 				mp.SetNonideal(nonideal.NewTrials([]nonideal.Nonideality{drift}, dm, tr.Split()), 86400)
 				mp.SetCalibration(cal.NewTrial(tr.Split()))
+			}
+		})
+	}
+}
+
+// BenchmarkScenarioShard is a serve-coord worker's unit of work: one
+// one-trial shard of a LeNet scenario job at σ 0.5 under drift:nu=0.1 read
+// one day after programming, NWCs {0, 0.1, 0.3}, 64 evaluation samples, one
+// worker. swim+noverify runs both cells as one group, which shares each
+// trial's set-up and first pass; scripts/bench_group.sh gates its cost
+// against swim alone.
+func BenchmarkScenarioShard(b *testing.B) {
+	b.Setenv("SWIM_EVAL", "64")
+	w := experiments.LeNetMNIST()
+	scenarios, err := experiments.ParseScenarios("drift:nu=0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, policies := range [][]string{{"swim"}, {"swim", "noverify"}} {
+		b.Run(strings.Join(policies, "+"), func(b *testing.B) {
+			cfg := experiments.ScenarioConfig{
+				NWCs: []float64{0, 0.1, 0.3}, Times: []float64{86400}, Policies: policies,
+				Trials: 4, Seed: 1001, EvalBatch: 64,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := i % cfg.Trials
+				if _, err := experiments.ScenarioShards(context.Background(), w, experiments.SigmaTypical,
+					scenarios, cfg, lo, lo+1, program.WithWorkers(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// comparatorRank is the selectors' ranking before the radix passes, the
+// reference BenchmarkRank times: a stable sort by primary descending, then
+// secondary descending (nil: none).
+func comparatorRank(primary, secondary []float64) []int {
+	idx := make([]int, len(primary))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		pa, pb := primary[idx[a]], primary[idx[b]]
+		if pa != pb || secondary == nil {
+			return pa > pb
+		}
+		return secondary[idx[a]] > secondary[idx[b]]
+	})
+	return idx
+}
+
+// BenchmarkRank times the swim and magnitude selectors' ranking of LeNet's
+// weights, and the stable comparator sort they replaced, on the same
+// vectors.
+func BenchmarkRank(b *testing.B) {
+	w := experiments.LeNetMNIST()
+	cases := []struct {
+		name  string
+		order func() []int
+	}{
+		{"swim", func() []int { return swim.NewSWIMSelector(w.Hess, w.Weights).Order(nil) }},
+		{"magnitude", func() []int { return swim.NewMagnitudeSelector(w.Weights).Order(nil) }},
+		{"swim-comparator", func() []int { return comparatorRank(w.Hess, w.Weights) }},
+		{"magnitude-comparator", func() []int { return comparatorRank(w.Weights, nil) }},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.order()
 			}
 		})
 	}

@@ -57,6 +57,10 @@ func main() {
 	// Every row runs the same M: a width the device model refuses (0 rows
 	// of zeros, a negative shift, a 2^64-entry table) exits 2 before any.
 	c.CheckFlag(device.Default(*bits, 0).Validate())
+	// Every statistic is a mean over -n weights: none at all prints NaN.
+	if *n < 1 {
+		c.CheckFlag(fmt.Errorf("-n must be at least 1, got %d", *n))
+	}
 
 	fmt.Printf("device model calibration (M=%d, K=4, tolerance 0.06)\n\n", *bits)
 	fmt.Printf("%-8s %-22s %-22s %s\n", "sigma", "uniform magnitudes", "gaussian weights", "no-verify noise (LSB)")

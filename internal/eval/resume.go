@@ -181,6 +181,7 @@ type Binding struct {
 	ck      [][]float64 // per resume point: its live buffer for every sample
 	correct int         // the last pass's correct count
 	valid   bool        // the last pass completed, so the above describe it
+	stale   bool        // Rewind replaced snap and correct, so ck describes another state
 }
 
 // Bind returns a measurement of the evaluator's network over (x, y) in
@@ -214,7 +215,7 @@ func (b *Binding) claim() {
 	for k, rp := range b.pl.resumes {
 		b.ck[k], buf = buf[:n*rp.per], buf[n*rp.per:]
 	}
-	b.valid = false
+	b.valid, b.stale = false, false
 }
 
 // On reports whether the binding measures (x, y) in batches of batch: the
@@ -264,11 +265,15 @@ func (b *Binding) CountCorrect() (int, error) {
 		snap = snap[st.size:]
 	}
 	b.valid = false
-	correct, err := b.ev.count(b.x, b.y, b.batch, b.pl.resumeAt(first), b.ck)
+	from := b.pl.resumeAt(first)
+	if b.stale {
+		from = 0
+	}
+	correct, err := b.ev.count(b.x, b.y, b.batch, from, b.ck)
 	if err != nil {
 		return 0, err
 	}
-	b.correct, b.valid = correct, true
+	b.correct, b.valid, b.stale = correct, true, false
 	return correct, nil
 }
 
@@ -280,4 +285,42 @@ func (b *Binding) Accuracy() (float64, error) {
 		return 0, err
 	}
 	return 100 * float64(correct) / float64(len(b.y)), nil
+}
+
+// Mark is what a binding needs to return to a measurement it made: the
+// pass's correct count, usable when that pass measured the state the
+// network held when the mark was taken.
+type Mark struct {
+	b       *Binding
+	correct int
+	ok      bool
+}
+
+// Mark returns a mark of the binding's last pass, usable only when that
+// pass measured the network's current state bit for bit.
+func (b *Binding) Mark() Mark {
+	ok := b.valid && b.epoch == b.ev.scratch.KeptEpoch() && b.firstChange() == len(b.pl.steps)
+	return Mark{b: b, correct: b.correct, ok: ok}
+}
+
+// Rewind makes the binding remember the pass m marks, for a network put
+// back into the state it held when m was taken: a measurement whose state
+// equals it bit for bit returns m's count without running anything. The
+// checkpoints still hold the activations of the binding's own last pass,
+// so the next measurement that finds a change runs a full pass instead of
+// resuming from them. A mark of another binding, or one taken when the
+// last pass did not measure the network's state, makes the binding forget
+// its last pass.
+func (b *Binding) Rewind(m Mark) {
+	if m.b != b || !m.ok || b.epoch != b.ev.scratch.KeptEpoch() {
+		b.valid = false
+		return
+	}
+	snap := b.snap
+	for i := range b.pl.steps {
+		st := &b.pl.steps[i].state
+		st.save(snap[:st.size])
+		snap = snap[st.size:]
+	}
+	b.correct, b.valid, b.stale = m.correct, true, true
 }

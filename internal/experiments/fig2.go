@@ -20,16 +20,7 @@ func Fig2(w *Workload, cfg SweepConfig) (map[string][]Cell, error) {
 // accuracy-drop regime at a smaller σ than LeNet; cmd/swim-fig2 exposes the
 // knob per panel.
 func Fig2At(w *Workload, sigma float64, cfg SweepConfig) (map[string][]Cell, error) {
-	policies := cfg.policies()
-	out := make(map[string][]Cell, len(policies))
-	for _, m := range policies {
-		cells, err := Sweep(w, sigma, m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = cells
-	}
-	return out, nil
+	return sweepPolicies(w, sigma, cfg)
 }
 
 // PrintFig2 renders one panel's series, one row per policy.

@@ -199,20 +199,24 @@ type ScenarioResult struct {
 
 // ScenarioResults runs the full cross product of scenarios × read times ×
 // policies on one workload at device σ, one program.Pipeline per cell, all
-// sharing a common cycle table and seed so cells are comparable. Cells come
-// back in (scenario, time, policy) order with their complete pipeline
-// Results. extra options are appended to every cell's pipeline — the serving
-// daemon threads its fair-share worker gate through here.
+// sharing a common cycle table and seed so cells are comparable. The cells
+// of a scenario run as one program.Group, so policies that see the same
+// devices share each trial's set-up. Cells come back in (scenario, time,
+// policy) order with their complete pipeline Results. extra options are
+// appended to every cell's pipeline — the serving daemon threads its
+// fair-share worker gate through here.
 func ScenarioResults(ctx context.Context, w *Workload, sigma float64, scenarios []Scenario,
 	cfg ScenarioConfig, extra ...program.Option) ([]ScenarioResult, error) {
 
 	var out []ScenarioResult
-	err := scenarioCells(w, sigma, scenarios, cfg, extra, func(sc Scenario, tRead float64, name string, p *program.Pipeline) error {
-		res, err := p.Run(ctx)
+	err := scenarioCells(w, sigma, scenarios, cfg, extra, func(sc Scenario, cells []scenarioCell, g program.Group) error {
+		res, err := g.Run(ctx)
 		if err != nil {
 			return err
 		}
-		out = append(out, ScenarioResult{Scenario: sc.Spec, Time: tRead, Policy: name, Result: res})
+		for k, c := range cells {
+			out = append(out, ScenarioResult{Scenario: sc.Spec, Time: c.time, Policy: c.policy, Result: res[k]})
+		}
 		return nil
 	})
 	if err != nil {
@@ -236,7 +240,7 @@ type ScenarioShard struct {
 }
 
 // ScenarioShards runs only trials [lo, hi) of every cell of the cross
-// product — the same cells, pipelines and seeds as ScenarioResults, through
+// product — the same cells, groups and seeds as ScenarioResults, through
 // the identical grid-trial bodies, so the rows of a complete trial-range
 // partition merge (program.MergeShards) into results bit-identical to a
 // single ScenarioResults call. This is the serving tier's /v1/shards
@@ -246,12 +250,14 @@ func ScenarioShards(ctx context.Context, w *Workload, sigma float64, scenarios [
 
 	ranged := append(append([]program.Option(nil), extra...), program.WithTrialRange(lo, hi))
 	var out []ScenarioShard
-	err := scenarioCells(w, sigma, scenarios, cfg, ranged, func(sc Scenario, tRead float64, name string, p *program.Pipeline) error {
-		sh, err := p.RunShard(ctx)
+	err := scenarioCells(w, sigma, scenarios, cfg, ranged, func(sc Scenario, cells []scenarioCell, g program.Group) error {
+		shards, err := g.RunShards(ctx)
 		if err != nil {
 			return err
 		}
-		out = append(out, ScenarioShard{Scenario: sc.Spec, Time: tRead, Policy: name, Shard: sh})
+		for k, c := range cells {
+			out = append(out, ScenarioShard{Scenario: sc.Spec, Time: c.time, Policy: c.policy, Shard: shards[k]})
+		}
 		return nil
 	})
 	if err != nil {
@@ -260,13 +266,20 @@ func ScenarioShards(ctx context.Context, w *Workload, sigma float64, scenarios [
 	return out, nil
 }
 
-// scenarioCells walks the scenarios × read times × policies cross product
-// in canonical cell order, building each cell's fully configured pipeline
-// (shared cycle table and seed, workload options, extra options appended)
-// and handing it to fn. Both the full-run and the trial-range shard paths
+// scenarioCell names one (read time, policy) cell of a scenario.
+type scenarioCell struct {
+	time   float64
+	policy string
+}
+
+// scenarioCells walks the scenarios of the cross product in canonical
+// order, building every read time × policy cell's fully configured
+// pipeline (shared cycle table and seed, workload options, extra options
+// appended) and handing the scenario's cells and their group, in (time,
+// policy) order, to run. Both the full-run and the trial-range shard paths
 // iterate through here, which is what keeps their cells aligned.
 func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg ScenarioConfig,
-	extra []program.Option, fn func(sc Scenario, tRead float64, name string, p *program.Pipeline) error) error {
+	extra []program.Option, run func(sc Scenario, cells []scenarioCell, g program.Group) error) error {
 
 	if len(scenarios) == 0 {
 		scenarios = []Scenario{{Spec: "none"}}
@@ -291,6 +304,8 @@ func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg Scenari
 	table := dm.CycleTable(300, rng.New(cfg.Seed^0x5ce11a))
 	evalX, evalY := data.Subset(w.DS.TestX, w.DS.TestY, mc.EvalSize(len(w.DS.TestY)))
 	for _, sc := range scenarios {
+		var cells []scenarioCell
+		var group program.Group
 		for _, tRead := range cfg.Times {
 			for _, name := range cfg.Policies {
 				pol, err := program.Lookup(name)
@@ -311,10 +326,12 @@ func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg Scenari
 				if err != nil {
 					return fmt.Errorf("scenario %s/%s at t=%gs: %w", sc.Spec, name, tRead, err)
 				}
-				if err := fn(sc, tRead, name, p); err != nil {
-					return fmt.Errorf("scenario %s/%s at t=%gs: %w", sc.Spec, name, tRead, err)
-				}
+				cells = append(cells, scenarioCell{time: tRead, policy: name})
+				group = append(group, p)
 			}
+		}
+		if err := run(sc, cells, group); err != nil {
+			return fmt.Errorf("scenario %s: %w", sc.Spec, err)
 		}
 	}
 	return nil

@@ -92,48 +92,87 @@ func Sweep(w *Workload, sigma float64, method string, cfg SweepConfig) ([]Cell, 
 // Trials run in parallel on mc.Workers() goroutines and the aggregates are
 // bit-identical for any worker count.
 func SweepPolicy(w *Workload, sigma float64, pol program.Policy, cfg SweepConfig) ([]Cell, error) {
+	cells, err := sweepGroup(w, sigma, []program.Policy{pol}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return cells[0], nil
+}
+
+// sweepGroup runs one grid pipeline per policy at σ as one program.Group:
+// the policies share the seed, so those that draw nothing before
+// programming share each trial's device set-up. It returns each policy's
+// accuracy cells, in policy order.
+func sweepGroup(w *Workload, sigma float64, pols []program.Policy, cfg SweepConfig) ([][]Cell, error) {
 	evalX, evalY := data.Subset(w.DS.TestX, w.DS.TestY, mc.EvalSize(len(w.DS.TestY)))
 	opts := append(w.Options(sigma), cfg.Scenario.Options()...)
 	if cfg.Calib != "" {
 		cm, err := calib.Parse(cfg.Calib)
 		if err != nil {
-			return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
+			return nil, fmt.Errorf("sweep %s at sigma=%.2f: %w", w.Name, sigma, err)
 		}
 		opts = append(opts, program.WithCalibrationModel(cm))
 	}
-	p, err := program.New(w.Net, pol, program.GridBudget(cfg.NWCs...),
-		append(opts,
-			program.WithEval(evalX, evalY),
-			program.WithEvalBatch(cfg.evalBatch()),
-			program.WithSeed(cfg.Seed),
-			program.WithTrials(cfg.Trials))...)
+	opts = append(opts,
+		program.WithEval(evalX, evalY),
+		program.WithEvalBatch(cfg.evalBatch()),
+		program.WithSeed(cfg.Seed),
+		program.WithTrials(cfg.Trials))
+	group := make(program.Group, len(pols))
+	for k, pol := range pols {
+		p, err := program.New(w.Net, pol, program.GridBudget(cfg.NWCs...), opts...)
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
+		}
+		group[k] = p
+	}
+	res, err := group.Run(context.Background())
 	if err != nil {
-		return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
+		return nil, fmt.Errorf("sweep %s at sigma=%.2f: %w", w.Name, sigma, err)
 	}
-	res, err := p.Run(context.Background())
+	out := make([][]Cell, len(res))
+	for k, r := range res {
+		out[k] = make([]Cell, len(r.Points))
+		for i, pt := range r.Points {
+			out[k][i] = cellOf(pt.Accuracy)
+		}
+	}
+	return out, nil
+}
+
+// sweepPolicies runs every configured policy at σ as one group, keyed by
+// policy name.
+func sweepPolicies(w *Workload, sigma float64, cfg SweepConfig) (map[string][]Cell, error) {
+	names := cfg.policies()
+	pols := make([]program.Policy, len(names))
+	for k, name := range names {
+		pol, err := program.Lookup(name)
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s at sigma=%.2f: %w", w.Name, sigma, err)
+		}
+		pols[k] = pol
+	}
+	cells, err := sweepGroup(w, sigma, pols, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sweep %s/%s at sigma=%.2f: %w", w.Name, pol.Name(), sigma, err)
+		return nil, err
 	}
-	cells := make([]Cell, len(res.Points))
-	for i, pt := range res.Points {
-		cells[i] = cellOf(pt.Accuracy)
+	out := make(map[string][]Cell, len(names))
+	for k, name := range names {
+		out[name] = cells[k]
 	}
-	return cells, nil
+	return out, nil
 }
 
 // Table1 runs the full Table 1 grid: σ × policy × NWC on the LeNet/MNIST
-// workload (or any other workload, for ablations).
+// workload (or any other workload, for ablations), one group per σ.
 func Table1(w *Workload, sigmas []float64, cfg SweepConfig) (map[float64]map[string][]Cell, error) {
 	out := make(map[float64]map[string][]Cell)
 	for _, sigma := range sigmas {
-		out[sigma] = make(map[string][]Cell)
-		for _, m := range cfg.policies() {
-			cells, err := Sweep(w, sigma, m, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out[sigma][m] = cells
+		cells, err := sweepPolicies(w, sigma, cfg)
+		if err != nil {
+			return nil, err
 		}
+		out[sigma] = cells
 	}
 	return out, nil
 }

@@ -7,7 +7,10 @@
 // One Mapped instance is one Monte-Carlo trial: it owns a clone of the
 // trained master network whose mapped weights are perturbed per the device
 // model, and re-programs individual weights on demand (write-verify for the
-// selective schemes, noisy unverified writes for in-situ training).
+// selective schemes, noisy unverified writes for in-situ training). Save
+// and Restore put an instance back to an earlier point bit for bit, so
+// several programming strategies can start from one programmed device
+// instance (a program.Group's cells).
 package mapping
 
 import (
@@ -505,8 +508,9 @@ func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
 // their dense primitives through (nil keeps kernel.Default()). Pipelines
-// never call it; a benchmark does, to time the backend. Call it before the
-// first Accuracy measurement, alongside SetEvalArena.
+// pass nil unless a test counts kernel calls; a benchmark times the backend
+// through it. Call it before the first Accuracy measurement, alongside
+// SetEvalArena.
 func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 
 // Accuracy evaluates the programmed network's top-1 accuracy (%) over the

@@ -257,6 +257,8 @@ func (noverifyTrial) SpendTo(*mapping.Mapped, float64, *rng.Source) {}
 
 func (noverifyTrial) Step(*mapping.Mapped, float64, *rng.Source) bool { return true }
 
+func (noverifyTrial) readOnly() {}
+
 func granuleSize(g float64, n int) int {
 	size := int(math.Ceil(g * float64(n)))
 	if size < 1 {

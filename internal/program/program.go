@@ -23,6 +23,11 @@
 //     stat.Welford, NWC spent, the per-granule accuracy trace, and the
 //     policy name.
 //
+//   - Group — grid-budget pipelines (cells) run as one Monte-Carlo run over
+//     common device instances: in each trial, the cells that see the same
+//     devices share one set-up and one measurement of the untouched
+//     network. A pipeline's grid Run and RunShard are a group of one.
+//
 // # Determinism
 //
 // Run is bit-for-bit reproducible in (seed, trials) and independent of the
@@ -32,7 +37,9 @@
 // selector order first, then device programming, then budget spending — so
 // for a fixed seed the pipeline reproduces swim.Algorithm1,
 // swim.WriteVerifyToNWC and swim.InSituToNWC results bit-for-bit
-// (equivalence_test.go pins this).
+// (equivalence_test.go pins this). Each cell of a Group returns the bits
+// of its own pipeline run alone: a cell reuses shared work only while its
+// state equals the shared state bit for bit (group_test.go pins this).
 //
 // # Migration from the swim.* entry points
 //
@@ -111,6 +118,15 @@ type Pipeline struct {
 // (a daemon serving one-trial shards builds a pipeline per shard).
 var arenas sync.Pool
 
+// borrowArena takes an arena from the pool, or makes one; give it back with
+// arenas.Put when the trial is done.
+func borrowArena() *tensor.Arena {
+	if a, ok := arenas.Get().(*tensor.Arena); ok {
+		return a
+	}
+	return tensor.NewArena()
+}
+
 // Option configures a Pipeline. Options validate eagerly: New returns the
 // first option error instead of deferring misconfiguration into a worker.
 type Option func(*Pipeline) error
@@ -150,10 +166,10 @@ func WithEvalBatch(n int) Option {
 	}
 }
 
-// WithCalibration sets the calibration split the pipeline computes
-// second-derivative sensitivities from (one forward + one second-derivative
-// backward pass) when none are injected via WithSensitivity. Policies that
-// rank by sensitivity ("swim") need one or the other.
+// WithCalibration sets the calibration split New computes second-derivative
+// sensitivities from (one forward + one second-derivative backward pass)
+// when none are injected via WithSensitivity. Policies that rank by
+// sensitivity ("swim") need one or the other.
 func WithCalibration(x *tensor.Tensor, y []int) Option {
 	return func(p *Pipeline) error {
 		if x == nil || len(y) == 0 {
@@ -342,6 +358,9 @@ func WithReadTime(seconds float64) Option {
 
 // New validates the configuration and returns a runnable Pipeline. master is
 // the trained network to program (never mutated: every trial clones it).
+// Weights and sensitivities not injected are computed here from master
+// (and the WithCalibration split); non-finite ones are an error, injected
+// or computed, because the rankings' order is undefined for NaN.
 func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, error) {
 	if master == nil {
 		return nil, errors.New("program: nil network")
@@ -379,6 +398,20 @@ func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, e
 	if err := b.validate(); err != nil {
 		return nil, fmt.Errorf("program: %w", err)
 	}
+	if p.env.Weights == nil {
+		p.env.Weights = swim.FlatWeights(master)
+	}
+	if p.env.Hess == nil && p.calX != nil {
+		// Sensitivity mutates the network's Hessian buffers, so run it on a
+		// clone; the values are deterministic in (weights, calibration set).
+		p.env.Hess = swim.Sensitivity(master.Clone(), p.calX, p.calY, p.evalBatch)
+	}
+	if err := finite("sensitivity", p.env.Hess); err != nil {
+		return nil, fmt.Errorf("program: %w", err)
+	}
+	if err := finite("weight", p.env.Weights); err != nil {
+		return nil, fmt.Errorf("program: %w", err)
+	}
 	if p.ranged {
 		if p.rangeHi > p.trials {
 			return nil, fmt.Errorf("program: trial range [%d,%d) outside [0,%d)", p.rangeLo, p.rangeHi, p.trials)
@@ -395,37 +428,29 @@ func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, e
 // ErrBudgetExhausted (drop budgets only); any other error leaves the Result
 // nil.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
-	env := p.env // shallow copy: Run never mutates the Pipeline
-	table, err := p.prepare(&env)
-	if err != nil {
-		return nil, err
-	}
 	switch b := p.budget.(type) {
 	case NWCGrid:
-		sh, err := p.runShard(ctx, &env, table, b)
+		res, err := Group{p}.Run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return sh.fold(sh.Rows, p.costModel)
+		return res[0], nil
 	case DropTarget:
+		env := p.env // shallow copy: Run never mutates the Pipeline
+		if err := p.prepare(&env); err != nil {
+			return nil, err
+		}
+		table := p.cycleTable
+		if table == nil {
+			table = p.derivedTable()
+		}
 		return p.runDrop(ctx, &env, table, b)
 	}
 	return nil, fmt.Errorf("program: unsupported budget type %T", p.budget)
 }
 
-// prepare derives the run environment shared by Run and RunShard: fill in
-// weights/sensitivities, preflight the policy, and resolve the cycle table.
-// Everything here is deterministic in the pipeline's configuration, so the
-// full run and every trial-range shard of it derive identical state.
-func (p *Pipeline) prepare(env *Env) ([]float64, error) {
-	if env.Weights == nil {
-		env.Weights = swim.FlatWeights(env.Net)
-	}
-	if env.Hess == nil && p.calX != nil {
-		// Sensitivity mutates the network's Hessian buffers, so run it on a
-		// clone; the values are deterministic in (weights, calibration set).
-		env.Hess = swim.Sensitivity(env.Net.Clone(), p.calX, p.calY, p.evalBatch)
-	}
+// prepare preflights the policy against a run's copy of the environment.
+func (p *Pipeline) prepare(env *Env) error {
 	// Preflight the policy against the environment so a misconfiguration
 	// (missing sensitivities, missing training data) surfaces here as a
 	// typed error rather than as a wrapped panic from inside a worker.
@@ -433,34 +458,38 @@ func (p *Pipeline) prepare(env *Env) ([]float64, error) {
 	// throwaway trial (the built-ins all do); others mint and discard one.
 	if v, ok := p.policy.(envValidator); ok {
 		if err := v.validateEnv(env); err != nil {
-			return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
+			return fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
 		}
 	} else if _, err := p.policy.NewTrial(env, rng.New(p.seed^0x9a11e7)); err != nil {
-		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
+		return fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
 	}
-	table := p.cycleTable
-	if table == nil {
-		table = env.Device.CycleTable(300, rng.New(p.seed^0x5eed))
-	}
-	return table, nil
+	return nil
 }
 
-// setupTrial builds one Monte-Carlo trial: the policy's per-trial state
-// (selector order) first, then the programmed device instance — exactly the
-// stream-consumption order of the legacy experiment glue, which the
-// bit-for-bit equivalence guarantee depends on. Errors panic; the mc engine
-// converts worker panics into run errors, and Run preflights the policy so
-// the only reachable panics are programming bugs.
-//
-// The trial's accuracy evaluations run through compiled plans and a
-// binding backed by a pooled arena; release returns the arena to the pool
-// and must be called when the trial body finishes.
-func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *mapping.Mapped, trial Trial, release func()) {
-	trial, err := p.policy.NewTrial(env, r)
-	if err != nil {
-		panic(err)
+// derivedTable is the cycle table a pipeline without WithCycleTable uses,
+// derived from its seed.
+func (p *Pipeline) derivedTable() []float64 {
+	return p.env.Device.CycleTable(300, rng.New(p.seed^0x5eed))
+}
+
+// finite reports the first non-finite value of a ranking input.
+func finite(what string, v []float64) error {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%s %d is %g, want a finite value", what, i, x)
+		}
 	}
-	mp, err = mapping.New(env.Net, env.Device, table, r)
+	return nil
+}
+
+// setup programs one Monte-Carlo trial's device instance from r, in the
+// stream order every trial has used: mapping.New, the spatial field, one
+// split for the nonideality stack, one for calibration. A policy's
+// per-trial state is minted from the same stream before it. Errors panic;
+// the mc engine converts worker panics into run errors, and runs preflight
+// the policy so the only reachable panics are programming bugs.
+func (p *Pipeline) setup(env *Env, table []float64, r *rng.Source) *mapping.Mapped {
+	mp, err := newMapped(env.Net, env.Device, table, r)
 	if err != nil {
 		panic(err)
 	}
@@ -479,34 +508,7 @@ func (p *Pipeline) setupTrial(env *Env, table []float64, r *rng.Source) (mp *map
 		// keep the legacy trial-stream consumption bit for bit.
 		mp.SetCalibration(p.calibModel.NewTrial(r.Split()))
 	}
-	arena, _ := arenas.Get().(*tensor.Arena)
-	if arena == nil {
-		arena = tensor.NewArena()
-	}
-	mp.SetEvalArena(arena)
-	return mp, trial, func() { arenas.Put(arena) }
-}
-
-// gridTrial returns the per-trial body of a grid-budget run: walk the
-// cumulative NWC targets on one device instance and report accuracy, NWC
-// and raw write-verify cycles per target — the paper's Table 1 / Fig. 2
-// protocol plus the cycle counts cost accounting is derived from. Shared by
-// the full run and the trial-range shard path so both execute identical
-// bits.
-func (p *Pipeline) gridTrial(env *Env, table []float64, b NWCGrid) func(r *rng.Source) []float64 {
-	points := len(b.Targets)
-	return func(r *rng.Source) []float64 {
-		out := make([]float64, 3*points)
-		mp, trial, release := p.setupTrial(env, table, r)
-		defer release()
-		for i, nwc := range b.Targets {
-			trial.SpendTo(mp, nwc, r)
-			out[i] = mp.Accuracy(p.evalX, p.evalY, p.evalBatch)
-			out[points+i] = mp.NWC()
-			out[2*points+i] = mp.CyclesUsed
-		}
-		return out
-	}
+	return mp
 }
 
 // dropOut is one trial's outcome under a drop budget.
@@ -523,8 +525,14 @@ type dropOut struct {
 // MaxNWC cap is hit.
 func (p *Pipeline) runDrop(ctx context.Context, env *Env, table []float64, b DropTarget) (*Result, error) {
 	outs, err := mc.MapGate(ctx, p.seed, p.trials, p.workers, p.gate, func(_ int, r *rng.Source) dropOut {
-		mp, trial, release := p.setupTrial(env, table, r)
-		defer release()
+		trial, err := p.policy.NewTrial(env, r)
+		if err != nil {
+			panic(err)
+		}
+		mp := p.setup(env, table, r)
+		arena := borrowArena()
+		defer arenas.Put(arena)
+		mp.SetEvalArena(arena)
 		n := mp.TotalWeights()
 		granule := granuleSize(p.granularity, n)
 		var o dropOut

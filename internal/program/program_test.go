@@ -3,6 +3,7 @@ package program
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,8 @@ func TestOptionValidation(t *testing.T) {
 		{"nil worker gate", append(w.options(), WithWorkerGate(nil))},
 		{"empty cycle table", append(w.options(), WithCycleTable(nil))},
 		{"empty sensitivity", append(w.options(), WithSensitivity(nil, nil))},
+		{"NaN sensitivity", append(w.options(), WithSensitivity(poison(w.hess, math.NaN()), w.weights))},
+		{"infinite weight", append(w.options(), WithSensitivity(w.hess, poison(w.weights, math.Inf(-1))))},
 	}
 	for _, tc := range cases {
 		if _, err := New(w.net, pol, grid, tc.opts...); err == nil {
@@ -149,12 +152,27 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(nil, pol, grid, w.options()...); err == nil {
 		t.Error("nil network accepted")
 	}
+	// Weights and sensitivities computed from a network are checked too.
+	broken := w.net.Clone()
+	broken.MappedParams()[1].Data.Data[3] = math.NaN()
+	cx, cy := data.Subset(w.ds.TrainX, w.ds.TrainY, 64)
+	if _, err := New(broken, pol, grid, WithDevice(device.Default(4, 1.0)),
+		WithEval(w.ds.TestX, w.ds.TestY), WithCalibration(cx, cy)); err == nil {
+		t.Error("network with a NaN weight accepted")
+	}
 	if _, err := New(w.net, nil, grid, w.options()...); err == nil {
 		t.Error("nil policy accepted")
 	}
 	if _, err := New(w.net, pol, nil, w.options()...); err == nil {
 		t.Error("nil budget accepted")
 	}
+}
+
+// poison returns a copy of v with one value replaced by bad.
+func poison(v []float64, bad float64) []float64 {
+	out := append([]float64(nil), v...)
+	out[len(out)/2] = bad
+	return out
 }
 
 func TestBudgetValidation(t *testing.T) {

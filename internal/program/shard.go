@@ -67,31 +67,19 @@ type Shard struct {
 // per trial and have no mergeable row form. ctx must be non-nil, as for
 // Run.
 func (p *Pipeline) RunShard(ctx context.Context) (*Shard, error) {
-	b, ok := p.budget.(NWCGrid)
-	if !ok {
+	if _, ok := p.budget.(NWCGrid); !ok {
 		return nil, fmt.Errorf("program: RunShard requires a grid budget, got %T", p.budget)
 	}
-	env := p.env // shallow copy: RunShard never mutates the Pipeline
-	table, err := p.prepare(&env)
+	shards, err := Group{p}.RunShards(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return p.runShard(ctx, &env, table, b)
+	return shards[0], nil
 }
 
-// runShard walks the cumulative NWC grid on one device instance per trial
-// over the configured trial range — the body of both RunShard and a grid
-// budget's Run, which folds the rows it returns.
-func (p *Pipeline) runShard(ctx context.Context, env *Env, table []float64, b NWCGrid) (*Shard, error) {
-	lo, hi := 0, p.trials
-	if p.ranged {
-		lo, hi = p.rangeLo, p.rangeHi
-	}
-	points := len(b.Targets)
-	rows, err := mc.RunSeriesShard(ctx, p.seed, p.trials, lo, hi, 3*points, p.workers, p.gate, p.gridTrial(env, table, b))
-	if err != nil {
-		return nil, fmt.Errorf("program: policy %q: %w", p.policy.Name(), err)
-	}
+// shard wraps one pipeline's rows of the trial range [lo, hi) with the run
+// metadata MergeShards checks and folds.
+func (p *Pipeline) shard(env *Env, b NWCGrid, lo, hi int, rows [][]float64) *Shard {
 	sh := &Shard{
 		Policy:        p.policy.Name(),
 		Targets:       append([]float64(nil), b.Targets...),
@@ -108,7 +96,7 @@ func (p *Pipeline) runShard(ctx context.Context, env *Env, table []float64, b NW
 		sh.Cost, sh.Geom = p.costModel.Spec(), &geom
 		sh.Probes = p.calibProbes(env)
 	}
-	return sh, nil
+	return sh
 }
 
 // MergeShards folds a complete partition of [0, Trials) back into the

@@ -178,25 +178,6 @@ func (s *Source) GaussWithin(std, bound float64, maxDraws int) (x float64, draws
 	}
 }
 
-// TruncGauss returns a sample from N(mean, std^2) conditioned on
-// |x - mean| <= bound, via rejection. It panics if bound <= 0. This models a
-// write-verified device value: the residual error after verification is a
-// truncated Gaussian within the verify tolerance.
-func (s *Source) TruncGauss(mean, std, bound float64) float64 {
-	if bound <= 0 {
-		panic("rng: TruncGauss with non-positive bound")
-	}
-	if std == 0 {
-		return mean
-	}
-	for {
-		d := std * s.Norm()
-		if math.Abs(d) <= bound {
-			return mean + d
-		}
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

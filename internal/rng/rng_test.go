@@ -90,39 +90,6 @@ func TestGauss(t *testing.T) {
 	}
 }
 
-func TestTruncGaussBound(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 10000; i++ {
-		v := s.TruncGauss(1.5, 0.1, 0.06)
-		if math.Abs(v-1.5) > 0.06 {
-			t.Fatalf("TruncGauss escaped bound: %v", v)
-		}
-	}
-}
-
-func TestTruncGaussZeroStd(t *testing.T) {
-	s := New(9)
-	if v := s.TruncGauss(2, 0, 0.06); v != 2 {
-		t.Fatalf("TruncGauss with std=0 = %v, want exact mean", v)
-	}
-}
-
-func TestTruncGaussStdShrinks(t *testing.T) {
-	// Residual std of N(0, 0.1) truncated at ±0.06 should be ~0.034 — the
-	// property the device model relies on for its post-write-verify spread.
-	s := New(13)
-	var sumsq float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := s.TruncGauss(0, 0.1, 0.06)
-		sumsq += v * v
-	}
-	std := math.Sqrt(sumsq / n)
-	if std < 0.030 || std > 0.040 {
-		t.Fatalf("truncated std = %.4f, want ~0.034", std)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	s := New(17)
 	counts := make([]int, 10)

@@ -10,10 +10,11 @@ package serve
 //
 // Progress is measured in trial-execution units: a job's trial space is
 // req.Trials × cells, where cells is the scenario × read-time × policy ×
-// sigma cross product (each cell re-runs every trial). Granules are cells in
-// standalone mode and shards under a coordinator. The feed is strictly a
-// consumer of observe-only callbacks — it can never influence trial order,
-// RNG streams, or result bytes (see mc.Observer).
+// sigma cross product (each cell runs every trial; a group trial counts
+// once per cell). Granules are req.Trials cell-trials each in standalone
+// mode and shards under a coordinator. The feed is strictly a consumer of
+// observe-only callbacks — it can never influence trial order, RNG
+// streams, or result bytes (see mc.Observer).
 
 import (
 	"encoding/json"
@@ -90,14 +91,13 @@ func (f *progressFeed) emitLocked(typ, status string) {
 	f.changed = make(chan struct{})
 }
 
-// trial credits one completed trial of a standalone job; the job's Share
-// calls it from the engine's TrialDone. It emits one progress event per
-// trial and a granule event each time a cell's trials are all in. A plain
-// count tells cells apart because a job's cells run one after another, each
-// over all of the request's trials (trialsTotal ÷ granulesTotal, from
-// newFeedFor), and the engine delivers every TrialDone of a run before the
-// run returns: no trial of the next cell can arrive before the last one of
-// the current cell.
+// trial credits one completed cell-trial of a standalone job; the job's
+// Share calls it from the engine's TrialDone, once per cell of each group
+// trial. It emits one progress event per cell-trial and a granule event
+// every trialsTotal ÷ granulesTotal (the request's trials, from
+// newFeedFor) cell-trials. A scenario's cells run as one group, each trial
+// covering all of them, so a granule frame counts that many cell-trials of
+// progress; it no longer marks one cell's completion.
 func (f *progressFeed) trial() {
 	if f == nil {
 		return

@@ -407,3 +407,34 @@ func TestSSEStandaloneTrialFrames(t *testing.T) {
 		t.Fatalf("granule frames read trials_done %v, want [5 10]", granules)
 	}
 }
+
+// A standalone job runs each scenario's cells as one group, whose trials
+// the engine reports once; the share still credits every cell's trial, so
+// swim_mc_trials_total and the progress frames read cells × trials before
+// the done event snaps anything — here 2 read times × 3 policies (random
+// setting up alone) × 3 trials.
+func TestGroupTrialsCountedPerCell(t *testing.T) {
+	s, ts := newTestServer(t, Config{TotalWorkers: 2})
+	req := testRequest(43, "")
+	req.Times, req.Policies, req.Trials = []float64{0, 3600}, []string{"noverify", "swim", "random"}, 3
+	rec, _ := submit(t, ts, req)
+	if final := await(t, ts, rec.ID); final.Status != serialize.JobDone {
+		t.Fatalf("job finished %s: %s", final.Status, final.Error)
+	}
+	if n := s.met.trials.Load(); n != 18 {
+		t.Fatalf("swim_mc_trials_total = %d, want 18", n)
+	}
+	st := openSSE(t, ts.URL, rec.ID)
+	var last serialize.ProgressEvent
+	for {
+		f := st.next(t)
+		if f.event == serialize.EventDone {
+			break
+		}
+		last = decodeEvent(t, f)
+	}
+	st.expectEOF(t)
+	if last.TrialsDone != 18 || last.TrialsTotal != 18 || last.Granule != 6 {
+		t.Fatalf("last frame before done = %+v, want 18 of 18 trials, granule 6", last)
+	}
+}

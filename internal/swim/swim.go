@@ -21,7 +21,6 @@ package swim
 
 import (
 	"math"
-	"sort"
 
 	"swim/internal/data"
 	"swim/internal/mapping"
@@ -108,17 +107,10 @@ func (s *SWIMSelector) Name() string { return "swim" }
 // FixedOrder implements FixedOrder: the ranking ignores the rng.
 func (s *SWIMSelector) FixedOrder() {}
 
-// Order implements Selector.
+// Order implements Selector: second derivative descending, then |w|
+// descending, then index ascending. The order is undefined for NaN inputs.
 func (s *SWIMSelector) Order(*rng.Source) []int {
-	idx := identityPerm(len(s.Hess))
-	sort.SliceStable(idx, func(a, b int) bool {
-		ha, hb := s.Hess[idx[a]], s.Hess[idx[b]]
-		if ha != hb {
-			return ha > hb
-		}
-		return s.Weights[idx[a]] > s.Weights[idx[b]]
-	})
-	return idx
+	return rankDescending(s.Hess, s.Weights)
 }
 
 // MagnitudeSelector ranks by |w| descending — the heuristic baseline the
@@ -138,13 +130,10 @@ func (s *MagnitudeSelector) Name() string { return "magnitude" }
 // FixedOrder implements FixedOrder: the ranking ignores the rng.
 func (s *MagnitudeSelector) FixedOrder() {}
 
-// Order implements Selector.
+// Order implements Selector: |w| descending, then index ascending. The
+// order is undefined for NaN inputs.
 func (s *MagnitudeSelector) Order(*rng.Source) []int {
-	idx := identityPerm(len(s.Weights))
-	sort.SliceStable(idx, func(a, b int) bool {
-		return s.Weights[idx[a]] > s.Weights[idx[b]]
-	})
-	return idx
+	return rankDescending(s.Weights, nil)
 }
 
 // RandomSelector write-verifies weights in a fresh random order per trial.
@@ -160,14 +149,6 @@ func (s *RandomSelector) Name() string { return "random" }
 
 // Order implements Selector.
 func (s *RandomSelector) Order(r *rng.Source) []int { return r.Perm(s.N) }
-
-func identityPerm(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
 
 // WriteVerifyToNWC write-verifies weights along order until the trial's NWC
 // meets target (or the order is exhausted), and returns the number of

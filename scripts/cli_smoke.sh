@@ -11,8 +11,8 @@
 # list, and a sweep grid program.New would refuse (swim-scenario -times,
 # swim-scenario and swim-pareto -nwcs) must be rejected the same way before
 # any workload is built: nothing on stdout, and the -state directory left
-# empty. A swim-calibrate -bits the device model refuses exits 2 with
-# nothing on stdout too.
+# empty. A swim-calibrate -bits the device model refuses, or an -n below 1,
+# exits 2 with nothing on stdout too.
 #
 # Every path exits before any workload is built, so nothing trains and the
 # script runs in seconds.
@@ -101,6 +101,15 @@ for bits in 0 -1 17 64; do
   expect_bad swim-calibrate -bits "$bits" -n 1000
   if [ -n "$("$bindir/swim-calibrate" -bits "$bits" -n 1000 2>/dev/null)" ]; then
     echo "FAIL: swim-calibrate -bits $bits printed to stdout before exiting" >&2
+    fail=1
+  fi
+done
+# Every row is a mean over -n weights, so fewer than one exits 2 too,
+# before the first row prints.
+for n in 0 -5; do
+  expect_bad swim-calibrate -n "$n"
+  if [ -n "$("$bindir/swim-calibrate" -n "$n" 2>/dev/null)" ]; then
+    echo "FAIL: swim-calibrate -n $n printed to stdout before exiting" >&2
     fail=1
   fi
 done
