@@ -44,6 +44,7 @@ import (
 	"swim/internal/rng"
 	"swim/internal/swim"
 	"swim/internal/tensor"
+	"swim/internal/train"
 )
 
 func TestMain(m *testing.M) {
@@ -274,24 +275,36 @@ func BenchmarkMCSweepWorkers(b *testing.B) {
 
 // BenchmarkGradientPass and BenchmarkHessianPass substantiate §3.3's claim
 // that the second-derivative pass "takes approximately the same amount of
-// time and memory as conventional gradient computation".
+// time and memory as conventional gradient computation". Both run through
+// caller scratch (benchPass), so CI holds them at 0 allocs/op.
 func BenchmarkGradientPass(b *testing.B) {
 	net := models.LeNet(10, 4, rng.New(1))
 	x, y := lenetBatch(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchPass(b, func(s *tensor.Arena) {
 		net.ZeroGrad()
-		net.LossGrad(x, y, false)
-	}
+		net.LossGrad(x, y, false, s)
+	})
 }
 
 func BenchmarkHessianPass(b *testing.B) {
 	net := models.LeNet(10, 4, rng.New(1))
 	x, y := lenetBatch(32)
+	benchPass(b, func(s *tensor.Arena) {
+		net.ZeroHess()
+		net.AccumulateHessian(x, y, s)
+	})
+}
+
+// benchPass times pass on scratch it resets before every run, after one
+// untimed run that grows the scratch to its size.
+func benchPass(b *testing.B, pass func(s *tensor.Arena)) {
+	s := tensor.NewArena()
+	pass(s)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroHess()
-		net.AccumulateHessian(x, y)
+		s.Reset()
+		pass(s)
 	}
 }
 
@@ -303,11 +316,10 @@ func BenchmarkHessianPass(b *testing.B) {
 func BenchmarkResNetGradientPass(b *testing.B) {
 	net := models.ResNet18(10, 8, 6, rng.New(1))
 	ds := data.CIFARLike(32, 32, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchPass(b, func(s *tensor.Arena) {
 		net.ZeroGrad()
-		net.LossGrad(ds.TrainX, ds.TrainY, true)
-	}
+		net.LossGrad(ds.TrainX, ds.TrainY, true, s)
+	})
 }
 
 // BenchmarkResNetHessianPass is the Hessian-diagonal pass on the same
@@ -318,17 +330,17 @@ func BenchmarkResNetGradientPass(b *testing.B) {
 func BenchmarkResNetHessianPass(b *testing.B) {
 	net := models.ResNet18(10, 8, 6, rng.New(1))
 	ds := data.CIFARLike(32, 32, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchPass(b, func(s *tensor.Arena) {
 		net.ZeroHess()
-		net.AccumulateHessian(ds.TrainX, ds.TrainY)
-	}
+		net.AccumulateHessian(ds.TrainX, ds.TrainY, s)
+	})
 }
 
 // BenchmarkInSituStep times one in-situ training step (batch 32) on the
 // mapped, trained LeNet: a forward and gradient pass under the programmed
 // weights plus one noisy write per mapped weight, the unit of table1's
-// insitu cells.
+// insitu cells. One untimed step grows the mapped network's arena, so the
+// timed steps allocate nothing.
 func BenchmarkInSituStep(b *testing.B) {
 	w := experiments.LeNetMNIST()
 	dm := w.DeviceFor(experiments.SigmaTypical)
@@ -338,23 +350,40 @@ func BenchmarkInSituStep(b *testing.B) {
 	}
 	cfg := swim.DefaultInSitu()
 	r := rng.New(4)
+	start := swim.InSituStep(mp, w.DS.TrainX, w.DS.TrainY, 0, cfg, r)
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := 0
 	for i := 0; i < b.N; i++ {
 		start = swim.InSituStep(mp, w.DS.TrainX, w.DS.TrainY, start, cfg, r)
 	}
 }
 
-// BenchmarkForwardLeNet measures plain inference (the unit of every accuracy
-// evaluation in the Monte-Carlo harness).
+// BenchmarkColdBuild times the cold LeNet build every run, daemon start and
+// benchmark workload pays before its first trial: experiments.LeNetMNIST at
+// its SWIM_FAST sizes, built outside the registry cache (data, three QAT
+// epochs, clean evaluation and the sensitivity pass), as
+// TestColdBuildBitsPinned in internal/nn pins it.
+func BenchmarkColdBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ds := data.MNISTLike(600, 300, 1)
+		net := models.LeNet(10, 4, rng.New(2))
+		cfg := train.DefaultConfig()
+		cfg.Epochs, cfg.LRDecayEvery, cfg.QATBits = 3, 1, 4
+		train.SGD(net, ds, cfg, rng.New(3))
+		train.Evaluate(net, ds.TestX, ds.TestY, 64)
+		cx, cy := data.Subset(ds.TrainX, ds.TrainY, 512)
+		swim.Sensitivity(net, cx, cy, 64)
+	}
+}
+
+// BenchmarkForwardLeNet measures the training-path forward pass in
+// evaluation mode, on caller scratch; accuracy measurements run compiled
+// plans instead (BenchmarkEvalPlanLeNet).
 func BenchmarkForwardLeNet(b *testing.B) {
 	net := models.LeNet(10, 4, rng.New(1))
 	x, _ := lenetBatch(32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x, false)
-	}
+	benchPass(b, func(s *tensor.Arena) { net.Forward(x, false, s) })
 }
 
 // --- compiled evaluation engine ---------------------------------------------

@@ -63,22 +63,42 @@ func main() {
 		bits         int
 		registryName string
 	)
+	switch *model {
+	case "lenet":
+		bits, registryName = 4, "lenet-mnist"
+	case "convnet":
+		bits, registryName = 6, "convnet-cifar"
+	case "resnet18":
+		bits, registryName = 6, "resnet-cifar"
+	default:
+		c.CheckFlag(fmt.Errorf("unknown model %q", *model))
+	}
+	// Every numeric flag is checked before any data is generated. Each
+	// model's task has 10 classes, and a split needs a sample of each.
+	if *trainN < 10 || *testN < 10 {
+		c.CheckFlag(fmt.Errorf("-train and -test need at least 10 samples (one per class), got %d and %d", *trainN, *testN))
+	}
+	if *epochs < 1 {
+		c.CheckFlag(fmt.Errorf("-epochs must be at least 1, got %d", *epochs))
+	}
+	if err := program.CheckNWCs([]float64{*nwc}); err != nil {
+		c.CheckFlag(fmt.Errorf("-nwc: %w", err))
+	}
+	if err := device.Default(bits, *sigma).Validate(); err != nil {
+		c.CheckFlag(fmt.Errorf("-sigma: %w", err))
+	}
+
 	r := rng.New(2)
 	switch *model {
 	case "lenet":
 		ds = data.MNISTLike(*trainN, *testN, 1)
 		net = models.LeNet(10, 4, r)
-		bits, registryName = 4, "lenet-mnist"
 	case "convnet":
 		ds = data.CIFARLike(*trainN, *testN, 11)
 		net = models.ConvNet(10, 8, 6, r)
-		bits, registryName = 6, "convnet-cifar"
 	case "resnet18":
 		ds = data.CIFARLike(*trainN, *testN, 21)
 		net = models.ResNet18(10, 8, 6, r)
-		bits, registryName = 6, "resnet-cifar"
-	default:
-		c.CheckFlag(fmt.Errorf("unknown model %q", *model))
 	}
 
 	if *load != "" {

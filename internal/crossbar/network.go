@@ -22,10 +22,10 @@ type AnalogLinear struct {
 func (a *AnalogLinear) Name() string { return a.name }
 
 // Forward implements nn.Layer as a thin wrapper over ForwardInto.
-func (a *AnalogLinear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (a *AnalogLinear) Forward(x *tensor.Tensor, _ bool, s *tensor.Arena) *tensor.Tensor {
 	out, _ := a.arr.Shape()
-	y := tensor.New(x.Shape[0], out)
-	a.ForwardInto(y, x, nil, kernel.Default())
+	y := s.Alloc(x.Shape[0], out)
+	a.ForwardInto(y, x, s, kernel.Default())
 	return y
 }
 
@@ -56,7 +56,7 @@ func (a *AnalogLinear) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ ker
 }
 
 // Backward implements nn.Layer (analog arrays are inference-only here).
-func (a *AnalogLinear) Backward(*tensor.Tensor, int) *tensor.Tensor {
+func (a *AnalogLinear) Backward(*tensor.Tensor, int, *tensor.Arena) *tensor.Tensor {
 	panic("crossbar: analog layers are inference-only")
 }
 
@@ -83,10 +83,10 @@ type AnalogConv2D struct {
 func (a *AnalogConv2D) Name() string { return a.name }
 
 // Forward implements nn.Layer as a thin wrapper over ForwardInto.
-func (a *AnalogConv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (a *AnalogConv2D) Forward(x *tensor.Tensor, _ bool, s *tensor.Arena) *tensor.Tensor {
 	g := a.geom
-	out := tensor.New(x.Shape[0], a.outC, g.OutH, g.OutW)
-	a.ForwardInto(out, x, nil, kernel.Default())
+	out := s.Alloc(x.Shape[0], a.outC, g.OutH, g.OutW)
+	a.ForwardInto(out, x, s, kernel.Default())
 	return out
 }
 
@@ -135,7 +135,7 @@ func (a *AnalogConv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, _ ker
 }
 
 // Backward implements nn.Layer.
-func (a *AnalogConv2D) Backward(*tensor.Tensor, int) *tensor.Tensor {
+func (a *AnalogConv2D) Backward(*tensor.Tensor, int, *tensor.Arena) *tensor.Tensor {
 	panic("crossbar: analog layers are inference-only")
 }
 

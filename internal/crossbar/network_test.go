@@ -8,6 +8,7 @@ import (
 	"swim/internal/eval"
 	"swim/internal/models"
 	"swim/internal/rng"
+	"swim/internal/tensor"
 	"swim/internal/train"
 )
 
@@ -73,7 +74,7 @@ func TestAnalogLayersRefuseTraining(t *testing.T) {
 		}
 	}()
 	x := data.MNISTLike(4, 4, 9).TrainX
-	analog.LossGrad(x, []int{0, 1, 2, 3}, false)
+	analog.LossGrad(x, []int{0, 1, 2, 3}, false, tensor.NewArena())
 }
 
 func TestBuildAnalogSharesNoState(t *testing.T) {
@@ -111,7 +112,7 @@ func TestAnalogPlanMatchesLegacyForward(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile(analog): %v", err)
 	}
-	want := analog.Forward(x, false)
+	want := analog.Forward(x, false, tensor.NewArena())
 	got := plan.Forward(x)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {

@@ -51,7 +51,7 @@ func TestPlanMatchesLegacyForward(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Compile: %v", err)
 				}
-				want := net.Forward(x, false)
+				want := net.Forward(x, false, tensor.NewArena())
 				got := plan.Forward(x)
 
 				if len(got.Data) != len(want.Data) {
@@ -96,7 +96,7 @@ func TestEvaluatorMatchesLegacyAccuracy(t *testing.T) {
 		}
 		sample := x.Size() / n
 		xb := tensor.FromSlice(x.Data[start*sample:end*sample], end-start, 1, 28, 28)
-		legacy += net.CountCorrect(xb, y[start:end])
+		legacy += net.CountCorrect(xb, y[start:end], tensor.NewArena())
 	}
 
 	ev := eval.NewEvaluator(net, nil)
@@ -178,7 +178,7 @@ func TestPlanWeightMutationVisible(t *testing.T) {
 		p.Data.Data[i] *= 1.5
 	}
 	after := plan.Forward(x)
-	want := net.Forward(x, false)
+	want := net.Forward(x, false, tensor.NewArena())
 	changed := false
 	for i := range want.Data {
 		if after.Data[i] != want.Data[i] {

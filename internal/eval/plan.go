@@ -76,7 +76,7 @@ type step struct {
 	operand int        // opAdd: buffer accumulated into dst
 
 	// relu marks a QuantAct's step that also runs the ReLU before it and,
-	// with pool, the 2×2 stride-2 MaxPool2D after it (see fuse).
+	// with pool, the 2×2 stride-2 MaxPool2D after it (see nn.Fuse).
 	relu bool
 	pool bool
 }
@@ -193,7 +193,7 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 		for i := 0; i < len(v.Layers); i++ {
 			var next int
 			var err error
-			if n := fuse(v.Layers[i:]); n > 0 {
+			if n := nn.Fuse(v.Layers[i:]); n > 0 {
 				next, err = p.compileFused(v.Layers[i:i+n], cur, curShape)
 				i += n - 1
 			} else {
@@ -240,28 +240,7 @@ func (p *Plan) compile(l nn.Layer, src int, srcShape []int) (int, error) {
 	}
 }
 
-// fuse returns how many leading layers of a Sequential's ls one step runs:
-// 3 for ReLU → QuantAct → a 2×2 stride-2 MaxPool2D, 2 for ReLU → QuantAct,
-// else 0.
-func fuse(ls []nn.Layer) int {
-	if len(ls) < 2 {
-		return 0
-	}
-	if _, ok := ls[0].(*nn.ReLU); !ok {
-		return 0
-	}
-	if _, ok := ls[1].(*nn.QuantAct); !ok {
-		return 0
-	}
-	if len(ls) > 2 {
-		if mp, ok := ls[2].(*nn.MaxPool2D); ok && mp.K == 2 && mp.Stride == 2 {
-			return 3
-		}
-	}
-	return 2
-}
-
-// compileFused compiles the layers fuse picked as one step of the
+// compileFused compiles the layers nn.Fuse picked as one step of the
 // QuantAct's, which runs nn.QuantAct.ForwardReLUInto.
 func (p *Plan) compileFused(ls []nn.Layer, src int, srcShape []int) (int, error) {
 	shape, names := srcShape, make([]string, len(ls))

@@ -15,6 +15,7 @@ import (
 	"swim/internal/rng"
 	"swim/internal/stat"
 	"swim/internal/swim"
+	"swim/internal/tensor"
 )
 
 // pointCell runs one policy at a single write budget through the pipeline
@@ -349,9 +350,11 @@ func HessianQuality(w *Workload, sample int, seed uint64) float64 {
 	loc := mapping.NewLocator(params)
 	evalX, evalY := data.Subset(w.DS.TrainX, w.DS.TrainY, 256)
 
+	scratch := tensor.NewArena()
 	net.ZeroHess()
 	for _, b := range data.Batches(evalX, evalY, 64) {
-		net.AccumulateHessian(b.X, b.Y)
+		scratch.Reset()
+		net.AccumulateHessian(b.X, b.Y, scratch)
 	}
 	var hess []float64
 	for _, p := range params {
@@ -361,7 +364,8 @@ func HessianQuality(w *Workload, sample int, seed uint64) float64 {
 	lossAt := func() float64 {
 		total, batches := 0.0, 0
 		for _, b := range data.Batches(evalX, evalY, 64) {
-			total += net.EvalLoss(b.X, b.Y)
+			scratch.Reset()
+			total += net.EvalLoss(b.X, b.Y, scratch)
 			batches++
 		}
 		return total / float64(batches)

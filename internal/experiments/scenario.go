@@ -152,22 +152,18 @@ func (cfg ScenarioConfig) normalized() ScenarioConfig {
 	return cfg
 }
 
-// CheckGrid checks a sweep's grid axes: NWC targets non-negative and
-// non-decreasing (each trial spends them cumulatively on one device
-// instance), read times non-negative, every policy registered. program.New
-// checks each cell again, but only once the workload is built; the CLIs
-// call this before they train and the daemon before it accepts a request.
+// CheckGrid checks a sweep's grid axes: NWC targets by program.CheckNWCs
+// (finite, non-negative, non-decreasing), read times by
+// program.CheckReadTime (non-negative, not NaN), every policy registered. program.New checks each cell again, but only once the
+// workload is built; the CLIs call this before they train and the daemon
+// before it accepts a request.
 func CheckGrid(nwcs, times []float64, policies []string) error {
-	prev := 0.0
-	for _, nwc := range nwcs {
-		if nwc < 0 || nwc < prev {
-			return fmt.Errorf("nwcs must be non-negative and non-decreasing, got %v", nwcs)
-		}
-		prev = nwc
+	if err := program.CheckNWCs(nwcs); err != nil {
+		return fmt.Errorf("nwcs %v: %w", nwcs, err)
 	}
 	for _, t := range times {
-		if t < 0 {
-			return fmt.Errorf("read times must be non-negative, got %v", times)
+		if err := program.CheckReadTime(t); err != nil {
+			return fmt.Errorf("read times %v: %w", times, err)
 		}
 	}
 	for _, name := range policies {

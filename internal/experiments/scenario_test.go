@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -103,5 +104,38 @@ func TestSweepConfigScenario(t *testing.T) {
 	}
 	if degraded[0].Mean >= clean[0].Mean {
 		t.Fatalf("config scenario had no effect: %v >= %v", degraded[0].Mean, clean[0].Mean)
+	}
+}
+
+// TestCheckGrid pins the early grid check the CLIs and the daemon run
+// before any workload is built: NWC targets by program's rule (finite,
+// non-negative, non-decreasing; a NaN must not let a decreasing grid
+// through), read times by program's rule (non-negative, not NaN), policies
+// registered.
+func TestCheckGrid(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name     string
+		nwcs     []float64
+		times    []float64
+		policies []string
+		ok       bool
+	}{
+		{"empty", nil, nil, nil, true},
+		{"grid", []float64{0, 0.1, 0.1, 2}, []float64{0, 1e6}, []string{"swim", "insitu"}, true},
+		{"negative target", []float64{-0.1}, nil, nil, false},
+		{"decreasing", []float64{0.3, 0.1}, nil, nil, false},
+		{"NaN", []float64{nan}, nil, nil, false},
+		{"NaN then decreasing", []float64{0.5, nan, 0.1}, nil, nil, false},
+		{"+Inf", []float64{0.1, inf}, nil, nil, false},
+		{"-Inf", []float64{-inf}, nil, nil, false},
+		{"negative read time", []float64{0.1}, []float64{-5}, nil, false},
+		{"NaN read time", []float64{0.1}, []float64{0, nan}, nil, false},
+		{"unknown policy", []float64{0.1}, nil, []string{"swim", "nosuch"}, false},
+	} {
+		err := CheckGrid(tc.nwcs, tc.times, tc.policies)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: CheckGrid(%v, %v, %v) = %v, want ok=%v", tc.name, tc.nwcs, tc.times, tc.policies, err, tc.ok)
+		}
 	}
 }

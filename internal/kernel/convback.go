@@ -22,9 +22,10 @@ const convBackDenseAbove = 0.75
 // and, when dIn is non-nil, overwrites dIn ([B, inC, inH, inW]) with the
 // input derivative, given the forward input x, the weights w and the output
 // derivative d ([B, outC, outH, outW]). squared runs every product on
-// squared inputs and weights, the order-2 pass of a diagonal Hessian. cols
-// ([inC·kh·kw, outH·outW]) is the dense products' im2col workspace; nil
-// allocates one if a sample needs it.
+// squared inputs and weights, the order-2 pass of a diagonal Hessian.
+// Every workspace, the dense products' im2col matrix included, is carved
+// from s, which the caller owns and resets; nothing is allocated once s
+// has grown to the pass's size.
 //
 // The result is bit for bit that of the dense per-sample lowering: im2col,
 // dW += d·colsᵀ (MatMulTransB, accumulate), dB += the spatial sums of d,
@@ -49,15 +50,13 @@ const convBackDenseAbove = 0.75
 // contract makes for backends. The walk is a plain function and not a
 // Backend method, so wrappers of the Backend interface keep their method
 // set; like every backend it answers for finite inputs only.
-func ConvBackward(g tensor.Conv2DGeom, outC int, dIn, dW *tensor.Tensor, dB []float64, x, w, d, cols *tensor.Tensor, squared bool) {
+func ConvBackward(g tensor.Conv2DGeom, outC int, dIn, dW *tensor.Tensor, dB []float64, x, w, d *tensor.Tensor, s *tensor.Arena, squared bool) {
 	conv2DCheck(g, outC, d, x, w, dB)
 	if !dW.SameShape(w) || dIn != nil && !dIn.SameShape(x) {
 		panic("kernel: ConvBackward derivative shape mismatch")
 	}
-	if cols != nil && (len(cols.Shape) != 2 || cols.Shape[0] != g.ColRows() || cols.Shape[1] != g.ColCols()) {
-		panic("kernel: ConvBackward workspace shape mismatch")
-	}
-	cb := newConvBack(g, outC, w.Data, cols, squared)
+	var cb convBack
+	cb.init(g, outC, w.Data, s, squared)
 	sampleIn := g.InC * g.InH * g.InW
 	sampleOut := outC * cb.nc
 	for bi := 0; bi < x.Shape[0]; bi++ {
@@ -69,10 +68,12 @@ func ConvBackward(g tensor.Conv2DGeom, outC int, dIn, dW *tensor.Tensor, dB []fl
 	}
 }
 
-// convBack holds one ConvBackward call's geometry tables and scratch. The
-// walk's padded buffers are allocated by the first sample that takes the
-// walk, the dense products' by the first that does not.
+// convBack holds one ConvBackward call's geometry tables and scratch, all
+// carved from the call's arena. The walk's padded buffers are carved by the
+// first sample that takes the walk, the dense products' by the first that
+// does not.
 type convBack struct {
+	s            *tensor.Arena
 	g            tensor.Conv2DGeom
 	outC, kr, nc int
 	squared      bool
@@ -97,21 +98,20 @@ type convBack struct {
 	cols, colD *tensor.Tensor // dense products' workspace
 }
 
-func newConvBack(g tensor.Conv2DGeom, outC int, w []float64, cols *tensor.Tensor, squared bool) *convBack {
+func (cb *convBack) init(g tensor.Conv2DGeom, outC int, w []float64, s *tensor.Arena, squared bool) {
 	kr, nc := g.ColRows(), g.ColCols()
 	hp, wp := g.InH+2*g.Pad, g.InW+2*g.Pad
-	cb := &convBack{
-		g: g, outC: outC, kr: kr, nc: nc, squared: squared, w: w,
+	*cb = convBack{
+		s: s, g: g, outC: outC, kr: kr, nc: nc, squared: squared, w: w,
 		hp: hp, wp: wp,
-		base:  make([]int, 0, kr),
-		pix:   make([]int, 0, nc),
-		val:   make([]float64, outC*nc),
-		off:   make([]int, outC*nc),
-		start: make([]int, outC+1),
-		cols:  cols,
+		base:  s.AllocInts(kr)[:0],
+		pix:   s.AllocInts(nc)[:0],
+		val:   s.AllocFloats(outC * nc),
+		off:   s.AllocInts(outC * nc),
+		start: s.AllocInts(outC + 1),
 	}
 	if squared {
-		cb.w = make([]float64, len(w))
+		cb.w = s.AllocFloats(len(w))
 		for i, v := range w {
 			cb.w[i] = v * v
 		}
@@ -128,7 +128,6 @@ func newConvBack(g tensor.Conv2DGeom, outC int, w []float64, cols *tensor.Tensor
 			cb.pix = append(cb.pix, oi*g.Stride*wp+oj*g.Stride)
 		}
 	}
-	return cb
 }
 
 // sample runs one sample's backward pass; din is nil when the input
@@ -171,11 +170,12 @@ func (cb *convBack) gather(ds []float64) int {
 }
 
 // pad copies the input sample (squared when squared) into the interior of
-// the zero-padded sample xp; the border stays zero from allocation.
+// the zero-padded sample xp; the border stays zero from its first use.
 func (cb *convBack) pad(xs []float64) {
 	g := cb.g
 	if cb.xp == nil {
-		cb.xp = make([]float64, g.InC*cb.hp*cb.wp)
+		cb.xp = cb.s.AllocFloats(g.InC * cb.hp * cb.wp)
+		clear(cb.xp)
 	}
 	for c := 0; c < g.InC; c++ {
 		for ii := 0; ii < g.InH; ii++ {
@@ -235,8 +235,8 @@ func (cb *convBack) weightGrad(dW []float64) {
 // derivative gp, whose interior is then copied out.
 func (cb *convBack) inputGrad(din, ds []float64) {
 	if cb.gp == nil {
-		cb.gp = make([]float64, len(cb.xp))
-		cb.chans, cb.cv = make([]int, cb.outC), make([]float64, cb.outC)
+		cb.gp = cb.s.AllocFloats(len(cb.xp))
+		cb.chans, cb.cv = cb.s.AllocInts(cb.outC), cb.s.AllocFloats(cb.outC)
 	}
 	g, kr, nc, w, base, gp := cb.g, cb.kr, cb.nc, cb.w, cb.base, cb.gp
 	clear(gp)
@@ -290,7 +290,7 @@ func (cb *convBack) inputGrad(din, ds []float64) {
 func (cb *convBack) dense(dW, din, xs, ds []float64) {
 	kr, nc := cb.kr, cb.nc
 	if cb.cols == nil {
-		cb.cols = tensor.New(kr, nc)
+		cb.cols = cb.s.Alloc(kr, nc)
 	}
 	cb.g.Im2ColInto(cb.cols, xs)
 	if cb.squared {
@@ -305,7 +305,7 @@ func (cb *convBack) dense(dW, din, xs, ds []float64) {
 		return
 	}
 	if cb.colD == nil {
-		cb.colD = tensor.New(kr, nc)
+		cb.colD = cb.s.Alloc(kr, nc)
 	}
 	for p := 0; p < kr; p++ {
 		matMulTransARowBlocked(cb.colD.Data[p*nc:(p+1)*nc], cb.w, p, kr, ds, cb.outC, nc, false)

@@ -146,8 +146,8 @@ func TestConvBackwardMatchesDenseLowering(t *testing.T) {
 				}
 
 				referenceConvBackward(g, s.outC, wantIn, wantW, wantB, x, w, d, squared)
-				ConvBackward(g, s.outC, gotIn, gotW, gotB, x, w, d, nil, squared)
-				ConvBackward(g, s.outC, nil, skipW, skipB, x, w, d, tensor.New(g.ColRows(), g.ColCols()), squared)
+				ConvBackward(g, s.outC, gotIn, gotW, gotB, x, w, d, dirtyArena(), squared)
+				ConvBackward(g, s.outC, nil, skipW, skipB, x, w, d, dirtyArena(), squared)
 
 				for _, c := range []struct {
 					what      string
@@ -177,15 +177,14 @@ func TestConvBackwardPanicsOnShapeMismatch(t *testing.T) {
 	x, w := tensor.New(1, 2, 5, 5), tensor.New(3, g.ColRows())
 	d := tensor.New(1, 3, g.OutH, g.OutW)
 	for name, f := range map[string]func(){
-		"dW": func() { ConvBackward(g, 3, nil, tensor.New(3, 1), make([]float64, 3), x, w, d, nil, false) },
+		"dW": func() {
+			ConvBackward(g, 3, nil, tensor.New(3, 1), make([]float64, 3), x, w, d, tensor.NewArena(), false)
+		},
 		"dIn": func() {
-			ConvBackward(g, 3, tensor.New(1, 2, 5, 4), tensor.New(w.Shape...), make([]float64, 3), x, w, d, nil, false)
+			ConvBackward(g, 3, tensor.New(1, 2, 5, 4), tensor.New(w.Shape...), make([]float64, 3), x, w, d, tensor.NewArena(), false)
 		},
 		"d": func() {
-			ConvBackward(g, 3, nil, tensor.New(w.Shape...), make([]float64, 3), x, w, tensor.New(1, 3, 4, 4), nil, false)
-		},
-		"cols": func() {
-			ConvBackward(g, 3, nil, tensor.New(w.Shape...), make([]float64, 3), x, w, d, tensor.New(g.ColCols(), g.ColRows()), false)
+			ConvBackward(g, 3, nil, tensor.New(w.Shape...), make([]float64, 3), x, w, tensor.New(1, 3, 4, 4), tensor.NewArena(), false)
 		},
 	} {
 		func() {
@@ -197,4 +196,17 @@ func TestConvBackwardPanicsOnShapeMismatch(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// dirtyArena returns an arena whose scratch, float and int, holds NaNs and
+// garbage indices: ConvBackward must define every workspace element it
+// reads.
+func dirtyArena() *tensor.Arena {
+	a := tensor.NewArena()
+	fs, is := a.AllocFloats(1<<17), a.AllocInts(1<<17)
+	for i := range fs {
+		fs[i], is[i] = math.NaN(), -1<<40
+	}
+	a.Reset()
+	return a
 }

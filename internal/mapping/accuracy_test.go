@@ -128,7 +128,7 @@ func TestAccuracyRebindsOnNewSet(t *testing.T) {
 	// predicted returns the network's own top-1 labels for x, in a new
 	// array: measured against them, accuracy is 100%.
 	predicted := func(x *tensor.Tensor) []int {
-		logits := mp.Net.Forward(x, false)
+		logits := mp.Net.Forward(x, false, tensor.NewArena())
 		classes := logits.Shape[1]
 		labels := make([]int, logits.Shape[0])
 		for s := range labels {

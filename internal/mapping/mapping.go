@@ -500,11 +500,24 @@ func (mp *Mapped) recalibrate() {
 }
 
 // SetEvalArena shares an arena with the compiled evaluation engine — its
-// scratch and its binding's checkpoints — so successive trials handled by
-// the same Monte-Carlo worker reuse one arena instead of growing a fresh
-// one each. Call it before the first Accuracy measurement; the arena must
-// not be used concurrently.
+// scratch and its binding's checkpoints — and with the in-situ training
+// steps run on mp (Arena), so successive trials handled by the same
+// Monte-Carlo worker reuse one arena instead of growing a fresh one each.
+// Call it before the first Accuracy measurement or training step; the
+// arena must not be used concurrently.
 func (mp *Mapped) SetEvalArena(a *tensor.Arena) { mp.evalArena = a }
+
+// Arena returns the arena SetEvalArena shared, or one made on first use.
+// Accuracy's compiled plans carve their per-pass scratch from it, and a
+// training pass on mp.Net between measurements (swim.InSituStep) may reset
+// it and carve its buffers from that same scratch; the binding's
+// checkpoints live in its kept region, which Reset leaves alone.
+func (mp *Mapped) Arena() *tensor.Arena {
+	if mp.evalArena == nil {
+		mp.evalArena = tensor.NewArena()
+	}
+	return mp.evalArena
+}
 
 // SetKernel selects the kernel backend the compiled evaluation plans route
 // their dense primitives through (nil keeps kernel.Default()). Pipelines
@@ -527,7 +540,7 @@ func (mp *Mapped) SetKernel(k kernel.Backend) { mp.evalKern = k }
 func (mp *Mapped) Accuracy(x *tensor.Tensor, y []int, batch int) float64 {
 	mp.SyncRead()
 	if mp.ev == nil {
-		mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.evalArena, mp.evalKern)
+		mp.ev = eval.NewEvaluatorKernel(mp.Net, mp.Arena(), mp.evalKern)
 	}
 	if mp.bound == nil || !mp.bound.On(x, y, batch) {
 		b, err := mp.ev.Bind(x, y, batch)

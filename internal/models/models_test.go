@@ -18,7 +18,7 @@ func randBatch(r *rng.Source, shape ...int) *tensor.Tensor {
 func TestLeNetShapesAndSize(t *testing.T) {
 	r := rng.New(1)
 	net := LeNet(10, 4, r)
-	out := net.Forward(randBatch(r, 2, 1, 28, 28), false)
+	out := net.Forward(randBatch(r, 2, 1, 28, 28), false, tensor.NewArena())
 	if out.Shape[0] != 2 || out.Shape[1] != 10 {
 		t.Fatalf("lenet output shape %v", out.Shape)
 	}
@@ -31,7 +31,7 @@ func TestLeNetShapesAndSize(t *testing.T) {
 func TestConvNetShapes(t *testing.T) {
 	r := rng.New(2)
 	net := ConvNet(10, 4, 6, r)
-	out := net.Forward(randBatch(r, 2, 3, 32, 32), false)
+	out := net.Forward(randBatch(r, 2, 3, 32, 32), false, tensor.NewArena())
 	if out.Shape[0] != 2 || out.Shape[1] != 10 {
 		t.Fatalf("convnet output shape %v", out.Shape)
 	}
@@ -40,7 +40,7 @@ func TestConvNetShapes(t *testing.T) {
 func TestResNet18ShapesAndBlocks(t *testing.T) {
 	r := rng.New(3)
 	net := ResNet18(40, 4, 6, r)
-	out := net.Forward(randBatch(r, 2, 3, 32, 32), false)
+	out := net.Forward(randBatch(r, 2, 3, 32, 32), false, tensor.NewArena())
 	if out.Shape[0] != 2 || out.Shape[1] != 40 {
 		t.Fatalf("resnet output shape %v", out.Shape)
 	}
@@ -67,11 +67,11 @@ func TestLeNetFullPasses(t *testing.T) {
 	net := LeNet(10, 4, rng.New(6))
 	x := randBatch(r, 2, 1, 28, 28)
 	net.ZeroGrad()
-	if loss := net.LossGrad(x, []int{0, 1}, true); loss <= 0 {
+	if loss := net.LossGrad(x, []int{0, 1}, true, tensor.NewArena()); loss <= 0 {
 		t.Fatalf("lenet loss = %v", loss)
 	}
 	net.ZeroHess()
-	net.AccumulateHessian(x, []int{0, 1})
+	net.AccumulateHessian(x, []int{0, 1}, tensor.NewArena())
 }
 
 func TestConvNetAndResNetFullPasses(t *testing.T) {
@@ -79,15 +79,15 @@ func TestConvNetAndResNetFullPasses(t *testing.T) {
 	cn := ConvNet(10, 4, 6, rng.New(8))
 	x := randBatch(r, 2, 3, 32, 32)
 	cn.ZeroGrad()
-	cn.LossGrad(x, []int{0, 1}, true)
+	cn.LossGrad(x, []int{0, 1}, true, tensor.NewArena())
 	cn.ZeroHess()
-	cn.AccumulateHessian(x, []int{0, 1})
+	cn.AccumulateHessian(x, []int{0, 1}, tensor.NewArena())
 
 	rn := ResNet18(10, 4, 6, rng.New(9))
 	rn.ZeroGrad()
-	rn.LossGrad(x, []int{0, 1}, true)
+	rn.LossGrad(x, []int{0, 1}, true, tensor.NewArena())
 	rn.ZeroHess()
-	rn.AccumulateHessian(x, []int{0, 1})
+	rn.AccumulateHessian(x, []int{0, 1}, tensor.NewArena())
 	for _, p := range rn.Params() {
 		for _, v := range p.Hess.Data {
 			if v < 0 {

@@ -9,9 +9,10 @@ import (
 
 // ReLU is the rectified linear activation. Per the paper's Eq. 10 the second
 // derivative passes through the same 0/1 mask as the gradient (g′ ∈ {0,1},
-// so g′² = g′, and g″ = 0): Backward is the same at both orders.
+// so g′² = g′, and g″ = 0): Backward is the same at both orders. It reads
+// the mask off the input Forward kept instead of storing one.
 type ReLU struct {
-	mask []bool
+	x *tensor.Tensor // Forward's input, in the caller's scratch
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -21,27 +22,17 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Name() string { return "relu" }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
+func (r *ReLU) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
+	r.x = x
+	out := a.Alloc(x.Shape...)
+	r.ForwardInto(out, x, a, nil)
 	return out
 }
 
 // OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 
-// ForwardInto implements Layer (no mask bookkeeping — inference only).
+// ForwardInto implements Layer.
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Backend) {
 	for i, v := range x.Data {
 		if v > 0 {
@@ -52,16 +43,21 @@ func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.Back
 	}
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
-	dIn := dOut.Clone()
-	for i := range dIn.Data {
-		if !r.mask[i] {
+// Backward implements Layer: dOut where Forward's input was positive, +0
+// elsewhere.
+func (r *ReLU) Backward(dOut *tensor.Tensor, _ int, a *tensor.Arena) *tensor.Tensor {
+	dIn := a.Alloc(dOut.Shape...)
+	for i, v := range r.x.Data {
+		if v > 0 {
+			dIn.Data[i] = dOut.Data[i]
+		} else {
 			dIn.Data[i] = 0
 		}
 	}
 	return dIn
 }
+
+func (r *ReLU) drop() { r.x = nil }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
@@ -75,6 +71,11 @@ func (r *ReLU) Clone() Layer { return &ReLU{} }
 // Backward applies the same in-range mask at both orders (g″ = 0 almost
 // everywhere). This reproduces the paper's setting where "both the weights
 // and activation are quantized".
+//
+// A QuantAct also runs the ReLU before it and a 2×2 stride-2 MaxPool2D
+// after it as one step, when a Sequential's layers form that chain (Fuse):
+// forwardChain in training, ForwardReLUInto in evaluation plans. Its
+// Backward then runs the chain's backward pass.
 type QuantAct struct {
 	name string
 	Bits int
@@ -88,7 +89,16 @@ type QuantAct struct {
 	// quantizers on a cloned network.
 	Disabled bool
 
-	inRange []bool
+	// What Forward leaves for Backward. x is its input (a fused chain's
+	// ReLU input when relu is set), in the caller's scratch; an element
+	// passes the derivative when inRange(x) holds, which reads the range
+	// Forward quantized with. argmax, for a pooled chain, holds the input
+	// index feeding each output, or -1 where that element fails inRange.
+	x      *tensor.Tensor
+	relu   bool
+	pass   bool    // every element is in range: disabled or a zero step
+	max    float64 // Max as Forward used it
+	argmax []int
 }
 
 // NewQuantAct builds an activation quantizer with an initial range estimate.
@@ -102,39 +112,87 @@ func (q *QuantAct) Levels() int { return (1 << q.Bits) - 1 }
 // Name implements Layer.
 func (q *QuantAct) Name() string { return q.name }
 
-// Forward implements Layer.
-func (q *QuantAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if q.Disabled {
-		if cap(q.inRange) < len(x.Data) {
-			q.inRange = make([]bool, len(x.Data))
-		}
-		q.inRange = q.inRange[:len(x.Data)]
-		for i := range q.inRange {
-			q.inRange[i] = true
-		}
+// Forward implements Layer. A pass-through (Disabled, or Max = 0) returns
+// x itself.
+func (q *QuantAct) Forward(x *tensor.Tensor, train bool, a *tensor.Arena) *tensor.Tensor {
+	q.calibrate(x, train, false)
+	step, quant := q.record(x, false)
+	if !quant {
 		return x
 	}
-	if train && q.Calibrate {
-		if m := x.AbsMax(); m > q.Max {
-			q.Max = m
-		}
-	}
-	out := x.Clone()
-	if cap(q.inRange) < len(out.Data) {
-		q.inRange = make([]bool, len(out.Data))
-	}
-	q.inRange = q.inRange[:len(out.Data)]
-	step := q.Max / float64(q.Levels())
-	if step == 0 {
-		for i := range q.inRange {
-			q.inRange[i] = true
-		}
-		return out
-	}
-	for i, v := range out.Data {
-		q.inRange[i] = v >= 0 && v <= q.Max
+	out := a.Alloc(x.Shape...)
+	for i, v := range x.Data {
 		out.Data[i] = q.level(v, step)
 	}
+	return out
+}
+
+// calibrate widens Max to the largest magnitude of the quantizer's input
+// while training: x's, or with relu the ReLU output of x, whose largest
+// magnitude is x's largest value above 0.
+func (q *QuantAct) calibrate(x *tensor.Tensor, train, relu bool) {
+	if !train || !q.Calibrate || q.Disabled {
+		return
+	}
+	m := 0.0
+	if relu {
+		for _, v := range x.Data {
+			if v > m {
+				m = v
+			}
+		}
+	} else {
+		m = x.AbsMax()
+	}
+	if m > q.Max {
+		q.Max = m
+	}
+}
+
+// stepOf returns the quantizer's step, Max/Levels, and whether it
+// quantizes at all (not Disabled, a nonzero step).
+func (q *QuantAct) stepOf() (step float64, quant bool) {
+	if q.Disabled {
+		return 0, false
+	}
+	step = q.Max / float64(q.Levels())
+	return step, step != 0
+}
+
+// record notes, for Backward, a Forward on x (relu: a chain's, whose x is
+// the ReLU input) at the current Max, and returns stepOf.
+func (q *QuantAct) record(x *tensor.Tensor, relu bool) (step float64, quant bool) {
+	step, quant = q.stepOf()
+	q.x, q.relu, q.pass, q.max, q.argmax = x, relu, !quant, q.Max, nil
+	return step, quant
+}
+
+// inRange reports whether an element whose recorded input is v passes the
+// derivative: the straight-through estimator's range test, after ReLU's
+// positive test in a chain.
+func (q *QuantAct) inRange(v float64) bool {
+	if q.relu && !(v > 0) {
+		return false
+	}
+	return q.pass || v >= 0 && v <= q.max
+}
+
+// forwardChain is the training Forward of the chain ReLU → q (→ with pool,
+// a 2×2 stride-2 MaxPool2D) on x, the ReLU's input, with the chain's bits:
+// it calibrates Max first, then runs ForwardReLUInto's arithmetic and, with
+// pool, records each window's argmax (poolArgmax).
+func (q *QuantAct) forwardChain(x *tensor.Tensor, train, pool bool, a *tensor.Arena) *tensor.Tensor {
+	q.calibrate(x, train, true)
+	step, quant := q.record(x, true)
+	if !pool {
+		out := a.Alloc(x.Shape...)
+		q.ForwardReLUInto(out, x, false)
+		return out
+	}
+	checkBatched(x, 4, q.name)
+	out := a.Alloc(x.Shape[0], x.Shape[1], poolOut(x.Shape[2], 2, 2), poolOut(x.Shape[3], 2, 2))
+	q.argmax = a.AllocInts(len(out.Data))
+	q.poolArgmax(out, x, q.argmax, step, quant)
 	return out
 }
 
@@ -188,11 +246,7 @@ func (q *QuantAct) level(v, step float64) float64 {
 // does every window when the quantizer is not monotone at all (a NaN,
 // infinite or negative step).
 func (q *QuantAct) ForwardReLUInto(dst, x *tensor.Tensor, pool bool) {
-	quant, step := false, 0.0
-	if !q.Disabled {
-		step = q.Max / float64(q.Levels())
-		quant = step != 0
-	}
+	step, quant := q.stepOf()
 	if !pool {
 		z := q.reluLevel(0, quant, step) // every v ≤ 0, and NaN, maps to z
 		for i, v := range x.Data {
@@ -207,19 +261,7 @@ func (q *QuantAct) ForwardReLUInto(dst, x *tensor.Tensor, pool bool) {
 		}
 		return
 	}
-	// A window's max is taken over the int64 bit patterns of its elements,
-	// starting from +0's. Negatives and −0 have the sign bit set, so they
-	// drop out as ReLU zeroes them; the rest order as their values do, with
-	// a NaN above +Inf. A window whose max exceeds lim runs the chain: lim
-	// is +Inf for a pass-through, Max for a quantizer with a positive
-	// finite step, and below +0 (every window) for any other.
-	lim := int64(math.Float64bits(math.Inf(1)))
-	if quant {
-		lim = -1
-		if step > 0 && step <= math.MaxFloat64 {
-			lim = int64(math.Float64bits(q.Max))
-		}
-	}
+	lim := q.poolLimit(step, quant)
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	o := 0
 	for p := 0; p < b*c; p++ {
@@ -236,6 +278,68 @@ func (q *QuantAct) ForwardReLUInto(dst, x *tensor.Tensor, pool bool) {
 					dst.Data[o] = q.level(v, step)
 				default:
 					dst.Data[o] = v
+				}
+				o++
+			}
+		}
+	}
+}
+
+// poolLimit is the pooled step's shortcut bound. A window's max is taken
+// over the int64 bit patterns of its elements, starting from +0's.
+// Negatives and −0 have the sign bit set, so they drop out as ReLU zeroes
+// them; the rest order as their values do, with a NaN above +Inf. A window
+// whose max exceeds the bound runs the chain: the bound is +Inf for a
+// pass-through, Max for a quantizer with a positive finite step, and below
+// +0 (every window) for any other.
+func (q *QuantAct) poolLimit(step float64, quant bool) int64 {
+	switch {
+	case !quant:
+		return int64(math.Float64bits(math.Inf(1)))
+	case step > 0 && step <= math.MaxFloat64:
+		return int64(math.Float64bits(q.Max))
+	}
+	return -1
+}
+
+// poolArgmax is ForwardReLUInto's pooled step for a training pass, with
+// its arithmetic, which also records for each window the flat index in x
+// of the element MaxPool2D would pick: the first, in its scan order, whose
+// chain value equals the window's. That need not be the raw maximum, since
+// quantization ties values that differ. The index is -1 when that element
+// fails inRange.
+func (q *QuantAct) poolArgmax(dst, x *tensor.Tensor, argmax []int, step float64, quant bool) {
+	lim := q.poolLimit(step, quant)
+	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	xs := x.Data
+	o := 0
+	for p := 0; p < b*c; p++ {
+		for i := p * h * w; i+w < (p+1)*h*w; i += 2 * w {
+			for k := i; k+1 < i+w; k += 2 {
+				win := [4]int{k, k + 1, k + w, k + w + 1}
+				m := max(0, int64(math.Float64bits(xs[k])), int64(math.Float64bits(xs[k+1])),
+					int64(math.Float64bits(xs[k+w])), int64(math.Float64bits(xs[k+w+1])))
+				raw := math.Float64frombits(uint64(m))
+				var best float64
+				switch {
+				case m > lim:
+					best = q.chainMax(quant, step, xs[k], xs[k+1], xs[k+w], xs[k+w+1])
+					raw = math.NaN()
+				case quant:
+					best = q.level(raw, step)
+				default:
+					best = raw
+				}
+				dst.Data[o], argmax[o] = best, -1
+				for _, e := range win {
+					// Off the chain path, the largest ReLU output holds the
+					// window's value: no need to quantize it again.
+					if v := xs[e]; v == raw || q.reluLevel(v, quant, step) == best {
+						if q.inRange(v) {
+							argmax[o] = e
+						}
+						break
+					}
 				}
 				o++
 			}
@@ -266,16 +370,32 @@ func (q *QuantAct) chainMax(quant bool, step float64, window ...float64) float64
 	return best
 }
 
-// Backward implements Layer.
-func (q *QuantAct) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
-	dIn := dOut.Clone()
-	for i := range dIn.Data {
-		if !q.inRange[i] {
-			dIn.Data[i] = 0
+// Backward implements Layer, for q alone or for the chain its Forward
+// ran: dOut where the recorded input passes inRange, +0 elsewhere; for a
+// pooled chain each output's dOut added to a +0 at its argmax, as
+// MaxPool2D routes it, and +0 everywhere else.
+func (q *QuantAct) Backward(dOut *tensor.Tensor, _ int, a *tensor.Arena) *tensor.Tensor {
+	dIn := a.Alloc(q.x.Shape...)
+	if q.argmax == nil {
+		for i, v := range q.x.Data {
+			if q.inRange(v) {
+				dIn.Data[i] = dOut.Data[i]
+			} else {
+				dIn.Data[i] = 0
+			}
+		}
+		return dIn
+	}
+	clear(dIn.Data)
+	for o, k := range q.argmax {
+		if k >= 0 {
+			dIn.Data[k] += dOut.Data[o]
 		}
 	}
 	return dIn
 }
+
+func (q *QuantAct) drop() { q.x, q.argmax = nil, nil }
 
 // Params implements Layer.
 func (q *QuantAct) Params() []*Param { return nil }

@@ -32,11 +32,10 @@ type BatchNorm2D struct {
 	RunMean     *tensor.Tensor
 	RunVar      *tensor.Tensor
 
-	// caches from Forward
+	// What Forward leaves for Backward, in the caller's scratch.
 	trainMode bool
-	xhat      *tensor.Tensor // normalized input
+	xhat      *tensor.Tensor // normalized input, in the input's shape
 	invStd    []float64      // per-channel 1/sqrt(var+eps) actually used
-	inShape   []int
 }
 
 // NewBatchNorm2D builds a batch-norm layer for c channels.
@@ -55,19 +54,18 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 func (bn *BatchNorm2D) Name() string { return bn.name }
 
 // Forward implements Layer.
-func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool, a *tensor.Arena) *tensor.Tensor {
 	checkBatched(x, 4, bn.name)
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != bn.C {
 		panic("nn: BatchNorm2D channel mismatch")
 	}
 	bn.trainMode = train
-	bn.inShape = append(bn.inShape[:0], x.Shape...)
 	hw := h * w
 	n := float64(b * hw)
 
-	mean := make([]float64, c)
-	variance := make([]float64, c)
+	mean := a.AllocFloats(c)
+	variance := a.AllocFloats(c)
 	if train {
 		for ci := 0; ci < c; ci++ {
 			s := 0.0
@@ -97,15 +95,13 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		copy(variance, bn.RunVar.Data)
 	}
 
-	if bn.invStd == nil || len(bn.invStd) != c {
-		bn.invStd = make([]float64, c)
-	}
+	bn.invStd = a.AllocFloats(c)
 	for ci := 0; ci < c; ci++ {
 		bn.invStd[ci] = 1.0 / math.Sqrt(variance[ci]+bn.Eps)
 	}
 
-	out := tensor.New(x.Shape...)
-	bn.xhat = tensor.New(x.Shape...)
+	out := a.Alloc(x.Shape...)
+	bn.xhat = a.Alloc(x.Shape...)
 	for bi := 0; bi < b; bi++ {
 		for ci := 0; ci < c; ci++ {
 			base := (bi*c + ci) * hw
@@ -153,12 +149,13 @@ func (bn *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ ker
 // at order 2). The input derivative is dOut scaled by γ·is, or (γ·is)² at
 // order 2; in training mode, order 1 adds the batch-statistics terms of the
 // full batch-norm gradient, which have no order-2 counterpart.
-func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
 	dGamma, dBeta := bn.Gamma.acc(order), bn.Beta.acc(order)
-	b, c := bn.inShape[0], bn.inShape[1]
-	hw := bn.inShape[2] * bn.inShape[3]
+	shape := bn.xhat.Shape
+	b, c := shape[0], shape[1]
+	hw := shape[2] * shape[3]
 	n := float64(b * hw)
-	dIn := tensor.New(bn.inShape...)
+	dIn := a.Alloc(shape...)
 
 	for ci := 0; ci < c; ci++ {
 		// Per-channel reductions.
@@ -204,6 +201,8 @@ func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
 	}
 	return dIn
 }
+
+func (bn *BatchNorm2D) drop() { bn.xhat, bn.invStd = nil, nil }
 
 // Params implements Layer.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

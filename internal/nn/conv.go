@@ -25,8 +25,7 @@ type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	W, B *Param // W is [outC, inC*kh*kw]
 
-	x    *tensor.Tensor // cached input [B, inC, inH, inW]
-	cols *tensor.Tensor // scratch im2col buffer, reused across calls
+	x *tensor.Tensor // Forward's input [B, inC, inH, inW], in the caller's scratch
 }
 
 // NewConv2D builds a convolution for a fixed input geometry (channels ×
@@ -59,36 +58,29 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], c.OutC, g.OutH, g.OutW}, nil
 }
 
-func (c *Conv2D) scratch() *tensor.Tensor {
-	if c.cols == nil {
-		c.cols = tensor.New(c.Geom.ColRows(), c.Geom.ColCols())
-	}
-	return c.cols
-}
-
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the input for Backward.
-func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// additionally keeps the input for Backward.
+func (c *Conv2D) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
 	checkBatched(x, 4, c.name)
 	c.x = x
-	out := tensor.New(x.Shape[0], c.OutC, c.Geom.OutH, c.Geom.OutW)
-	c.ForwardInto(out, x, nil, kernel.Default())
+	out := a.Alloc(x.Shape[0], c.OutC, c.Geom.OutH, c.Geom.OutW)
+	c.ForwardInto(out, x, a, kernel.Default())
 	return out
 }
 
 // ForwardInto implements Layer: the batched convolution primitive
 // dst = conv(x, W) + b. For backends that lower through im2col the workspace
-// comes from scratch when provided (nil scratch falls back to the
-// layer-owned buffer); im2col-free backends get no workspace at all.
+// comes from scratch (the heap when scratch is nil); im2col-free backends
+// get no workspace at all.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Backend) {
 	g := c.Geom
 	var cols *tensor.Tensor
-	if k.UsesIm2Col() {
-		if s != nil {
-			cols = s.Alloc(g.ColRows(), g.ColCols())
-		} else {
-			cols = c.scratch()
-		}
+	switch {
+	case !k.UsesIm2Col():
+	case s != nil:
+		cols = s.Alloc(g.ColRows(), g.ColCols())
+	default:
+		cols = tensor.New(g.ColRows(), g.ColCols())
 	}
 	k.Conv2D(g, c.OutC, dst, x, c.W.Data, c.B.Data.Data, cols)
 }
@@ -97,21 +89,23 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, s *tensor.Arena, k kernel.Ba
 // squared inputs and squared weights: Eq. 8 with the shared-weight
 // positions summed, the convolutional analogue of summing over the batch,
 // and Eq. 10's core for the input.
-func (c *Conv2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+func (c *Conv2D) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
 	g := c.Geom
-	dIn := tensor.New(dOut.Shape[0], g.InC, g.InH, g.InW)
-	c.backward(dOut, order, dIn)
+	dIn := a.Alloc(dOut.Shape[0], g.InC, g.InH, g.InW)
+	c.backward(dOut, order, dIn, a)
 	return dIn
 }
 
 // backward accumulates the parameter derivatives of the given order and,
 // when dIn is non-nil, writes the input derivative into it. The products run
 // in kernel.ConvBackward, which walks only the nonzero output derivatives
-// and falls back to the dense kernel.Default() products, on the forward
-// pass's im2col workspace, for samples whose derivative is mostly nonzero.
-func (c *Conv2D) backward(dOut *tensor.Tensor, order int, dIn *tensor.Tensor) {
-	kernel.ConvBackward(c.Geom, c.OutC, dIn, c.W.acc(order), c.B.acc(order).Data, c.x, c.W.Data, dOut, c.scratch(), order == 2)
+// and falls back to the dense kernel.Default() products for samples whose
+// derivative is mostly nonzero; its workspaces come from a.
+func (c *Conv2D) backward(dOut *tensor.Tensor, order int, dIn *tensor.Tensor, a *tensor.Arena) {
+	kernel.ConvBackward(c.Geom, c.OutC, dIn, c.W.acc(order), c.B.acc(order).Data, c.x, c.W.Data, dOut, a, order == 2)
 }
+
+func (c *Conv2D) drop() { c.x = nil }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }

@@ -12,6 +12,7 @@ import (
 	"swim/internal/models"
 	"swim/internal/nn"
 	"swim/internal/rng"
+	"swim/internal/swim"
 	"swim/internal/tensor"
 	"swim/internal/train"
 )
@@ -103,10 +104,10 @@ func TestBackwardBitsPinned(t *testing.T) {
 			x, y := data.Subset(tc.ds.TrainX, tc.ds.TrainY, tc.batch)
 			ps := tc.net.Params()
 			tc.net.ZeroGrad()
-			tc.net.LossGrad(x, y, true)
+			tc.net.LossGrad(x, y, true, tensor.NewArena())
 			check(t, "Grad", digest(ps, grads), tc.grad)
 			tc.net.ZeroHess()
-			tc.net.AccumulateHessian(x, y)
+			tc.net.AccumulateHessian(x, y, tensor.NewArena())
 			check(t, "Hess", digest(ps, hessians), tc.hess)
 		})
 	}
@@ -126,7 +127,7 @@ func TestBackwardBitsPinned(t *testing.T) {
 			x.Data[i] = r.Gauss(0, 1)
 		}
 		net.ZeroHess()
-		net.AccumulateHessianFull(x, []int{0, 1, 2, 0, 1})
+		net.AccumulateHessianFull(x, []int{0, 1, 2, 0, 1}, tensor.NewArena())
 		check(t, "Hess", digest(net.Params(), hessians),
 			"89c07a893b140396025793f8b61722b5fa79f852879c65d56d426d43d28013d9")
 	})
@@ -141,4 +142,38 @@ func TestBackwardBitsPinned(t *testing.T) {
 		check(t, "weights", digest(net.Params(), weights),
 			"d49731c686a83d4588043b498ceb3b74e2934741924800d43f83b35c11b79cfd")
 	})
+}
+
+// TestColdBuildBitsPinned pins, bit for bit, the cold LeNet build every
+// run, daemon start and benchmark workload pays for before its first trial:
+// experiments.LeNetMNIST at its SWIM_FAST sizes (600 training and 300 test
+// samples, three QAT epochs), built here outside the registry cache, then
+// its clean accuracy and swim.Sensitivity over 512 training samples at
+// batch 64. The digest hashes the clean accuracy, the weight magnitudes and
+// the sensitivities, the bench harness's set-up fingerprint.
+func TestColdBuildBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are amd64's; other targets fuse multiply-adds (ROADMAP item G)")
+	}
+	ds := data.MNISTLike(600, 300, 1)
+	net := models.LeNet(10, 4, rng.New(2))
+	cfg := train.DefaultConfig()
+	cfg.Epochs, cfg.LRDecayEvery, cfg.QATBits = 3, 1, 4
+	train.SGD(net, ds, cfg, rng.New(3))
+	clean := train.Evaluate(net, ds.TestX, ds.TestY, 64)
+	cx, cy := data.Subset(ds.TrainX, ds.TrainY, 512)
+	hess := swim.Sensitivity(net, cx, cy, 64)
+
+	h := sha256.New()
+	var b [8]byte
+	for _, vs := range [][]float64{{clean}, swim.FlatWeights(net), hess} {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	const want = "f26786fd26df1e1fc9c13b0175060c19f9704f3cc397961c2bf6f8a5dfa3daf5"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("cold build digest = %s, want %s", got, want)
+	}
 }

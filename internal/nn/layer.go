@@ -8,33 +8,43 @@ import (
 )
 
 // Layer is the one contract of every network building block. It has two
-// forward entry points: Forward feeds training and the Hessian pass (it
-// caches what Backward needs), and ForwardInto is the inference path
-// compiled evaluation plans (package eval) run. A layer owns whatever
-// activations it must cache between Forward and its backward passes, so a
-// single layer instance must not be shared between concurrently evaluated
-// networks — use Clone for per-trial copies.
+// forward entry points: Forward feeds training and the Hessian pass, and
+// ForwardInto is the inference path compiled evaluation plans (package eval)
+// run.
+//
+// Training memory belongs to the caller. Forward and Backward carve their
+// outputs, the caches Backward reads (a layer's input, pool argmaxes,
+// batch-norm x̂ and 1/σ) and the input derivatives from the arena s the
+// caller passes, so a pass allocates nothing once s has grown to its size.
+// Nothing they return or keep is valid after s's next Reset. Between
+// Forward and the Backward calls that follow it a layer holds references
+// to its caches, so a single layer instance must not be shared between
+// concurrently trained networks (use Clone for per-trial copies), and
+// Network's passes drop those references before they return: no scratch
+// stays on a network between passes.
 type Layer interface {
 	// Name returns a short human-readable identifier.
 	Name() string
-	// Forward computes the layer output for a batch (axis 0 is the batch).
-	// train selects training behaviour (batch-norm batch statistics). The
-	// returned tensor may be a layer-owned buffer that the next Forward call
-	// overwrites (Residual does this); callers holding outputs across calls
-	// must Clone them.
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Forward computes the layer output for a batch (axis 0 is the batch),
+	// carved from s or, for a layer that passes values through unchanged
+	// (Flatten, a pass-through QuantAct), a view of x. train selects training
+	// behaviour (batch-norm batch statistics, activation range
+	// calibration). x is never written.
+	Forward(x *tensor.Tensor, train bool, s *tensor.Arena) *tensor.Tensor
 	// Backward runs the backward pass of the given derivative order and
-	// must follow a Forward call. Order 1 consumes df/dOutput, returns
-	// df/dInput and accumulates parameter gradients into Param.Grad.
-	// Order 2 consumes d²f/dOutput², returns d²f/dInput² and accumulates
-	// parameter Hessian diagonals into Param.Hess per the paper's
-	// Eq. 8–10: the order-1 rule with squared inputs, weights and
-	// coefficients. Sigmoid and Tanh need the order-1 pass on the same
-	// Forward before order 2; no other layer does.
-	Backward(dOut *tensor.Tensor, order int) *tensor.Tensor
+	// must follow a Forward call on an s not reset since. Order 1 consumes
+	// df/dOutput, returns df/dInput and accumulates parameter gradients into
+	// Param.Grad. Order 2 consumes d²f/dOutput², returns d²f/dInput² and
+	// accumulates parameter Hessian diagonals into Param.Hess per the
+	// paper's Eq. 8–10: the order-1 rule with squared inputs, weights and
+	// coefficients. The input derivative is carved from s (Flatten returns
+	// a view of dOut); dOut is never written. Sigmoid and Tanh need the
+	// order-1 pass on the same Forward before order 2 and read its dOut
+	// there, so s must not be reset between the two; no other layer does.
+	Backward(dOut *tensor.Tensor, order int, s *tensor.Arena) *tensor.Tensor
 	// Params returns the layer's parameters (empty for stateless layers).
 	Params() []*Param
-	// Clone returns a deep copy with independent parameters and caches.
+	// Clone returns a deep copy with independent parameters and no caches.
 	Clone() Layer
 	// OutShape returns the output shape produced for a batched input of the
 	// given shape (axis 0 is the batch), or an error when the input shape is
@@ -47,21 +57,32 @@ type Layer interface {
 	//   - dst is fully overwritten (it may hold garbage on entry) and must
 	//     not alias x;
 	//   - no state needed by Backward is updated;
-	//   - scratch may be nil, in which case temporaries fall back to the
-	//     layer's own cached buffers or the heap; buffers carved from scratch
-	//     are released by the caller's next Arena.Reset, so implementations
-	//     must not retain them across calls;
+	//   - scratch may be nil, in which case temporaries come from the heap;
+	//     buffers carved from scratch are released by the caller's next
+	//     Arena.Reset, so implementations must not retain them across
+	//     calls;
 	//   - k is never nil: it executes the dense primitives (matmul, fused
 	//     bias+matmul, convolution). Containers pass it to their children;
 	//     layers with no dense primitive (activations, pooling,
 	//     normalization, the analog crossbar layers) ignore it.
 	//
-	// The arithmetic is bit-for-bit that of Forward(x, false): the same
+	// The arithmetic is bit-for-bit that of Forward(x, false, s): the same
 	// kernels run in the same order, and every kernel backend is
 	// bit-identical to scalar (package kernel), so a compiled plan
 	// reproduces Forward exactly (pinned by the equivalence tests in
 	// package eval).
 	ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k kernel.Backend)
+}
+
+// holder is implemented by the layers and losses that keep references to
+// their caller's scratch between Forward and Backward; drop forgets them.
+type holder interface{ drop() }
+
+// dropCaches makes l forget its references to scratch, if it keeps any.
+func dropCaches(l Layer) {
+	if h, ok := l.(holder); ok {
+		h.drop()
+	}
 }
 
 // Sequential chains layers, feeding each output into the next.
@@ -78,12 +99,41 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Name implements Layer.
 func (s *Sequential) Name() string { return s.name }
 
-// Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+// Forward implements Layer. Each ReLU → QuantAct (→ 2×2 stride-2
+// MaxPool2D) chain that Fuse finds runs as one step, QuantAct's
+// forwardChain, as evaluation plans run it.
+func (s *Sequential) Forward(x *tensor.Tensor, train bool, a *tensor.Arena) *tensor.Tensor {
+	for i := 0; i < len(s.Layers); i++ {
+		if n := Fuse(s.Layers[i:]); n > 0 {
+			x = s.Layers[i+1].(*QuantAct).forwardChain(x, train, n == 3, a)
+			i += n - 1
+			continue
+		}
+		x = s.Layers[i].Forward(x, train, a)
 	}
 	return x
+}
+
+// Fuse returns how many leading layers of a Sequential's ls run as one
+// step, in training and in evaluation plans: 3 for ReLU → QuantAct → a 2×2
+// stride-2 MaxPool2D, 2 for ReLU → QuantAct, else 0. The QuantAct runs the
+// step (forwardChain, ForwardReLUInto).
+func Fuse(ls []Layer) int {
+	if len(ls) < 2 {
+		return 0
+	}
+	if _, ok := ls[0].(*ReLU); !ok {
+		return 0
+	}
+	if _, ok := ls[1].(*QuantAct); !ok {
+		return 0
+	}
+	if len(ls) > 2 {
+		if mp, ok := ls[2].(*MaxPool2D); ok && mp.K == 2 && mp.Stride == 2 {
+			return 3
+		}
+	}
+	return 2
 }
 
 // OutShape implements Layer by folding the children's shape inference.
@@ -127,11 +177,27 @@ func (s *Sequential) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k
 }
 
 // Backward implements Layer.
-func (s *Sequential) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dOut = s.Layers[i].Backward(dOut, order)
+func (s *Sequential) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
+	return s.backward(0, dOut, order, a, true)
+}
+
+// backward runs the backward pass of the steps from layer i on, the last
+// first, and returns the derivative with respect to layer i's input. With
+// wantIn false a first Conv2D does not compute it and backward returns nil.
+func (s *Sequential) backward(i int, d *tensor.Tensor, order int, a *tensor.Arena, wantIn bool) *tensor.Tensor {
+	if i == len(s.Layers) {
+		return d
 	}
-	return dOut
+	n := max(1, Fuse(s.Layers[i:]))
+	d = s.backward(i+n, d, order, a, true)
+	if n > 1 {
+		return s.Layers[i+1].Backward(d, order, a) // the chain's QuantAct
+	}
+	if c, ok := s.Layers[i].(*Conv2D); ok && !wantIn {
+		c.backward(d, order, nil, a)
+		return nil
+	}
+	return s.Layers[i].Backward(d, order, a)
 }
 
 // Params implements Layer.
@@ -160,12 +226,6 @@ type Residual struct {
 	name     string
 	Body     Layer
 	Shortcut Layer // nil means identity
-
-	// out is the cached forward output buffer, reused across calls when the
-	// batch shape is unchanged so Forward stops paying a Clone per call.
-	// The buffer is owned by this layer and overwritten by the next Forward
-	// call with a matching shape.
-	out *tensor.Tensor
 }
 
 // NewResidual builds a residual block from a body and optional projection
@@ -177,24 +237,28 @@ func NewResidual(name string, body, shortcut Layer) *Residual {
 // Name implements Layer.
 func (r *Residual) Name() string { return r.name }
 
-// Forward implements Layer. Unlike most layers, the returned tensor is a
-// layer-owned buffer that the next same-shape Forward call overwrites in
-// place: callers that need the output across two forward passes must Clone
-// it. (Training loops never do — each Forward is consumed by its backward
-// pass before the next call — and the compiled evaluation path documents the
-// same valid-until-next-Forward semantics.)
-func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	body := r.Body.Forward(x, train)
-	if r.out == nil || !r.out.SameShape(body) {
-		r.out = tensor.New(body.Shape...)
-	}
-	copy(r.out.Data, body.Data)
+// Forward implements Layer: the body's output plus the shortcut's (or x),
+// summed into a new buffer, since a body's last layer may keep its output
+// for Backward (Sigmoid, Tanh).
+func (r *Residual) Forward(x *tensor.Tensor, train bool, a *tensor.Arena) *tensor.Tensor {
+	body := r.Body.Forward(x, train, a)
+	skip := x
 	if r.Shortcut != nil {
-		r.out.Add(r.Shortcut.Forward(x, train))
-	} else {
-		r.out.Add(x)
+		skip = r.Shortcut.Forward(x, train, a)
 	}
-	return r.out
+	return sum(a, body, skip)
+}
+
+// sum returns u + v, elementwise, carved from a.
+func sum(a *tensor.Arena, u, v *tensor.Tensor) *tensor.Tensor {
+	if !u.SameShape(v) {
+		panic(fmt.Sprintf("nn: branch sum of shapes %v and %v", u.Shape, v.Shape))
+	}
+	out := a.Alloc(u.Shape...)
+	for i, uv := range u.Data {
+		out.Data[i] = uv + v.Data[i]
+	}
+	return out
 }
 
 // OutShape implements Layer. The body defines the output shape; a
@@ -239,14 +303,13 @@ func (r *Residual) ForwardInto(dst, x *tensor.Tensor, scratch *tensor.Arena, k k
 }
 
 // Backward implements Layer.
-func (r *Residual) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
-	dIn := r.Body.Backward(dOut, order).Clone()
+func (r *Residual) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
+	body := r.Body.Backward(dOut, order, a)
+	skip := dOut
 	if r.Shortcut != nil {
-		dIn.Add(r.Shortcut.Backward(dOut, order))
-	} else {
-		dIn.Add(dOut)
+		skip = r.Shortcut.Backward(dOut, order, a)
 	}
-	return dIn
+	return sum(a, body, skip)
 }
 
 // Params implements Layer.
@@ -278,11 +341,11 @@ func NewFlatten() *Flatten { return &Flatten{} }
 // Name implements Layer.
 func (f *Flatten) Name() string { return "flatten" }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer: a view of x.
+func (f *Flatten) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
 	b := x.Shape[0]
-	return x.Reshape(b, x.Size()/b)
+	return a.View(x.Data, b, len(x.Data)/b)
 }
 
 // OutShape implements Layer.
@@ -304,9 +367,9 @@ func (f *Flatten) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel.B
 	copy(dst.Data, x.Data)
 }
 
-// Backward implements Layer.
-func (f *Flatten) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
-	return dOut.Reshape(f.inShape...)
+// Backward implements Layer: a view of dOut.
+func (f *Flatten) Backward(dOut *tensor.Tensor, _ int, a *tensor.Arena) *tensor.Tensor {
+	return a.View(dOut.Data, f.inShape...)
 }
 
 // Params implements Layer.
@@ -339,11 +402,12 @@ func checkBatched(x *tensor.Tensor, wantRank int, who string) {
 	}
 }
 
-// square replaces every element of t with its square and returns t: the
-// inputs and weights of an order-2 pass through a linear map.
-func square(t *tensor.Tensor) *tensor.Tensor {
+// squared returns the elementwise square of t, carved from a: the inputs
+// and weights of an order-2 pass through a linear map.
+func squared(a *tensor.Arena, t *tensor.Tensor) *tensor.Tensor {
+	sq := a.Alloc(t.Shape...)
 	for i, v := range t.Data {
-		t.Data[i] = v * v
+		sq.Data[i] = v * v
 	}
-	return t
+	return sq
 }

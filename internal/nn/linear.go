@@ -26,7 +26,7 @@ type Linear struct {
 	In, Out int
 	W, B    *Param
 
-	x *tensor.Tensor // cached input [B, in]
+	x *tensor.Tensor // Forward's input [B, in], in the caller's scratch
 }
 
 // NewLinear builds a fully connected layer with Kaiming-uniform-ish
@@ -54,11 +54,11 @@ func stdScale(invFan float64) float64 {
 func (l *Linear) Name() string { return l.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the input for Backward.
-func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// additionally keeps the input for Backward.
+func (l *Linear) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
 	checkBatched(x, 2, l.name)
 	l.x = x
-	out := tensor.New(x.Shape[0], l.Out)
+	out := a.Alloc(x.Shape[0], l.Out)
 	l.ForwardInto(out, x, nil, kernel.Default())
 	return out
 }
@@ -79,13 +79,13 @@ func (l *Linear) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, k kernel.Ba
 }
 
 // Backward implements Layer. Order 2 runs the order-1 products on the
-// squared input and squared weights.
-func (l *Linear) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+// squared input and squared weights, both carved from a.
+func (l *Linear) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
 	k := kernel.Default()
 	dW, dB := l.W.acc(order), l.B.acc(order)
 	x, w := l.x, l.W.Data
 	if order == 2 {
-		x, w = square(x.Clone()), square(w.Clone())
+		x, w = squared(a, x), squared(a, w)
 	}
 	b := dOut.Shape[0]
 	// dW += dOutᵀ · x   ([out, in])
@@ -97,10 +97,12 @@ func (l *Linear) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
 		}
 	}
 	// dx = dOut · w   ([B, in])
-	dIn := tensor.New(b, l.In)
+	dIn := a.Alloc(b, l.In)
 	k.MatMul(dIn, dOut, w, false)
 	return dIn
 }
+
+func (l *Linear) drop() { l.x = nil }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }

@@ -8,16 +8,17 @@ import (
 
 // Loss scores a batch of logits against integer class labels and provides
 // the first and second derivatives with respect to the logits, which seed
-// the trunk's backward pass of the same order.
+// the trunk's backward pass of the same order. Like a Layer, it carves
+// what it caches and returns from the caller's arena.
 type Loss interface {
-	// Forward returns the mean loss over the batch and caches what Backward
-	// needs.
-	Forward(logits *tensor.Tensor, labels []int) float64
+	// Forward returns the mean loss over the batch and caches, in s, what
+	// Backward needs.
+	Forward(logits *tensor.Tensor, labels []int, s *tensor.Arena) float64
 	// Backward returns the derivative of the given order with respect to
-	// the logits ([B, classes], averaged over the batch): df/dO at order 1,
-	// the diagonal d²f/dO² at order 2 — Eq. 11 for softmax cross-entropy,
-	// the constant 2 for L2.
-	Backward(order int) *tensor.Tensor
+	// the logits ([B, classes], averaged over the batch), carved from s:
+	// df/dO at order 1, the diagonal d²f/dO² at order 2 — Eq. 11 for
+	// softmax cross-entropy, the constant 2 for L2.
+	Backward(order int, s *tensor.Arena) *tensor.Tensor
 }
 
 // SoftmaxCrossEntropy is the standard classification loss. Its logit-space
@@ -32,13 +33,13 @@ type SoftmaxCrossEntropy struct {
 func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy { return &SoftmaxCrossEntropy{} }
 
 // Forward implements Loss.
-func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float64 {
+func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int, a *tensor.Arena) float64 {
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
 		panic("nn: label count does not match batch size")
 	}
 	s.labels = labels
-	s.probs = tensor.New(b, c)
+	s.probs = a.Alloc(b, c)
 	loss := 0.0
 	for bi := 0; bi < b; bi++ {
 		row := logits.Data[bi*c : (bi+1)*c]
@@ -70,19 +71,20 @@ func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 
 // Backward implements Loss: p − onehot(label) at order 1, p(1−p) at
 // order 2, each over the batch size.
-func (s *SoftmaxCrossEntropy) Backward(order int) *tensor.Tensor {
+func (s *SoftmaxCrossEntropy) Backward(order int, a *tensor.Arena) *tensor.Tensor {
 	b, c := s.probs.Shape[0], s.probs.Shape[1]
 	inv := 1.0 / float64(b)
 	switch order {
 	case 1:
-		grad := s.probs.Clone()
+		grad := a.Alloc(b, c)
+		copy(grad.Data, s.probs.Data)
 		for bi := 0; bi < b; bi++ {
 			grad.Data[bi*c+s.labels[bi]] -= 1
 		}
 		grad.Scale(inv)
 		return grad
 	case 2:
-		hess := tensor.New(b, c)
+		hess := a.Alloc(b, c)
 		for i, p := range s.probs.Data {
 			hess.Data[i] = p * (1 - p) * inv
 		}
@@ -90,6 +92,8 @@ func (s *SoftmaxCrossEntropy) Backward(order int) *tensor.Tensor {
 	}
 	panic(badOrder(order))
 }
+
+func (s *SoftmaxCrossEntropy) drop() { s.probs, s.labels = nil, nil }
 
 // L2Loss is the squared-error loss against one-hot targets:
 // f = (1/B)·Σ_b Σ_j (O_bj − Y_bj)². Its logit-space second derivative is the
@@ -102,12 +106,13 @@ type L2Loss struct {
 func NewL2Loss() *L2Loss { return &L2Loss{} }
 
 // Forward implements Loss.
-func (l *L2Loss) Forward(logits *tensor.Tensor, labels []int) float64 {
+func (l *L2Loss) Forward(logits *tensor.Tensor, labels []int, a *tensor.Arena) float64 {
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
 		panic("nn: label count does not match batch size")
 	}
-	l.diff = logits.Clone()
+	l.diff = a.Alloc(logits.Shape...)
+	copy(l.diff.Data, logits.Data)
 	for bi := 0; bi < b; bi++ {
 		l.diff.Data[bi*c+labels[bi]] -= 1
 	}
@@ -116,17 +121,21 @@ func (l *L2Loss) Forward(logits *tensor.Tensor, labels []int) float64 {
 
 // Backward implements Loss: 2·(O − Y) at order 1, the constant 2 at
 // order 2, each over the batch size.
-func (l *L2Loss) Backward(order int) *tensor.Tensor {
+func (l *L2Loss) Backward(order int, a *tensor.Arena) *tensor.Tensor {
 	scale := 2.0 / float64(l.diff.Shape[0])
 	switch order {
 	case 1:
-		grad := l.diff.Clone()
-		grad.Scale(scale)
+		grad := a.Alloc(l.diff.Shape...)
+		for i, v := range l.diff.Data {
+			grad.Data[i] = v * scale
+		}
 		return grad
 	case 2:
-		hess := tensor.New(l.diff.Shape...)
+		hess := a.Alloc(l.diff.Shape...)
 		hess.Fill(scale)
 		return hess
 	}
 	panic(badOrder(order))
 }
+
+func (l *L2Loss) drop() { l.diff = nil }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"swim/internal/tensor"
 )
@@ -10,36 +11,58 @@ import (
 // whole-model operations the rest of the repository builds on: evaluation,
 // gradient accumulation, and the single-pass Hessian-diagonal accumulation
 // at the heart of SWIM.
+//
+// Its passes (Forward, LossGrad, AccumulateHessian, ...) carve every
+// buffer from the arena the caller passes and do not reset it: the caller
+// resets it between passes, which invalidates what the previous pass
+// returned, and owns it for as long as it wants the memory reused. A pass
+// leaves no reference to the arena on the network (see Layer), so a
+// network that outlives its trainer holds no scratch.
 type Network struct {
 	Name  string
 	Trunk *Sequential
 	Loss  Loss
+
+	params, mapped []*Param // listed once, by NewNetwork
 }
 
-// NewNetwork assembles a network.
+// NewNetwork assembles a network. The trunk's structure is fixed from here
+// on: Params and MappedParams return the parameters found now.
 func NewNetwork(name string, trunk *Sequential, loss Loss) *Network {
-	return &Network{Name: name, Trunk: trunk, Loss: loss}
+	n := &Network{Name: name, Trunk: trunk, Loss: loss, params: slices.Clip(trunk.Params())}
+	for _, p := range n.params {
+		if p.Mapped {
+			n.mapped = append(n.mapped, p)
+		}
+	}
+	n.mapped = slices.Clip(n.mapped)
+	return n
 }
 
-// Forward runs inference and returns logits ([B, classes]).
-func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return n.Trunk.Forward(x, train)
+// Forward runs the trunk on a batch and returns the logits ([B, classes]),
+// carved from s.
+func (n *Network) Forward(x *tensor.Tensor, train bool, s *tensor.Arena) *tensor.Tensor {
+	defer n.drop()
+	return n.Trunk.Forward(x, train, s)
 }
 
-// Params returns every parameter in layer order.
-func (n *Network) Params() []*Param { return n.Trunk.Params() }
+// drop makes every layer and the loss forget their references to the
+// pass's scratch, so none stays on the network between passes.
+func (n *Network) drop() {
+	Walk(n.Trunk, dropCaches)
+	if h, ok := n.Loss.(holder); ok {
+		h.drop()
+	}
+}
+
+// Params returns every parameter in layer order. The slice is shared:
+// callers must not modify it.
+func (n *Network) Params() []*Param { return n.params }
 
 // MappedParams returns only the crossbar-mapped parameters (conv/FC weight
 // matrices) — the weights subject to device variation and write-verify.
-func (n *Network) MappedParams() []*Param {
-	var out []*Param
-	for _, p := range n.Params() {
-		if p.Mapped {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// The slice is shared: callers must not modify it.
+func (n *Network) MappedParams() []*Param { return n.mapped }
 
 // NumMappedWeights returns the total count of crossbar-mapped scalar weights
 // (the |W0| of the paper's Algorithm 1).
@@ -66,40 +89,36 @@ func (n *Network) ZeroHess() {
 }
 
 // backprop runs one forward pass on a batch, scores it, then runs the
-// trunk's backward pass once per listed derivative order, each seeded by the
-// loss derivative of that order. It returns the batch loss and the logits.
-// Nothing reads the derivative with respect to the network input, so a
-// first convolution does not compute it.
-func (n *Network) backprop(x *tensor.Tensor, labels []int, train bool, orders ...int) (float64, *tensor.Tensor) {
-	logits := n.Forward(x, train)
-	loss := n.Loss.Forward(logits, labels)
-	layers := n.Trunk.Layers
+// trunk's backward pass once per listed derivative order, each seeded by
+// the loss derivative of that order. It returns the batch loss and the
+// logits, which stay valid until s's next Reset. Every buffer of the pass
+// is carved from s, none reused across orders: a Sigmoid or Tanh reads its
+// order-1 dOut in the order-2 pass. Nothing reads the derivative with
+// respect to the network input, so a first convolution does not compute
+// it.
+func (n *Network) backprop(x *tensor.Tensor, labels []int, train bool, s *tensor.Arena, orders ...int) (float64, *tensor.Tensor) {
+	defer n.drop()
+	logits := n.Trunk.Forward(x, train, s)
+	loss := n.Loss.Forward(logits, labels, s)
 	for _, order := range orders {
-		d := n.Loss.Backward(order)
-		for i := len(layers) - 1; i > 0; i-- {
-			d = layers[i].Backward(d, order)
-		}
-		if c, ok := layers[0].(*Conv2D); ok {
-			c.backward(d, order, nil)
-		} else {
-			layers[0].Backward(d, order)
-		}
+		n.Trunk.backward(0, n.Loss.Backward(order, s), order, s, false)
 	}
 	return loss, logits
 }
 
 // LossGrad runs forward + first-derivative backward on one batch,
-// accumulating parameter gradients, and returns the batch loss.
-func (n *Network) LossGrad(x *tensor.Tensor, labels []int, train bool) float64 {
-	loss, _ := n.backprop(x, labels, train, 1)
+// accumulating parameter gradients, and returns the batch loss. Its
+// buffers come from s (see backprop).
+func (n *Network) LossGrad(x *tensor.Tensor, labels []int, train bool, s *tensor.Arena) float64 {
+	loss, _ := n.backprop(x, labels, train, s, 1)
 	return loss
 }
 
 // LossGradCount is LossGrad that additionally reports the number of
 // correctly classified samples in the batch, reusing the same forward pass
 // (training loops want both without paying for a second inference).
-func (n *Network) LossGradCount(x *tensor.Tensor, labels []int, train bool) (float64, int) {
-	loss, logits := n.backprop(x, labels, train, 1)
+func (n *Network) LossGradCount(x *tensor.Tensor, labels []int, train bool, s *tensor.Arena) (float64, int) {
+	loss, logits := n.backprop(x, labels, train, s, 1)
 	return loss, CountCorrectLogits(logits, labels)
 }
 
@@ -129,8 +148,8 @@ func CountCorrectLogits(logits *tensor.Tensor, labels []int) int {
 // accumulating per-weight sensitivities into Param.Hess. Per the paper this
 // is a single extra pass with the cost profile of a gradient computation; it
 // runs in evaluation mode because the model is frozen while being mapped.
-func (n *Network) AccumulateHessian(x *tensor.Tensor, labels []int) float64 {
-	loss, _ := n.backprop(x, labels, false, 2)
+func (n *Network) AccumulateHessian(x *tensor.Tensor, labels []int, s *tensor.Arena) float64 {
+	loss, _ := n.backprop(x, labels, false, s, 2)
 	return loss
 }
 
@@ -140,28 +159,28 @@ func (n *Network) AccumulateHessian(x *tensor.Tensor, labels []int) float64 {
 // for Eq. 9's g″ term; ReLU networks can use the cheaper AccumulateHessian.
 // Parameter gradients accumulated by the embedded backward pass are left in
 // place (callers that care should ZeroGrad afterwards).
-func (n *Network) AccumulateHessianFull(x *tensor.Tensor, labels []int) float64 {
-	loss, _ := n.backprop(x, labels, false, 1, 2)
+func (n *Network) AccumulateHessianFull(x *tensor.Tensor, labels []int, s *tensor.Arena) float64 {
+	loss, _ := n.backprop(x, labels, false, s, 1, 2)
 	return loss
 }
 
 // EvalLoss runs forward only and returns the mean batch loss.
-func (n *Network) EvalLoss(x *tensor.Tensor, labels []int) float64 {
-	logits := n.Forward(x, false)
-	return n.Loss.Forward(logits, labels)
+func (n *Network) EvalLoss(x *tensor.Tensor, labels []int, s *tensor.Arena) float64 {
+	loss, _ := n.backprop(x, labels, false, s)
+	return loss
 }
 
 // CountCorrect returns how many samples in the batch are classified
 // correctly (top-1).
-func (n *Network) CountCorrect(x *tensor.Tensor, labels []int) int {
-	return CountCorrectLogits(n.Forward(x, false), labels)
+func (n *Network) CountCorrect(x *tensor.Tensor, labels []int, s *tensor.Arena) int {
+	return CountCorrectLogits(n.Forward(x, false, s), labels)
 }
 
 // Clone deep-copies the network (parameters, running statistics, caches
 // excluded). Monte-Carlo trials clone the master network once per trial so
 // that device-noise injection never corrupts the trained weights.
 func (n *Network) Clone() *Network {
-	return &Network{Name: n.Name, Trunk: n.Trunk.Clone().(*Sequential), Loss: cloneLoss(n.Loss)}
+	return NewNetwork(n.Name, n.Trunk.Clone().(*Sequential), cloneLoss(n.Loss))
 }
 
 func cloneLoss(l Loss) Loss {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"swim/internal/rng"
@@ -11,8 +12,8 @@ import (
 
 // lossAt evaluates the network loss for the current parameter values.
 func lossAt(n *Network, x *tensor.Tensor, labels []int, train bool) float64 {
-	logits := n.Forward(x, train)
-	return n.Loss.Forward(logits, labels)
+	logits := n.Forward(x, train, tensor.NewArena())
+	return n.Loss.Forward(logits, labels, tensor.NewArena())
 }
 
 // fdGrad computes a central-difference gradient for one scalar parameter.
@@ -49,7 +50,7 @@ func randInput(r *rng.Source, shape ...int) *tensor.Tensor {
 func checkGrads(t *testing.T, n *Network, x *tensor.Tensor, labels []int, train bool, tol float64) {
 	t.Helper()
 	n.ZeroGrad()
-	n.LossGrad(x, labels, train)
+	n.LossGrad(x, labels, train, tensor.NewArena())
 	for _, p := range n.Params() {
 		for i := range p.Data.Data {
 			got := p.Grad.Data[i]
@@ -185,7 +186,7 @@ func TestHessianExactMLPWithL2(t *testing.T) {
 	x := randInput(r, 3, 5)
 	labels := []int{0, 2, 1}
 	net.ZeroHess()
-	net.AccumulateHessian(x, labels)
+	net.AccumulateHessian(x, labels, tensor.NewArena())
 	for _, p := range net.Params() {
 		for i := range p.Data.Data {
 			got := p.Hess.Data[i]
@@ -208,7 +209,7 @@ func TestHessianExactConvWithL2(t *testing.T) {
 	x := randInput(r, 2, 1, 4, 4)
 	labels := []int{3, 8}
 	net.ZeroHess()
-	net.AccumulateHessian(x, labels)
+	net.AccumulateHessian(x, labels, tensor.NewArena())
 	for _, p := range net.Params() {
 		for i := range p.Data.Data {
 			got := p.Hess.Data[i]
@@ -232,7 +233,7 @@ func TestHessianLastLayerExactWithCE(t *testing.T) {
 	x := randInput(r, 3, 5)
 	labels := []int{0, 1, 3}
 	net.ZeroHess()
-	net.AccumulateHessian(x, labels)
+	net.AccumulateHessian(x, labels, tensor.NewArena())
 	for i := range last.W.Data.Data {
 		got := last.W.Hess.Data[i]
 		want := fdHess(net, last.W, i, x, labels, 1e-4)
@@ -256,13 +257,13 @@ func TestHessianRankCorrelationDeepCE(t *testing.T) {
 	labels := []int{0, 1, 3, 2, 0, 1, 2, 3}
 	for step := 0; step < 400; step++ {
 		net.ZeroGrad()
-		net.LossGrad(x, labels, true)
+		net.LossGrad(x, labels, true, tensor.NewArena())
 		for _, p := range net.Params() {
 			p.Data.AddScaled(-0.2, p.Grad)
 		}
 	}
 	net.ZeroHess()
-	net.AccumulateHessian(x, labels)
+	net.AccumulateHessian(x, labels, tensor.NewArena())
 	var analytic, fd []float64
 	for i := range fc1.W.Data.Data {
 		analytic = append(analytic, fc1.W.Hess.Data[i])
@@ -293,7 +294,7 @@ func TestHessianResidualMaxPoolL2(t *testing.T) {
 	x := randInput(r, 2, 1, 4, 4)
 	labels := []int{1, 5}
 	net.ZeroHess()
-	net.AccumulateHessian(x, labels)
+	net.AccumulateHessian(x, labels, tensor.NewArena())
 	for i := range bodyConv.W.Data.Data {
 		got := bodyConv.W.Hess.Data[i]
 		want := fdHess(net, bodyConv.W, i, x, labels, 1e-4)
@@ -318,7 +319,7 @@ func TestHessianResidualMaxPoolL2(t *testing.T) {
 func TestSoftmaxCEMatchesManual(t *testing.T) {
 	l := NewSoftmaxCrossEntropy()
 	logits := tensor.FromSlice([]float64{1, 2, 3, 0, 0, 0}, 2, 3)
-	loss := l.Forward(logits, []int{2, 0})
+	loss := l.Forward(logits, []int{2, 0}, tensor.NewArena())
 	want := (-math.Log(math.Exp(3)/(math.Exp(1)+math.Exp(2)+math.Exp(3))) - math.Log(1.0/3.0)) / 2
 	if math.Abs(loss-want) > 1e-12 {
 		t.Fatalf("loss = %v, want %v", loss, want)
@@ -329,8 +330,8 @@ func TestSoftmaxCEGradRowsSumToZero(t *testing.T) {
 	r := rng.New(12)
 	l := NewSoftmaxCrossEntropy()
 	logits := randInput(r, 4, 5)
-	l.Forward(logits, []int{0, 1, 2, 3})
-	g := l.Backward(1)
+	l.Forward(logits, []int{0, 1, 2, 3}, tensor.NewArena())
+	g := l.Backward(1, tensor.NewArena())
 	for bi := 0; bi < 4; bi++ {
 		s := 0.0
 		for j := 0; j < 5; j++ {
@@ -346,8 +347,8 @@ func TestSoftmaxCEHessIsPOneMinusP(t *testing.T) {
 	r := rng.New(13)
 	l := NewSoftmaxCrossEntropy()
 	logits := randInput(r, 2, 4)
-	l.Forward(logits, []int{0, 1})
-	h := l.Backward(2)
+	l.Forward(logits, []int{0, 1}, tensor.NewArena())
+	h := l.Backward(2, tensor.NewArena())
 	for i, p := range l.probs.Data {
 		want := p * (1 - p) / 2
 		if math.Abs(h.Data[i]-want) > 1e-12 {
@@ -362,15 +363,15 @@ func TestSoftmaxCEHessIsPOneMinusP(t *testing.T) {
 func TestL2LossValueAndDerivs(t *testing.T) {
 	l := NewL2Loss()
 	logits := tensor.FromSlice([]float64{0.5, 0.5}, 1, 2)
-	loss := l.Forward(logits, []int{0})
+	loss := l.Forward(logits, []int{0}, tensor.NewArena())
 	if math.Abs(loss-0.5) > 1e-12 { // (0.5-1)^2 + 0.5^2
 		t.Fatalf("loss = %v", loss)
 	}
-	g := l.Backward(1)
+	g := l.Backward(1, tensor.NewArena())
 	if math.Abs(g.Data[0]+1) > 1e-12 || math.Abs(g.Data[1]-1) > 1e-12 {
 		t.Fatalf("grad = %v", g.Data)
 	}
-	h := l.Backward(2)
+	h := l.Backward(2, tensor.NewArena())
 	for _, v := range h.Data {
 		if v != 2 {
 			t.Fatalf("hess = %v, want all 2", h.Data)
@@ -382,7 +383,7 @@ func TestL2LossValueAndDerivs(t *testing.T) {
 
 func TestReLUForward(t *testing.T) {
 	x := tensor.FromSlice([]float64{-1, 0, 2}, 1, 3)
-	y := NewReLU().Forward(x, false)
+	y := NewReLU().Forward(x, false, tensor.NewArena())
 	if y.Data[0] != 0 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("relu = %v", y.Data)
 	}
@@ -396,7 +397,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	y := p.Forward(x, false)
+	y := p.Forward(x, false, tensor.NewArena())
 	want := []float64{6, 8, 14, 16}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -404,7 +405,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		}
 	}
 	g := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	gi := p.Backward(g, 1)
+	gi := p.Backward(g, 1, tensor.NewArena())
 	if gi.Data[5] != 1 || gi.Data[7] != 2 || gi.Data[13] != 3 || gi.Data[15] != 4 {
 		t.Fatalf("maxpool routing wrong: %v", gi.Data)
 	}
@@ -437,9 +438,9 @@ func TestPoolRejectsMapNarrowerThanWindow(t *testing.T) {
 func TestAvgPoolSecondUsesSquaredCoeff(t *testing.T) {
 	p := NewAvgPool2D("p", 2, 2)
 	x := tensor.New(1, 1, 2, 2)
-	p.Forward(x, false)
+	p.Forward(x, false, tensor.NewArena())
 	h := tensor.FromSlice([]float64{8}, 1, 1, 1, 1)
-	hi := p.Backward(h, 2)
+	hi := p.Backward(h, 2, tensor.NewArena())
 	for _, v := range hi.Data {
 		if v != 0.5 { // 8 * (1/4)^2
 			t.Fatalf("avgpool hess scatter = %v, want 0.5", hi.Data)
@@ -454,7 +455,7 @@ func TestGlobalAvgPool(t *testing.T) {
 		x.Data[i] = 2 // channel 0
 		x.Data[16+i] = 4
 	}
-	y := p.Forward(x, false)
+	y := p.Forward(x, false, tensor.NewArena())
 	if y.Shape[2] != 1 || y.Shape[3] != 1 || y.Data[0] != 2 || y.Data[1] != 4 {
 		t.Fatalf("gap = %+v %v", y.Shape, y.Data)
 	}
@@ -464,7 +465,7 @@ func TestQuantActQuantizesAndClips(t *testing.T) {
 	q := NewQuantAct("q", 2, 3.0) // levels = 3, step = 1
 	q.Calibrate = false
 	x := tensor.FromSlice([]float64{-0.4, 0.4, 1.6, 5.0}, 1, 4)
-	y := q.Forward(x, false)
+	y := q.Forward(x, false, tensor.NewArena())
 	want := []float64{0, 0, 2, 3}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -473,11 +474,11 @@ func TestQuantActQuantizesAndClips(t *testing.T) {
 	}
 	// STE: out-of-range elements block the derivative at both orders.
 	g := tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 4)
-	gi := q.Backward(g, 1)
+	gi := q.Backward(g, 1, tensor.NewArena())
 	if gi.Data[0] != 0 || gi.Data[1] != 1 || gi.Data[2] != 1 || gi.Data[3] != 0 {
 		t.Fatalf("STE mask = %v", gi.Data)
 	}
-	hi := q.Backward(g, 2)
+	hi := q.Backward(g, 2, tensor.NewArena())
 	if hi.Data[0] != 0 || hi.Data[3] != 0 || hi.Data[1] != 1 {
 		t.Fatalf("hess STE mask = %v", hi.Data)
 	}
@@ -486,13 +487,13 @@ func TestQuantActQuantizesAndClips(t *testing.T) {
 func TestQuantActCalibration(t *testing.T) {
 	q := NewQuantAct("q", 4, 0.1)
 	x := tensor.FromSlice([]float64{0, 2.5}, 1, 2)
-	q.Forward(x, true)
+	q.Forward(x, true, tensor.NewArena())
 	if q.Max != 2.5 {
 		t.Fatalf("calibrated max = %v", q.Max)
 	}
-	q.Forward(x, false) // eval must not widen further
+	q.Forward(x, false, tensor.NewArena()) // eval must not widen further
 	q2 := tensor.FromSlice([]float64{0, 9.9}, 1, 2)
-	q.Forward(q2, false)
+	q.Forward(q2, false, tensor.NewArena())
 	if q.Max != 2.5 {
 		t.Fatal("eval mode must not recalibrate")
 	}
@@ -502,7 +503,7 @@ func TestBatchNormNormalizesTrainBatch(t *testing.T) {
 	r := rng.New(14)
 	bn := NewBatchNorm2D("bn", 3)
 	x := randInput(r, 8, 3, 4, 4)
-	y := bn.Forward(x, true)
+	y := bn.Forward(x, true, tensor.NewArena())
 	for c := 0; c < 3; c++ {
 		var w stat.Welford
 		for bi := 0; bi < 8; bi++ {
@@ -528,7 +529,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 		for j := range x.Data {
 			x.Data[j] = r.Gauss(3, 2)
 		}
-		bn.Forward(x, true)
+		bn.Forward(x, true, tensor.NewArena())
 	}
 	if math.Abs(bn.RunMean.Data[0]-3) > 0.2 {
 		t.Fatalf("running mean = %v, want ~3", bn.RunMean.Data[0])
@@ -551,9 +552,9 @@ func TestNetworkCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone shares parameter storage")
 	}
 	x := randInput(r, 2, 4)
-	a := net.Forward(x, false).Clone()
-	clone.Forward(x, false)
-	b := net.Forward(x, false)
+	a := net.Forward(x, false, tensor.NewArena()).Clone()
+	clone.Forward(x, false, tensor.NewArena())
+	b := net.Forward(x, false, tensor.NewArena())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("evaluating a clone perturbed the original network")
@@ -595,10 +596,10 @@ func TestCountCorrect(t *testing.T) {
 		fc.W.Data.Set(1, i, i)
 	}
 	x := tensor.FromSlice([]float64{5, 0, 0, 0, 0, 7}, 2, 3)
-	if got := net.CountCorrect(x, []int{0, 2}); got != 2 {
+	if got := net.CountCorrect(x, []int{0, 2}, tensor.NewArena()); got != 2 {
 		t.Fatalf("correct = %d", got)
 	}
-	if got := net.CountCorrect(x, []int{1, 2}); got != 1 {
+	if got := net.CountCorrect(x, []int{1, 2}, tensor.NewArena()); got != 1 {
 		t.Fatalf("correct = %d", got)
 	}
 }
@@ -618,7 +619,7 @@ func TestHessianIsNonNegativeForCE(t *testing.T) {
 	), NewSoftmaxCrossEntropy())
 	x := randInput(r, 4, 1, 8, 8)
 	net.ZeroHess()
-	net.AccumulateHessian(x, []int{0, 1, 2, 3})
+	net.AccumulateHessian(x, []int{0, 1, 2, 3}, tensor.NewArena())
 	for _, p := range net.Params() {
 		for i, v := range p.Hess.Data {
 			if v < 0 {
@@ -626,4 +627,74 @@ func TestHessianIsNonNegativeForCE(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPassesLeaveNoScratch: after every kind of Network pass, no layer and
+// no loss holds a reference to the pass's arena. Layers keep their caches
+// in unexported fields of tensor, float and int slice types (inShape is a
+// layer-owned shape, not scratch), so the test reads every such field.
+func TestPassesLeaveNoScratch(t *testing.T) {
+	r := rng.New(8)
+	nets := []*Network{
+		NewNetwork("cnn", NewSequential("trunk",
+			NewConv2D("conv", 1, 8, 8, 3, 3, 3, 1, 1, r), NewBatchNorm2D("bn", 3),
+			NewReLU(), NewQuantAct("q", 4, 1), NewMaxPool2D("pool", 2, 2),
+			NewResidual("res", NewSequential("body", NewConv2D("c2", 3, 4, 4, 3, 3, 3, 1, 1, r), NewReLU()), nil),
+			NewAvgPool2D("avg", 2, 2), NewFlatten(),
+			NewLinear("fc", 12, 4, r), NewQuantAct("q2", 4, 1), NewLinear("fc2", 4, 3, r),
+		), NewSoftmaxCrossEntropy()),
+		NewNetwork("mlp", NewSequential("trunk",
+			NewLinear("fc", 64, 5, r), NewSigmoid(), NewLinear("fc2", 5, 3, r), NewTanh(),
+		), NewL2Loss()),
+	}
+	for _, net := range nets {
+		x := randInput(r, 2, 1, 8, 8)
+		if net.Name == "mlp" {
+			x = randInput(r, 2, 64)
+		}
+		labels := []int{0, 2}
+		s := tensor.NewArena()
+		for name, pass := range map[string]func(){
+			"Forward":       func() { net.Forward(x, true, s) },
+			"LossGrad":      func() { net.LossGrad(x, labels, true, s) },
+			"LossGradCount": func() { net.LossGradCount(x, labels, false, s) },
+			"AccumulateHessian": func() {
+				if net.Name != "mlp" { // Sigmoid and Tanh need the order-1 pass first
+					net.AccumulateHessian(x, labels, s)
+				}
+			},
+			"AccumulateHessianFull": func() { net.AccumulateHessianFull(x, labels, s) },
+			"EvalLoss":              func() { net.EvalLoss(x, labels, s) },
+			"CountCorrect":          func() { net.CountCorrect(x, labels, s) },
+		} {
+			s.Reset()
+			pass()
+			holders := []any{net.Loss}
+			Walk(net.Trunk, func(l Layer) { holders = append(holders, l) })
+			for _, h := range holders {
+				for _, field := range heldScratch(reflect.ValueOf(h).Elem()) {
+					t.Errorf("%s %s: %T.%s still set after the pass", net.Name, name, h, field)
+				}
+			}
+		}
+	}
+}
+
+// heldScratch lists the unexported fields of struct v, embedded structs
+// included, that may hold scratch and are set.
+func heldScratch(v reflect.Value) []string {
+	var held []string
+	for i := 0; i < v.NumField(); i++ {
+		f, ft := v.Field(i), v.Type().Field(i)
+		switch {
+		case ft.Anonymous && ft.Type.Kind() == reflect.Struct:
+			held = append(held, heldScratch(f)...)
+		case ft.IsExported() || ft.Name == "inShape":
+		case ft.Type == reflect.TypeOf((*tensor.Tensor)(nil)) || ft.Type == reflect.TypeOf([]float64(nil)) || ft.Type == reflect.TypeOf([]int(nil)):
+			if !f.IsNil() {
+				held = append(held, ft.Name)
+			}
+		}
+	}
+	return held
 }

@@ -2,12 +2,23 @@
 // reproduction: layers with a forward pass and one backward pass that takes
 // the derivative order —
 //
-//   - Forward: standard inference/training forward pass;
-//   - Backward(d, 1): first-derivative (gradient) backprop into Param.Grad;
-//   - Backward(d, 2): the paper's Eq. 8–10 diagonal second-derivative
+//   - Forward(x, train, arena): the training (or evaluation-mode) forward
+//     pass;
+//   - Backward(d, 1, arena): first-derivative (gradient) backprop into
+//     Param.Grad;
+//   - Backward(d, 2, arena): the paper's Eq. 8–10 diagonal second-derivative
 //     backprop, which propagates d²f/dI² through squared weights and
 //     accumulates the per-weight sensitivities d²f/dW² that SWIM ranks into
 //     Param.Hess.
+//
+// The memory of these passes belongs to their caller: every output,
+// backward cache and input derivative is carved from the tensor.Arena the
+// caller passes, valid until it resets that arena, and a Network pass drops
+// every reference to it before returning, so no scratch stays on a network
+// between passes (see Layer and Network). Inside a Sequential, each ReLU →
+// QuantAct (→ 2×2 stride-2 MaxPool2D) chain that Fuse finds runs as one
+// forward and one backward step of the QuantAct's, as compiled evaluation
+// plans run it.
 //
 // Order 2 is the order-1 rule with every linear coefficient — inputs,
 // weights, pooling and normalization factors — squared, the diagonal recipe

@@ -14,8 +14,11 @@ import (
 type MaxPool2D struct {
 	name      string
 	K, Stride int
-	inShape   []int
-	argmax    []int // flat input index feeding each output element
+
+	// Forward's input and, for each output element, the flat input index
+	// feeding it; both in the caller's scratch.
+	x      *tensor.Tensor
+	argmax []int
 }
 
 // NewMaxPool2D builds a max-pool with a square window and the given stride.
@@ -40,16 +43,13 @@ func poolOut(in, k, stride int) int {
 }
 
 // Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
 	checkBatched(x, 4, m.name)
-	m.inShape = append(m.inShape[:0], x.Shape...)
+	m.x = x
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := poolOut(h, m.K, m.Stride), poolOut(w, m.K, m.Stride)
-	out := tensor.New(b, c, oh, ow)
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size())
-	}
-	m.argmax = m.argmax[:out.Size()]
+	out := a.Alloc(b, c, oh, ow)
+	m.argmax = a.AllocInts(len(out.Data))
 	o := 0
 	for bi := 0; bi < b; bi++ {
 		for ci := 0; ci < c; ci++ {
@@ -118,13 +118,16 @@ func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 }
 
 // Backward implements Layer.
-func (m *MaxPool2D) Backward(dOut *tensor.Tensor, _ int) *tensor.Tensor {
-	dIn := tensor.New(m.inShape...)
+func (m *MaxPool2D) Backward(dOut *tensor.Tensor, _ int, a *tensor.Arena) *tensor.Tensor {
+	dIn := a.Alloc(m.x.Shape...)
+	clear(dIn.Data)
 	for o, idx := range m.argmax {
 		dIn.Data[idx] += dOut.Data[o]
 	}
 	return dIn
 }
+
+func (m *MaxPool2D) drop() { m.x, m.argmax = nil, nil }
 
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
@@ -161,12 +164,12 @@ func (a *AvgPool2D) Name() string { return a.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
 // additionally records the input shape for Backward.
-func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool, s *tensor.Arena) *tensor.Tensor {
 	checkBatched(x, 4, a.name)
 	a.inShape = append(a.inShape[:0], x.Shape...)
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := tensor.New(b, c, poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride))
-	a.ForwardInto(out, x, nil, kernel.Default())
+	out := s.Alloc(b, c, poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride))
+	a.ForwardInto(out, x, s, nil)
 	return out
 }
 
@@ -210,13 +213,14 @@ func (a *AvgPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 
 // Backward implements Layer: every window element receives the output
 // derivative times the window mean's coefficient 1/n, squared at order 2.
-func (a *AvgPool2D) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
+func (a *AvgPool2D) Backward(dOut *tensor.Tensor, order int, s *tensor.Arena) *tensor.Tensor {
 	n := float64(a.K * a.K)
 	coeff := 1.0 / n
 	if order == 2 {
 		coeff = 1.0 / (n * n)
 	}
-	dIn := tensor.New(a.inShape...)
+	dIn := s.Alloc(a.inShape...)
+	clear(dIn.Data)
 	b, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
 	oh, ow := poolOut(h, a.K, a.Stride), poolOut(w, a.K, a.Stride)
 	o := 0

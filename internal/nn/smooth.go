@@ -19,7 +19,8 @@ import (
 // (the chain rule for second derivatives of a composition; Eq. 9's form has
 // the first-derivative term folded through df/dI = g′·df/dP). Because the
 // curvature term consumes df/dP, the order-1 Backward must run before the
-// order-2 one for these layers; the implementation caches gradOut and
+// order-2 one for these layers; the implementation keeps the order-1 dOut,
+// which must still be valid then (its caller's arena not reset), and
 // enforces the order.
 type smoothAct struct {
 	name string
@@ -27,6 +28,8 @@ type smoothAct struct {
 	d1   func(y float64) float64 // g′ expressed in terms of the output y
 	d2   func(y float64) float64 // g″ expressed in terms of the output y
 
+	// Forward's output and the order-1 Backward's dOut, in the caller's
+	// scratch.
 	out     *tensor.Tensor
 	gradOut *tensor.Tensor
 }
@@ -35,10 +38,10 @@ type smoothAct struct {
 func (s *smoothAct) Name() string { return s.name }
 
 // Forward implements Layer as a thin wrapper over ForwardInto that
-// additionally caches the output for Backward.
-func (s *smoothAct) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
-	s.ForwardInto(out, x, nil, kernel.Default())
+// additionally keeps the output for Backward.
+func (s *smoothAct) Forward(x *tensor.Tensor, _ bool, a *tensor.Arena) *tensor.Tensor {
+	out := a.Alloc(x.Shape...)
+	s.ForwardInto(out, x, a, nil)
 	s.out = out
 	s.gradOut = nil
 	return out
@@ -57,8 +60,8 @@ func (s *smoothAct) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 // Backward implements Layer. Order 1 scales by g′ and caches dOut; order 2
 // requires that preceding order-1 call on the same forward pass (the
 // curvature term needs df/dP).
-func (s *smoothAct) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
-	dIn := tensor.New(dOut.Shape...)
+func (s *smoothAct) Backward(dOut *tensor.Tensor, order int, a *tensor.Arena) *tensor.Tensor {
+	dIn := a.Alloc(dOut.Shape...)
 	if order == 1 {
 		s.gradOut = dOut
 		for i, d := range dOut.Data {
@@ -76,6 +79,8 @@ func (s *smoothAct) Backward(dOut *tensor.Tensor, order int) *tensor.Tensor {
 	}
 	return dIn
 }
+
+func (s *smoothAct) drop() { s.out, s.gradOut = nil, nil }
 
 // Params implements Layer.
 func (s *smoothAct) Params() []*Param { return nil }

@@ -11,14 +11,14 @@ import (
 func TestSigmoidForwardValues(t *testing.T) {
 	s := NewSigmoid()
 	x := tensor.FromSlice([]float64{0, 100, -100}, 1, 3)
-	y := s.Forward(x, false)
+	y := s.Forward(x, false, tensor.NewArena())
 	if math.Abs(y.Data[0]-0.5) > 1e-12 || y.Data[1] < 0.999 || y.Data[2] > 0.001 {
 		t.Fatalf("sigmoid = %v", y.Data)
 	}
 }
 
 func TestTanhForwardValues(t *testing.T) {
-	y := NewTanh().Forward(tensor.FromSlice([]float64{0, 5, -5}, 1, 3), false)
+	y := NewTanh().Forward(tensor.FromSlice([]float64{0, 5, -5}, 1, 3), false, tensor.NewArena())
 	if y.Data[0] != 0 || y.Data[1] < 0.999 || y.Data[2] > -0.999 {
 		t.Fatalf("tanh = %v", y.Data)
 	}
@@ -49,7 +49,7 @@ func smoothHessCheck(t *testing.T, act Layer, seed uint64) {
 	x := randInput(r, 3, 4)
 	labels := []int{0, 2, 4}
 	net.ZeroHess()
-	net.AccumulateHessianFull(x, labels)
+	net.AccumulateHessianFull(x, labels, tensor.NewArena())
 	for _, p := range net.Params() {
 		for i := range p.Data.Data {
 			got := p.Hess.Data[i]
@@ -67,19 +67,19 @@ func TestTanhHessianExactWithL2(t *testing.T)    { smoothHessCheck(t, NewTanh(),
 func TestSmoothActRequiresBackwardFirst(t *testing.T) {
 	s := NewSigmoid()
 	x := tensor.FromSlice([]float64{1, 2}, 1, 2)
-	s.Forward(x, false)
+	s.Forward(x, false, tensor.NewArena())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("order-2 Backward without order 1 should panic for curved activations")
 		}
 	}()
-	s.Backward(tensor.FromSlice([]float64{1, 1}, 1, 2), 2)
+	s.Backward(tensor.FromSlice([]float64{1, 1}, 1, 2), 2, tensor.NewArena())
 }
 
 func TestSmoothCloneIndependent(t *testing.T) {
 	s := NewTanh()
 	x := tensor.FromSlice([]float64{1}, 1, 1)
-	s.Forward(x, false)
+	s.Forward(x, false, tensor.NewArena())
 	c := s.Clone().(*Tanh)
 	if c.out != nil {
 		t.Fatal("clone inherited caches")
@@ -101,9 +101,9 @@ func TestFullAndFastHessianAgreeOnReLU(t *testing.T) {
 	labels := []int{0, 1, 2, 0}
 	a, b := build(), build()
 	a.ZeroHess()
-	a.AccumulateHessian(x, labels)
+	a.AccumulateHessian(x, labels, tensor.NewArena())
 	b.ZeroHess()
-	b.AccumulateHessianFull(x, labels)
+	b.AccumulateHessianFull(x, labels, tensor.NewArena())
 	pa, pb := a.Params(), b.Params()
 	for k := range pa {
 		for i := range pa[k].Hess.Data {

@@ -231,6 +231,9 @@ type insituTrial struct {
 	start int // training-batch cursor, persisted across budget points
 }
 
+// SpendTo trains on device until the spend reaches nwc. Each step's
+// forward and backward buffers come from mp's arena (swim.InSituStep), the
+// pooled arena the trial's accuracy measurements use.
 func (t *insituTrial) SpendTo(mp *mapping.Mapped, nwc float64, r *rng.Source) {
 	budget := nwc * mp.BaselineCycles()
 	for mp.CyclesUsed < budget {

@@ -348,12 +348,22 @@ func WithNonidealities(models ...nonideal.Nonideality) Option {
 // after programming).
 func WithReadTime(seconds float64) Option {
 	return func(p *Pipeline) error {
-		if seconds < 0 || math.IsNaN(seconds) {
-			return fmt.Errorf("read time must be non-negative, got %g", seconds)
+		if err := CheckReadTime(seconds); err != nil {
+			return err
 		}
 		p.readTime = seconds
 		return nil
 	}
+}
+
+// CheckReadTime is the one rule for read times, which WithReadTime and the
+// front ends' early checks (experiments.CheckGrid) share: non-negative and
+// not NaN.
+func CheckReadTime(seconds float64) error {
+	if seconds < 0 || math.IsNaN(seconds) {
+		return fmt.Errorf("read time must be non-negative, got %g", seconds)
+	}
+	return nil
 }
 
 // New validates the configuration and returns a runnable Pipeline. master is

@@ -179,10 +179,20 @@ func TestBudgetValidation(t *testing.T) {
 	w := workload(t)
 	pol := mustLookup(t, "swim")
 	for name, b := range map[string]Budget{
-		"empty grid":      GridBudget(),
-		"negative target": GridBudget(-0.1),
-		"decreasing grid": GridBudget(0.5, 0.1),
-		"negative MaxNWC": DropTarget{BaseAccuracy: 90, MaxDrop: 1, MaxNWC: -1},
+		"empty grid":          GridBudget(),
+		"negative target":     GridBudget(-0.1),
+		"decreasing grid":     GridBudget(0.5, 0.1),
+		"NaN target":          GridBudget(math.NaN()),
+		"NaN then decreasing": GridBudget(0.5, math.NaN(), 0.1),
+		"+Inf target":         GridBudget(0.1, math.Inf(1)),
+		"-Inf target":         GridBudget(math.Inf(-1)),
+		"negative MaxNWC":     DropTarget{BaseAccuracy: 90, MaxDrop: 1, MaxNWC: -1},
+		"NaN BaseAccuracy":    DropTarget{BaseAccuracy: math.NaN(), MaxDrop: 1},
+		"+Inf BaseAccuracy":   DropTarget{BaseAccuracy: math.Inf(1), MaxDrop: 1},
+		"NaN MaxDrop":         DropTarget{BaseAccuracy: 90, MaxDrop: math.NaN()},
+		"-Inf MaxDrop":        DropTarget{BaseAccuracy: 90, MaxDrop: math.Inf(-1)},
+		"NaN MaxNWC":          DropTarget{BaseAccuracy: 90, MaxDrop: 1, MaxNWC: math.NaN()},
+		"+Inf MaxNWC":         DropTarget{BaseAccuracy: 90, MaxDrop: 1, MaxNWC: math.Inf(1)},
 	} {
 		if _, err := New(w.net, pol, b, w.options()...); err == nil {
 			t.Errorf("%s: accepted", name)

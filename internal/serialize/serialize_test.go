@@ -8,6 +8,7 @@ import (
 	"swim/internal/models"
 	"swim/internal/nn"
 	"swim/internal/rng"
+	"swim/internal/tensor"
 	"swim/internal/train"
 )
 
@@ -35,8 +36,8 @@ func TestRoundTripPreservesOutputs(t *testing.T) {
 	// Exact logits, not just accuracy.
 	x, y := data.Subset(ds.TestX, ds.TestY, 8)
 	_ = y
-	a := net.Forward(x, false)
-	b := fresh.Forward(x, false)
+	a := net.Forward(x, false, tensor.NewArena())
+	b := fresh.Forward(x, false, tensor.NewArena())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("restored network produces different logits")
@@ -61,8 +62,8 @@ func TestRoundTripResNetWithBNAndQuant(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, _ := data.Subset(ds.TestX, ds.TestY, 4)
-	a := net.Forward(x, false)
-	b := fresh.Forward(x, false)
+	a := net.Forward(x, false, tensor.NewArena())
+	b := fresh.Forward(x, false, tensor.NewArena())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("restored ResNet differs (BN stats or quant ranges lost)")

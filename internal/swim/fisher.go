@@ -25,9 +25,11 @@ func FisherSensitivity(net *nn.Network, x *tensor.Tensor, y []int, batch int) []
 		total += p.Size()
 	}
 	fisher := make([]float64, total)
+	scratch := tensor.NewArena()
 	for _, b := range data.Batches(x, y, batch) {
 		net.ZeroGrad()
-		net.LossGrad(b.X, b.Y, false)
+		scratch.Reset()
+		net.LossGrad(b.X, b.Y, false, scratch)
 		flat := 0
 		for _, p := range params {
 			for _, g := range p.Grad.Data {

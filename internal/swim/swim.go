@@ -33,11 +33,14 @@ import (
 // weight of net over the calibration set (x, y), flattened in MappedParams
 // order — the same order package mapping indexes weights. This is the
 // paper's single-pass second-derivative computation: its cost equals one
-// gradient epoch over the calibration set.
+// gradient epoch over the calibration set. Its buffers come from one arena
+// reused across batches and dropped on return.
 func Sensitivity(net *nn.Network, x *tensor.Tensor, y []int, batch int) []float64 {
 	net.ZeroHess()
+	scratch := tensor.NewArena()
 	for _, b := range data.Batches(x, y, batch) {
-		net.AccumulateHessian(b.X, b.Y)
+		scratch.Reset()
+		net.AccumulateHessian(b.X, b.Y, scratch)
 	}
 	var out []float64
 	for _, p := range net.MappedParams() {
@@ -239,7 +242,9 @@ func DefaultInSitu() InSituConfig { return InSituConfig{LR: 0.005, Batch: 32} }
 // forward/backward pass under the currently programmed (noisy) weights on
 // one training batch, followed by an unverified noisy write of every mapped
 // weight (one write cycle each) and a free digital update of unmapped
-// parameters. batchStart cycles through the training set.
+// parameters. batchStart cycles through the training set. The pass's
+// buffers come from mp's arena (Mapped.Arena), which it resets first: a
+// step allocates nothing once that arena has grown to its size.
 func InSituStep(mp *mapping.Mapped, trainX *tensor.Tensor, trainY []int, batchStart int,
 	cfg InSituConfig, r *rng.Source) (nextStart int) {
 
@@ -249,13 +254,17 @@ func InSituStep(mp *mapping.Mapped, trainX *tensor.Tensor, trainY []int, batchSt
 	if end > n {
 		end = n
 	}
-	shape := append([]int{end - batchStart}, trainX.Shape[1:]...)
-	bx := tensor.FromSlice(trainX.Data[batchStart*sample:end*sample], shape...)
+	scratch := mp.Arena()
+	scratch.Reset()
+	var shape [4]int
+	shape[0] = end - batchStart
+	dims := 1 + copy(shape[1:], trainX.Shape[1:])
+	bx := scratch.View(trainX.Data[batchStart*sample:end*sample], shape[:dims]...)
 	by := trainY[batchStart:end]
 
 	net := mp.Net
 	net.ZeroGrad()
-	net.LossGrad(bx, by, true)
+	net.LossGrad(bx, by, true, scratch)
 
 	// Mapped weights: apply one incremental (unverified) update pulse per
 	// weight — one write cycle each, per the paper's in-situ accounting.

@@ -51,8 +51,11 @@ type EpochStats struct {
 }
 
 // SGD trains net on the dataset's training split and returns per-epoch
-// statistics. The run is deterministic given r.
+// statistics. The run is deterministic given r. Every step's forward and
+// backward buffers come from one arena that SGD owns, reset between steps
+// and dropped when it returns, so training leaves no scratch on net.
 func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochStats {
+	scratch := tensor.NewArena()
 	vel := make(map[*nn.Param]*tensor.Tensor)
 	params := net.Params()
 	for _, p := range params {
@@ -88,7 +91,8 @@ func SGD(net *nn.Network, ds *data.Dataset, cfg Config, r *rng.Source) []EpochSt
 				}
 			}
 			net.ZeroGrad()
-			loss, ok := net.LossGradCount(b.X, b.Y, true)
+			scratch.Reset()
+			loss, ok := net.LossGradCount(b.X, b.Y, true, scratch)
 			lossSum += loss * float64(len(b.Y))
 			correct += ok
 			seen += len(b.Y)

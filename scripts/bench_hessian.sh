@@ -4,8 +4,10 @@
 # gradient computation". This runs BenchmarkGradientPass and
 # BenchmarkHessianPass (LeNet, batch 32) in one process with -benchmem
 # -count 5, writes the per-benchmark medians and the Hessian/gradient
-# ratios to BENCH_hessian.json, and fails when the ratio of ns/op or of B/op
-# exceeds 1.5.
+# ns/op ratio to BENCH_hessian.json, and fails when that ratio exceeds 1.5
+# or when either pass allocates at all. Both passes carve every buffer from
+# caller scratch, so memory is held to 0 allocs/op, which is stricter than
+# a bytes ratio (both read 0 B/op, a ratio of nothing).
 #
 # Only ratios measured inside a single `go test -bench` process are
 # compared: absolute ns/op on shared runners swing by 1.5x between runs,
@@ -54,12 +56,11 @@ END {
     mns[m] = median(a, n[m]); mby[m] = median(b, n[m]); mal[m] = median(c, n[m])
   }
   rns = mns["hessian"] / mns["gradient"]
-  rby = mby["hessian"] / mby["gradient"]
 
   printf "{\n  \"benchmarks\": [\"BenchmarkGradientPass\", \"BenchmarkHessianPass\"],\n" > out_json
   printf "  \"count\": %d,\n", count > out_json
   printf "  \"cpu\": \"%s\",\n", cpu > out_json
-  printf "  \"gate\": {\"max_ratio\": %s},\n", max_ratio > out_json
+  printf "  \"gate\": {\"max_ratio\": %s, \"max_allocs_per_op\": 0},\n", max_ratio > out_json
   printf "  \"median\": {\n" > out_json
   for (i = 1; i <= 2; i++) {
     m = names[i]
@@ -67,17 +68,22 @@ END {
       m, mns[m], mby[m], mal[m], (i < 2 ? "," : "") > out_json
   }
   printf "  },\n" > out_json
-  printf "  \"hessian_over_gradient\": {\"ns_per_op\": %.3f, \"bytes_per_op\": %.3f}\n}\n", rns, rby > out_json
+  printf "  \"hessian_over_gradient\": {\"ns_per_op\": %.3f}\n}\n", rns > out_json
 
-  printf "hessian/gradient: %.2fx ns/op, %.2fx B/op (bound %.2fx)\n", rns, rby, max_ratio
+  printf "hessian/gradient: %.2fx ns/op (bound %.2fx); allocs/op %d and %d (bound 0)\n", rns, max_ratio, mal["gradient"], mal["hessian"]
   status = 0
   if (rns > max_ratio) {
     printf "FAIL: Hessian pass takes %.2fx the gradient pass time, bound %.2fx\n", rns, max_ratio > "/dev/stderr"
     status = 1
   }
-  if (rby > max_ratio) {
-    printf "FAIL: Hessian pass allocates %.2fx the gradient pass bytes, bound %.2fx\n", rby, max_ratio > "/dev/stderr"
-    status = 1
+  for (i = 1; i <= 2; i++) {
+    m = names[i]
+    for (k = 1; k <= n[m]; k++) {
+      if (al[m, k] + 0 > 0) {
+        printf "FAIL: %s pass allocates %d allocs/op in run %d, bound 0\n", m, al[m, k], k > "/dev/stderr"
+        status = 1
+      }
+    }
   }
   exit status
 }'

@@ -11,8 +11,9 @@
 # list, and a sweep grid program.New would refuse (swim-scenario -times,
 # swim-scenario and swim-pareto -nwcs) must be rejected the same way before
 # any workload is built: nothing on stdout, and the -state directory left
-# empty. A swim-calibrate -bits the device model refuses, or an -n below 1,
-# exits 2 with nothing on stdout too.
+# empty. So must swim-train's numeric flags (-train, -test, -epochs, -nwc,
+# -sigma). A swim-calibrate -bits the device model refuses, or an -n below
+# 1, exits 2 with nothing on stdout too.
 #
 # Every path exits before any workload is built, so nothing trains and the
 # script runs in seconds.
@@ -117,6 +118,18 @@ done
 expect_early swim-ablate -what nosuch
 expect_early swim-ablate -policy nosuch
 expect_early swim-train -policy nosuch
+# swim-train's numeric flags: a split smaller than the class count, no
+# epochs, a negative or non-finite write budget, a bad device sigma.
+for args in "-train 0" "-train 5" "-train -5" "-test 0" "-test 5" "-test -5" \
+  "-epochs -2" "-epochs -2 -save $bindir/untrained.state" "-nwc -1" "-nwc NaN" \
+  "-policy insitu -nwc inf" "-policy swim -nwc nan" "-sigma -1" "-sigma nan"; do
+  # shellcheck disable=SC2086 # each entry is a flag list
+  expect_early swim-train $args
+done
+if [ -e "$bindir/untrained.state" ]; then
+  echo "FAIL: swim-train -epochs -2 -save wrote a model" >&2
+  fail=1
+fi
 expect_early swim-fig1 -policy nosuch
 expect_early swim-fig1 -policy insitu
 expect_early swim-table1 -sigmas NaN
