@@ -18,14 +18,17 @@
 //
 //   - "scalar": the plain single-threaded loops this repository has always
 //     run. It is the reference the other backends are pinned against.
-//   - "blocked": register-tiled matmul loops and a direct convolution with
+//   - "blocked": register-tiled matmul loops, a fused Linear that gathers
+//     each input row's nonzero terms once, and a direct convolution with
 //     two loops, picked by a count of the input's exact zeros: a sparse
-//     scatter that skips the zeros ReLU and quantization leave in hidden
-//     feature maps, and, for near-dense inputs such as a stem's raw pixels
-//     and for strided convolutions up to two zeros in three, an
+//     scatter into pixel-major accumulators that skips the zeros ReLU and
+//     quantization leave in hidden feature maps, and, for near-dense inputs
+//     such as a stem's raw pixels, for an unpadded 5-wide kernel up to half
+//     zeros and for strided convolutions up to two zeros in three, an
 //     output-stationary loop that sums each output pixel in registers.
-//     Same accumulation order per output element, so results are
-//     bit-identical to scalar. This is the default everywhere.
+//     Both run a whole 5-wide kernel row as straight-line code. Same
+//     accumulation order per output element, so results are bit-identical
+//     to scalar. This is the default everywhere.
 //   - "parallel": batch-row parallelism over a bounded shared worker pool,
 //     with the blocked loop bodies inside each unit of work. Batch rows are
 //     written to disjoint destination regions, so results are bit-identical

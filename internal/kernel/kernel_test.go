@@ -136,17 +136,38 @@ func TestMatMulTransBVariantsBitIdentical(t *testing.T) {
 
 // TestLinearFusedMatchesUnfused pins the fused bias+matmul against the
 // historical two-pass sequence (matmul into a zeroed destination, then a
-// bias sweep) for every backend including scalar.
+// bias sweep) for every backend including scalar. Beside fill's rows, each
+// size from k = linearGather−1 up runs rows whose nonzero count sits
+// below, at and above blocked's gather chunk (and past two chunks where k
+// allows), an all-zero row, and rows of -0 with or without a few nonzero
+// entries; the other entries of those rows are ±0.
 func TestLinearFusedMatchesUnfused(t *testing.T) {
 	r := rng.New(17)
 	sizes := []struct{ m, k, n int }{
 		{1, 1, 1}, {2, 5, 3}, {7, 13, 9}, {32, 400, 120}, {5, 84, 10},
+		{8, linearGather - 1, 6}, {8, linearGather, 5}, {8, linearGather + 1, 7}, {8, 2*linearGather + 3, 9},
 	}
 	for _, sz := range sizes {
 		x := tensor.New(sz.m, sz.k)
 		w := tensor.New(sz.n, sz.k)
 		fill(x, r)
 		fill(w, r)
+		if sz.k >= linearGather-1 {
+			// nonzero entries per row; the rest are planted ±0
+			nonzero := []int{linearGather - 1, linearGather, linearGather + 1, 2*linearGather + 1, 0, 0, 3, sz.k}
+			for i, nz := range nonzero {
+				row := x.Data[i*sz.k : (i+1)*sz.k]
+				for j := range row {
+					row[j] = math.Copysign(0, float64(r.Intn(2))-0.5)
+					if i == 5 {
+						row[j] = math.Copysign(0, -1)
+					}
+				}
+				for _, j := range r.Perm(sz.k)[:min(nz, sz.k)] {
+					row[j] = r.Gauss(0, 1)
+				}
+			}
+		}
 		bias := make([]float64, sz.n)
 		for i := range bias {
 			if r.Intn(6) == 0 {
@@ -255,19 +276,23 @@ func TestConv2DVariantsBitIdentical(t *testing.T) {
 // TestConv2DDenseSwitchBitIdentical pins both of blocked's convolution
 // loops against the im2col reference across the zero-count switch
 // (convZeroLimit): the output-stationary loop and the scatter, on every
-// convGeoms entry plus the ResNet and LeNet stems and ResNet's downsampling
-// shapes, at no zeros, one below, at and one above the switch, and all
-// zeros; strided shapes also at 60% zeros, about the sparsest strided
-// input measured, which must run output-stationary. Planted zeros mix +0
-// and -0, the weights and bias carry both, and every destination starts as
-// NaN. blocked runs with and without the panel workspace, parallel at one
-// worker and at all CPUs.
+// convGeoms entry plus the ResNet and LeNet stems, LeNet's conv2 (where an
+// unpadded 5-wide kernel switches at half), a padded 5×5 hidden shape with
+// two 8-lane tiles and ResNet's downsampling shapes, at no zeros, one
+// below, at and one above the switch, and all zeros; 5-wide shapes also
+// one below, at and one above half; strided shapes also at 60% zeros,
+// about the sparsest strided input measured, which must run
+// output-stationary. Planted zeros mix +0 and -0, the weights and bias
+// carry both, and every destination starts as NaN. blocked runs with and
+// without the panel workspace, parallel at one worker and at all CPUs.
 func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 	geoms := append(convGeoms[:len(convGeoms):len(convGeoms)],
-		convGeom{3, 32, 32, 4, 3, 3, 1, 1}, // resnet stem
-		convGeom{1, 28, 28, 6, 5, 5, 1, 2}, // lenet stem
-		convGeom{4, 32, 32, 8, 3, 3, 2, 1}, // resnet downsample
-		convGeom{4, 32, 32, 8, 1, 1, 2, 0}, // resnet projection
+		convGeom{3, 32, 32, 4, 3, 3, 1, 1},  // resnet stem
+		convGeom{1, 28, 28, 6, 5, 5, 1, 2},  // lenet stem
+		convGeom{6, 14, 14, 16, 5, 5, 1, 0}, // lenet conv2
+		convGeom{8, 12, 12, 16, 5, 5, 1, 2}, // padded 5×5 hidden
+		convGeom{4, 32, 32, 8, 3, 3, 2, 1},  // resnet downsample
+		convGeom{4, 32, 32, 8, 1, 1, 2, 0},  // resnet projection
 	)
 	r := rng.New(37)
 	// Inputs per side: stride 1 dense and sparse; stride > 1 sparse (more
@@ -286,6 +311,9 @@ func TestConv2DDenseSwitchBitIdentical(t *testing.T) {
 		}
 		bias[0] = math.Copysign(0, -1)
 		counts := []int{0, limit - 1, limit, limit + 1, n}
+		if cg.kw == 5 {
+			counts = append(counts, n/2-1, n/2, n/2+1)
+		}
 		if cg.stride > 1 {
 			counts = append(counts, n*60/100)
 		}

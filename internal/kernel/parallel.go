@@ -153,7 +153,7 @@ func runUnit(j *pjob, u int) {
 	case jobTransB:
 		matMulTransBRowBlocked(j.cd[u*j.n:(u+1)*j.n], j.ad[u*j.k:(u+1)*j.k], j.bd, j.k, j.n, j.acc)
 	case jobLinear:
-		linearRowBlocked(j.cd[u*j.n:(u+1)*j.n], j.ad[u*j.k:(u+1)*j.k], j.bd, j.bias, j.k, j.n)
+		linearRows(j.cd[u*j.n:(u+1)*j.n], j.ad[u*j.k:(u+1)*j.k], j.bd, j.bias, 1, j.k, j.n)
 	case jobConv:
 		si := j.g.InC * j.g.InH * j.g.InW
 		so := j.outC * j.g.OutH * j.g.OutW

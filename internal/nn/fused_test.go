@@ -212,7 +212,7 @@ func unfusedChain(q *QuantAct, x, g1, g2 *tensor.Tensor, train, pool bool, a *te
 		}
 		reached := backward(probe, 1)
 		for o, k := range mp.argmax {
-			if reached[k] != float64(o+1) {
+			if k < 0 || reached[k] != float64(o+1) {
 				k = -1
 			}
 			run.argmax = append(run.argmax, k)
@@ -403,10 +403,9 @@ func TestHessianFullReusesScratch(t *testing.T) {
 // chain on arbitrary float64 bit patterns (8 bytes each, little-endian, a
 // map three wide whose third column, and last row when the row count is
 // odd, the pool drops), an arbitrary Max bit pattern, bit widths 0–64, a
-// disabled flag and calibration. Backward runs only where the chain's
-// MaxPool2D finds an argmax in every window: with a NaN or infinite step
-// every quantized value can be NaN, and the layer-by-layer backward then
-// indexes its input at -1.
+// disabled flag and calibration. Backward runs on every input: with a
+// NaN or infinite step every quantized value can be NaN, and a window
+// without a maximum routes nothing on both sides.
 func FuzzTrainChain(f *testing.F) {
 	var data []byte
 	for _, win := range append(tieWindows, edgeWindows(clampMax, 4)...) {
@@ -430,16 +429,6 @@ func FuzzTrainChain(f *testing.F) {
 		h := len(vs) / w
 		x := tensor.FromSlice(vs[:h*w], 1, 1, h, w)
 		q := &QuantAct{Bits: int(bits % 65), Max: math.Float64frombits(maxBits), Disabled: disabled, Calibrate: calibrate}
-		a := tensor.NewArena()
-		for _, train := range []bool{false, true} {
-			probe := q.Clone().(*QuantAct)
-			mp := NewMaxPool2D("pool", 2, 2)
-			mp.Forward(probe.Forward(NewReLU().Forward(x, train, a), train, a), train, a)
-			if slices.Contains(mp.argmax, -1) {
-				checkFused(t, q, x) // forward only
-				return
-			}
-		}
 		checkTrainChain(t, q, x)
 	})
 }

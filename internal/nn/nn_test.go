@@ -418,6 +418,43 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 	}
 }
 
+// TestMaxPoolBackwardWindowWithoutMax: a window whose values are all −Inf
+// or NaN has no maximum, so Forward records argmax −1 and Backward, at
+// both orders, routes its derivative nowhere (it used to index the input
+// derivative at −1 and panic) while the other windows route as usual.
+func TestMaxPoolBackwardWindowWithoutMax(t *testing.T) {
+	inf, nan := math.Inf(-1), math.NaN()
+	for _, tc := range []struct {
+		name   string
+		window [4]float64 // the first window's values, in scan order
+	}{
+		{"all -Inf", [4]float64{inf, inf, inf, inf}},
+		{"all NaN", [4]float64{nan, nan, nan, nan}},
+		{"-Inf and NaN", [4]float64{inf, nan, nan, inf}},
+	} {
+		for _, order := range []int{1, 2} {
+			w := tc.window
+			x := tensor.FromSlice([]float64{
+				w[0], w[1], 1, 2,
+				w[2], w[3], 4, 3,
+			}, 1, 1, 2, 4)
+			p := NewMaxPool2D("p", 2, 2)
+			a := tensor.NewArena()
+			y := p.Forward(x, true, a)
+			if !math.IsInf(y.Data[0], -1) || y.Data[1] != 4 {
+				t.Fatalf("%s: forward = %v, want [-Inf 4]", tc.name, y.Data)
+			}
+			gi := p.Backward(tensor.FromSlice([]float64{5, 7}, 1, 1, 1, 2), order, a)
+			want := []float64{0, 0, 0, 0, 0, 0, 7, 0}
+			for i := range want {
+				if gi.Data[i] != want[i] {
+					t.Fatalf("%s order %d: input derivative = %v, want %v", tc.name, order, gi.Data, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPoolRejectsMapNarrowerThanWindow: a map with fewer rows or columns
 // than the window has no output position. (in-k)/stride truncates toward
 // zero, so without the check a 2×2 window over one row reported one output

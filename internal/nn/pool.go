@@ -117,12 +117,16 @@ func (m *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *tensor.Arena, _ kernel
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A window whose values are all −Inf or NaN
+// has no maximum (Forward records −1): its derivative routes nowhere, as
+// in the fused training step.
 func (m *MaxPool2D) Backward(dOut *tensor.Tensor, _ int, a *tensor.Arena) *tensor.Tensor {
 	dIn := a.Alloc(m.x.Shape...)
 	clear(dIn.Data)
 	for o, idx := range m.argmax {
-		dIn.Data[idx] += dOut.Data[o]
+		if idx >= 0 {
+			dIn.Data[idx] += dOut.Data[o]
+		}
 	}
 	return dIn
 }
