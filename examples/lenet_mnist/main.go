@@ -44,7 +44,11 @@ func main() {
 
 	calX, calY := data.Subset(ds.TrainX, ds.TrainY, 512)
 	hess := swim.Sensitivity(net, calX, calY, 64)
-	weights := swim.FlatWeights(net)
+	sens, err := program.NewSensitivity(hess, swim.FlatWeights(net))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lenet_mnist:", err)
+		os.Exit(1)
+	}
 
 	for _, name := range []string{"swim", "magnitude", "random"} {
 		pol, err := program.Lookup(name)
@@ -55,7 +59,7 @@ func main() {
 		p, err := program.New(net, pol, program.DropBudget(clean, *drop),
 			program.WithDevice(device.Default(4, *sigma)),
 			program.WithEval(ds.TestX, ds.TestY),
-			program.WithSensitivity(hess, weights),
+			program.WithSensitivity(sens),
 			program.WithGranularity(0.05),
 			program.WithSeed(7),
 			program.WithTrials(1),

@@ -41,7 +41,11 @@ func main() {
 	fmt.Println("== 2. compute per-weight sensitivities (Hessian diagonal)")
 	calX, calY := data.Subset(ds.TrainX, ds.TrainY, 512)
 	hess := swim.Sensitivity(net, calX, calY, 64)
-	weights := swim.FlatWeights(net)
+	sens, err := program.NewSensitivity(hess, swim.FlatWeights(net))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("sensitivities computed for %d weights in a single pass\n\n", len(hess))
 
 	// 3. One pipeline run walks the whole write-budget grid: the "swim"
@@ -57,7 +61,7 @@ func main() {
 	p, err := program.New(net, pol, program.GridBudget(0, 0.1, 0.5, 1.0),
 		program.WithDevice(device.Default(4, 1.0)),
 		program.WithEval(ds.TestX, ds.TestY),
-		program.WithSensitivity(hess, weights),
+		program.WithSensitivity(sens),
 		program.WithSeed(1234),
 		program.WithTrials(6),
 	)

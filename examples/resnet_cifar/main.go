@@ -38,7 +38,11 @@ func main() {
 
 	calX, calY := data.Subset(ds.TrainX, ds.TrainY, 256)
 	hess := swim.Sensitivity(net, calX, calY, 32)
-	weights := swim.FlatWeights(net)
+	sens, err := program.NewSensitivity(hess, swim.FlatWeights(net))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "resnet_cifar:", err)
+		os.Exit(1)
+	}
 	fmt.Println("sensitivities computed through 8 residual blocks in one pass")
 
 	for _, name := range []string{"swim", "random"} {
@@ -50,7 +54,7 @@ func main() {
 		p, err := program.New(net, pol, program.GridBudget(0.1),
 			program.WithDevice(device.Default(6, 1.0)),
 			program.WithEval(ds.TestX, ds.TestY),
-			program.WithSensitivity(hess, weights),
+			program.WithSensitivity(sens),
 			program.WithSeed(1234),
 			program.WithTrials(4),
 		)

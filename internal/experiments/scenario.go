@@ -12,7 +12,6 @@ import (
 	"swim/internal/mc"
 	"swim/internal/nonideal"
 	"swim/internal/program"
-	"swim/internal/rng"
 	"swim/internal/serialize"
 )
 
@@ -273,7 +272,9 @@ type scenarioCell struct {
 // pipeline (shared cycle table and seed, workload options, extra options
 // appended) and handing the scenario's cells and their group, in (time,
 // policy) order, to run. Both the full-run and the trial-range shard paths
-// iterate through here, which is what keeps their cells aligned.
+// iterate through here, which is what keeps their cells aligned. The cycle
+// table comes from the workload's (σ, seed) memo, so the shards of one job
+// that a process serves derive it once.
 func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg ScenarioConfig,
 	extra []program.Option, run func(sc Scenario, cells []scenarioCell, g program.Group) error) error {
 
@@ -296,8 +297,7 @@ func scenarioCells(w *Workload, sigma float64, scenarios []Scenario, cfg Scenari
 		}
 		costOpts = append(costOpts, program.WithCalibrationModel(cm))
 	}
-	dm := w.DeviceFor(sigma)
-	table := dm.CycleTable(300, rng.New(cfg.Seed^0x5ce11a))
+	table := w.cycleTable(sigma, cfg.Seed)
 	evalX, evalY := data.Subset(w.DS.TestX, w.DS.TestY, mc.EvalSize(len(w.DS.TestY)))
 	for _, sc := range scenarios {
 		var cells []scenarioCell

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"swim/internal/device"
+	"swim/internal/program"
 )
 
 func TestParseScenarios(t *testing.T) {
@@ -138,4 +144,70 @@ func TestCheckGrid(t *testing.T) {
 			t.Errorf("%s: CheckGrid(%v, %v, %v) = %v, want ok=%v", tc.name, tc.nwcs, tc.times, tc.policies, err, tc.ok)
 		}
 	}
+}
+
+// The one-trial shards of one job derive its cycle table once per
+// workload, also when they arrive together; another seed or σ derives its
+// own, and the memo keeps at most maxTables keys, dropping the oldest.
+func TestScenarioShardsDeriveTableOncePerJob(t *testing.T) {
+	w := tinyBuild("table-memo")
+	var derived atomic.Int64
+	derive := deriveTable
+	deriveTable = func(dm device.Model, seed uint64) []float64 {
+		derived.Add(1)
+		return derive(dm, seed)
+	}
+	defer func() { deriveTable = derive }()
+	want := func(n int64) {
+		t.Helper()
+		if got := derived.Load(); got != n {
+			t.Fatalf("%d cycle tables derived, want %d", got, n)
+		}
+	}
+
+	job := ScenarioConfig{
+		NWCs: []float64{0, 0.1}, Times: []float64{0}, Policies: []string{"swim", "noverify"},
+		Trials: 4, Seed: 21, EvalBatch: 32,
+	}
+	shards := func(cfg ScenarioConfig, sigma float64) {
+		t.Helper()
+		errs := make([]error, cfg.Trials)
+		var wg sync.WaitGroup
+		for lo := range cfg.Trials {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[lo] = ScenarioShards(context.Background(), w, sigma, nil, cfg, lo, lo+1, program.WithWorkers(1))
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shards(job, SigmaTypical)
+	want(1)
+	shards(job, SigmaTypical)
+	want(1)
+	reseeded := job
+	reseeded.Seed++
+	shards(reseeded, SigmaTypical)
+	want(2)
+	shards(job, SigmaHigh)
+	want(3)
+	if got := w.cycleTable(SigmaHigh, job.Seed); !slices.Equal(got, derive(w.DeviceFor(SigmaHigh), job.Seed)) {
+		t.Fatal("the memo's table differs from the one its key derives")
+	}
+	want(3)
+
+	for seed := range uint64(maxTables) {
+		w.cycleTable(SigmaMid, 1000+seed)
+	}
+	want(3 + maxTables)
+	w.cycleTable(SigmaMid, 1000+maxTables-1) // still kept
+	want(3 + maxTables)
+	w.cycleTable(SigmaTypical, job.Seed) // dropped as the oldest
+	want(4 + maxTables)
 }

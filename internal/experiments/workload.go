@@ -12,8 +12,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"swim/internal/data"
@@ -35,6 +37,9 @@ import (
 // A built Workload is immutable: Monte-Carlo trial bodies running on the
 // parallel mc engine may read it concurrently (Net only through TrialNet or
 // mapping.New, which clone), but must never write to Net, Hess or Weights.
+// What it derives from those fields on first use — the pipelines' ranking
+// inputs with their rankings, and the scenario sweeps' cycle tables — it
+// keeps for its lifetime, so a daemon's shards share them.
 type Workload struct {
 	Name       string
 	Net        *nn.Network
@@ -47,6 +52,11 @@ type Workload struct {
 	// configured state directory (SetStateDir) instead of trained in this
 	// process — the train-once, serve-many path.
 	FromState bool
+
+	sensOnce sync.Once
+	sens     *program.Sensitivity // Hess and Weights, checked once
+	sensErr  error
+	tables   tableMemo
 }
 
 // Sigma values used throughout (×5 the paper's grid; see package comment).
@@ -320,16 +330,72 @@ func (w *Workload) DeviceFor(sigma float64) device.Model {
 
 // Options returns the pipeline options every experiment on this workload
 // shares: the device model at σ, full test-split evaluation, the cached
-// sensitivity data (so pipelines skip the calibration pass), and the
-// training split for in-situ policies. Callers append overrides — options
-// apply in order, so a later WithEval narrows the evaluation subset.
-// Read-time nonideality scenarios are threaded explicitly (ReadScenario,
-// SweepConfig.Scenario, ScenarioResults) — never through process state.
+// sensitivity data (so pipelines skip the calibration pass and share one
+// ranking per policy), and the training split for in-situ policies.
+// Callers append overrides — options apply in order, so a later WithEval
+// narrows the evaluation subset. Read-time nonideality scenarios are
+// threaded explicitly (ReadScenario, SweepConfig.Scenario,
+// ScenarioResults) — never through process state.
 func (w *Workload) Options(sigma float64) []program.Option {
 	return []program.Option{
 		program.WithDevice(w.DeviceFor(sigma)),
 		program.WithEval(w.DS.TestX, w.DS.TestY),
-		program.WithSensitivity(w.Hess, w.Weights),
+		w.sensitivity(),
 		program.WithTraining(w.DS.TrainX, w.DS.TrainY),
 	}
+}
+
+// sensitivity returns the option that hands a pipeline the workload's one
+// program.Sensitivity, built from Hess and Weights on first use; when they
+// fail its checks, the option fails with the reason.
+func (w *Workload) sensitivity() program.Option {
+	w.sensOnce.Do(func() { w.sens, w.sensErr = program.NewSensitivity(w.Hess, w.Weights) })
+	if err := w.sensErr; err != nil {
+		return func(*program.Pipeline) error { return err }
+	}
+	return program.WithSensitivity(w.sens)
+}
+
+// maxTables bounds the cycle tables a workload keeps.
+const maxTables = 32
+
+// tableMemo keeps the cycle tables a workload's scenario sweeps derive,
+// keyed by σ and seed, up to maxTables of them; the oldest goes first.
+type tableMemo struct {
+	mu     sync.Mutex
+	tables map[tableKey]func() []float64
+	keys   []tableKey // insertion order
+}
+
+type tableKey struct{ sigma, seed uint64 } // sigma holds σ's bits
+
+// deriveTable derives the cycle table of a scenario sweep on device dm
+// with master seed seed. A test seam: tests count derivations through it.
+var deriveTable = func(dm device.Model, seed uint64) []float64 {
+	return dm.CycleTable(300, rng.New(seed^0x5ce11a))
+}
+
+// cycleTable returns the scenario sweeps' cycle table at σ for seed,
+// deriving it once per key while the key is kept: concurrent callers of a
+// new key wait for one derivation. The table is shared and read-only.
+func (w *Workload) cycleTable(sigma float64, seed uint64) []float64 {
+	m := &w.tables
+	k := tableKey{math.Float64bits(sigma), seed}
+	m.mu.Lock()
+	table := m.tables[k]
+	if table == nil {
+		if m.tables == nil {
+			m.tables = make(map[tableKey]func() []float64)
+		}
+		if len(m.keys) == maxTables {
+			delete(m.tables, m.keys[0])
+			m.keys = slices.Delete(m.keys, 0, 1)
+		}
+		dm := w.DeviceFor(sigma)
+		table = sync.OnceValue(func() []float64 { return deriveTable(dm, seed) })
+		m.tables[k] = table
+		m.keys = append(m.keys, k)
+	}
+	m.mu.Unlock()
+	return table()
 }

@@ -44,7 +44,8 @@ type Layer interface {
 	Backward(dOut *tensor.Tensor, order int, s *tensor.Arena) *tensor.Tensor
 	// Params returns the layer's parameters (empty for stateless layers).
 	Params() []*Param
-	// Clone returns a deep copy with independent parameters and no caches.
+	// Clone returns a deep copy with independent parameters, zeroed
+	// gradient and Hessian accumulators, and no caches.
 	Clone() Layer
 	// OutShape returns the output shape produced for a batched input of the
 	// given shape (axis 0 is the batch), or an error when the input shape is

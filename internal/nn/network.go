@@ -176,8 +176,8 @@ func (n *Network) CountCorrect(x *tensor.Tensor, labels []int, s *tensor.Arena) 
 	return CountCorrectLogits(n.Forward(x, false, s), labels)
 }
 
-// Clone deep-copies the network (parameters, running statistics, caches
-// excluded). Monte-Carlo trials clone the master network once per trial so
+// Clone deep-copies the network (parameters and running statistics; the
+// accumulators start at zero and caches are excluded). Monte-Carlo trials clone the master network once per trial so
 // that device-noise injection never corrupts the trained weights.
 func (n *Network) Clone() *Network {
 	return NewNetwork(n.Name, n.Trunk.Clone().(*Sequential), cloneLoss(n.Loss))

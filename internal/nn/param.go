@@ -97,12 +97,15 @@ func badOrder(order int) string {
 // Size returns the number of scalar weights in the parameter.
 func (p *Param) Size() int { return p.Data.Size() }
 
+// clone copies the parameter's values; the copy's accumulators start at
+// zero, because every reader zeroes them before a backward pass adds into
+// them.
 func (p *Param) clone() *Param {
 	return &Param{
 		Name:   p.Name,
 		Data:   p.Data.Clone(),
-		Grad:   p.Grad.Clone(),
-		Hess:   p.Hess.Clone(),
+		Grad:   tensor.New(p.Grad.Shape...),
+		Hess:   tensor.New(p.Hess.Shape...),
 		Mapped: p.Mapped,
 	}
 }

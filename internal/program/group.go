@@ -120,7 +120,7 @@ func (g Group) label() string {
 // groupCell is one member's run state.
 type groupCell struct {
 	p     *Pipeline
-	env   Env // the member's per-run copy, ranked at most once
+	env   Env // the member's per-run copy
 	table []float64
 	grid  NWCGrid
 	off   int // where the cell's values start in a group row

@@ -16,15 +16,16 @@ import (
 
 // Env is the workload context a Policy builds its per-trial state from. The
 // Pipeline assembles it from the functional options; Hess and Weights are
-// filled lazily (from WithSensitivity or the WithCalibration pass) before
-// any trial runs.
+// the pipeline's Sensitivity (WithSensitivity, or the one New builds from
+// the WithCalibration pass) before any trial runs.
 //
-// An Env must not change once a trial has been minted from it: selector
-// policies rank a fixed-order selector (swim.FixedOrder) once per Env and
-// every later trial shares that order. To vary the context, build a new
-// Env, or copy one that has not minted a trial yet (copies share the
-// cache). Pipeline.Run and RunShard take such a copy per run, so a run
-// ranks once and never reuses another run's order.
+// A fixed-order selector's order (swim.FixedOrder) depends only on its
+// policy and the Env's Hess and Weights, so it is ranked once per
+// Sensitivity: every run of every pipeline built on one value shares it.
+// An Env built as a literal makes its own cache from Hess and Weights on
+// first use, which copies taken after that share. An Env must not change
+// once a trial has been minted from it; to vary the context, build a new
+// one.
 type Env struct {
 	Net     *nn.Network
 	Device  device.Model
@@ -34,30 +35,27 @@ type Env struct {
 	TrainY  []int
 	InSitu  swim.InSituConfig
 
-	// ranks maps each selector policy to its once-per-Env ranking (see
-	// fixedOrder). Guarded by ranksMu.
-	ranks map[*selectorPolicy]func() ([]int, error)
+	// sens is the Sensitivity Hess and Weights belong to, which caches the
+	// fixed orders (see fixedOrder). Set by New, or under sensMu on first
+	// use for a literal.
+	sens *Sensitivity
 }
 
-// ranksMu guards every Env's ranks map. A run's trials mint their state
-// concurrently from one *Env, and a lock held in Env itself would turn the
-// per-run copies Pipeline takes into lock copies.
-var ranksMu sync.Mutex
+// sensMu guards the first use of a literal Env's sens. A run's trials mint
+// their state concurrently from one *Env, and a lock held in Env itself
+// would turn the per-run copies Pipeline takes into lock copies.
+var sensMu sync.Mutex
 
-// fixedOrder returns p's fixed order over env, ranking it on first use; nil
-// when p's selector draws its order per trial.
+// fixedOrder returns p's fixed order over env's Sensitivity, ranking it on
+// first use; nil when p's selector draws its order per trial.
 func (env *Env) fixedOrder(p *selectorPolicy) ([]int, error) {
-	ranksMu.Lock()
-	rank := env.ranks[p]
-	if rank == nil {
-		if env.ranks == nil {
-			env.ranks = make(map[*selectorPolicy]func() ([]int, error))
-		}
-		rank = sync.OnceValues(func() ([]int, error) { return p.rankFixed(env) })
-		env.ranks[p] = rank
+	sensMu.Lock()
+	if env.sens == nil {
+		env.sens = &Sensitivity{hess: env.Hess, weights: env.Weights}
 	}
-	ranksMu.Unlock()
-	return rank()
+	s := env.sens
+	sensMu.Unlock()
+	return s.order(p, env)
 }
 
 // Policy is a named strategy for spending a write budget on a mapped
@@ -115,10 +113,11 @@ type SelectorBacked interface {
 // SelectorPolicy adapts a swim.Selector factory into a Policy, so custom
 // rankings (tie-break ablations, Fisher sensitivities, ...) run on the same
 // pipeline as the built-ins. build must depend on nothing but env. A
-// selector carrying swim.FixedOrder is built and ranked once per Env, with
-// a nil rng, and every trial minted from that Env shares the order; any
-// other selector is built once per trial and draws its order from the
-// trial's stream.
+// selector carrying swim.FixedOrder must order by nothing but its policy
+// and env's Hess and Weights: it is built and ranked once per Sensitivity
+// and policy value, with a nil rng, and every trial of every run on that
+// Sensitivity shares the order. Any other selector is built once per trial
+// and draws its order from the trial's stream.
 func SelectorPolicy(name string, build func(env *Env) (swim.Selector, error)) SelectorBacked {
 	return &selectorPolicy{name: name, build: build}
 }

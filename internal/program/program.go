@@ -183,19 +183,16 @@ func WithCalibration(x *tensor.Tensor, y []int) Option {
 	}
 }
 
-// WithSensitivity injects precomputed Hessian-diagonal sensitivities (and
-// optionally weight magnitudes; nil recomputes them from the network),
-// skipping the calibration pass. Workload caches use this to share one
-// sensitivity computation across many runs.
-func WithSensitivity(hess, weights []float64) Option {
+// WithSensitivity injects precomputed ranking inputs (NewSensitivity),
+// skipping the calibration pass. Every pipeline built on one value shares
+// its fixed orders, so workload caches use this to share one sensitivity
+// computation, and one ranking per policy, across many runs.
+func WithSensitivity(s *Sensitivity) Option {
 	return func(p *Pipeline) error {
-		if len(hess) == 0 {
-			return errors.New("empty sensitivity vector")
+		if s == nil {
+			return errors.New("nil sensitivity (use NewSensitivity)")
 		}
-		if weights != nil && len(weights) != len(hess) {
-			return fmt.Errorf("sensitivity/weights length mismatch: %d vs %d", len(hess), len(weights))
-		}
-		p.env.Hess, p.env.Weights = hess, weights
+		p.env.sens = s
 		return nil
 	}
 }
@@ -368,9 +365,9 @@ func CheckReadTime(seconds float64) error {
 
 // New validates the configuration and returns a runnable Pipeline. master is
 // the trained network to program (never mutated: every trial clones it).
-// Weights and sensitivities not injected are computed here from master
-// (and the WithCalibration split); non-finite ones are an error, injected
-// or computed, because the rankings' order is undefined for NaN.
+// Without WithSensitivity, the weight magnitudes and (with WithCalibration)
+// the sensitivities are computed here from master and checked as
+// NewSensitivity checks them.
 func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, error) {
 	if master == nil {
 		return nil, errors.New("program: nil network")
@@ -408,20 +405,21 @@ func New(master *nn.Network, pol Policy, b Budget, opts ...Option) (*Pipeline, e
 	if err := b.validate(); err != nil {
 		return nil, fmt.Errorf("program: %w", err)
 	}
-	if p.env.Weights == nil {
-		p.env.Weights = swim.FlatWeights(master)
+	if p.env.sens == nil {
+		var hess []float64
+		if p.calX != nil {
+			// Sensitivity mutates the network's Hessian buffers, so run it
+			// on a clone; the values are deterministic in (weights,
+			// calibration set).
+			hess = swim.Sensitivity(master.Clone(), p.calX, p.calY, p.evalBatch)
+		}
+		s, err := newSensitivity(hess, swim.FlatWeights(master))
+		if err != nil {
+			return nil, fmt.Errorf("program: %w", err)
+		}
+		p.env.sens = s
 	}
-	if p.env.Hess == nil && p.calX != nil {
-		// Sensitivity mutates the network's Hessian buffers, so run it on a
-		// clone; the values are deterministic in (weights, calibration set).
-		p.env.Hess = swim.Sensitivity(master.Clone(), p.calX, p.calY, p.evalBatch)
-	}
-	if err := finite("sensitivity", p.env.Hess); err != nil {
-		return nil, fmt.Errorf("program: %w", err)
-	}
-	if err := finite("weight", p.env.Weights); err != nil {
-		return nil, fmt.Errorf("program: %w", err)
-	}
+	p.env.Hess, p.env.Weights = p.env.sens.hess, p.env.sens.weights
 	if p.ranged {
 		if p.rangeHi > p.trials {
 			return nil, fmt.Errorf("program: trial range [%d,%d) outside [0,%d)", p.rangeLo, p.rangeHi, p.trials)
@@ -480,16 +478,6 @@ func (p *Pipeline) prepare(env *Env) error {
 // derived from its seed.
 func (p *Pipeline) derivedTable() []float64 {
 	return p.env.Device.CycleTable(300, rng.New(p.seed^0x5eed))
-}
-
-// finite reports the first non-finite value of a ranking input.
-func finite(what string, v []float64) error {
-	for i, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%s %d is %g, want a finite value", what, i, x)
-		}
-	}
-	return nil
 }
 
 // setup programs one Monte-Carlo trial's device instance from r, in the

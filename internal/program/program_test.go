@@ -24,6 +24,7 @@ type testWorkload struct {
 	ds      *data.Dataset
 	hess    []float64
 	weights []float64
+	sens    *Sensitivity // hess and weights
 	clean   float64
 }
 
@@ -50,6 +51,10 @@ func workload(t *testing.T) *testWorkload {
 			weights: swim.FlatWeights(net),
 			clean:   train.Evaluate(net, ds.TestX, ds.TestY, 64),
 		}
+		var err error
+		if wl.sens, err = NewSensitivity(wl.hess, wl.weights); err != nil {
+			panic(err)
+		}
 	})
 	return &wl
 }
@@ -58,7 +63,7 @@ func (w *testWorkload) options() []Option {
 	return []Option{
 		WithDevice(device.Default(4, 1.0)),
 		WithEval(w.ds.TestX, w.ds.TestY),
-		WithSensitivity(w.hess, w.weights),
+		WithSensitivity(w.sens),
 		WithTraining(w.ds.TrainX, w.ds.TrainY),
 	}
 }
@@ -139,13 +144,22 @@ func TestOptionValidation(t *testing.T) {
 		{"no device", []Option{WithEval(w.ds.TestX, w.ds.TestY)}},
 		{"nil worker gate", append(w.options(), WithWorkerGate(nil))},
 		{"empty cycle table", append(w.options(), WithCycleTable(nil))},
-		{"empty sensitivity", append(w.options(), WithSensitivity(nil, nil))},
-		{"NaN sensitivity", append(w.options(), WithSensitivity(poison(w.hess, math.NaN()), w.weights))},
-		{"infinite weight", append(w.options(), WithSensitivity(w.hess, poison(w.weights, math.Inf(-1))))},
+		{"nil sensitivity", append(w.options(), WithSensitivity(nil))},
 	}
 	for _, tc := range cases {
 		if _, err := New(w.net, pol, grid, tc.opts...); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	for name, in := range map[string][2][]float64{
+		"empty sensitivity": {nil, w.weights},
+		"empty weights":     {w.hess, nil},
+		"length mismatch":   {w.hess, w.weights[1:]},
+		"NaN sensitivity":   {poison(w.hess, math.NaN()), w.weights},
+		"infinite weight":   {w.hess, poison(w.weights, math.Inf(-1))},
+	} {
+		if _, err := NewSensitivity(in[0], in[1]); err == nil {
+			t.Errorf("NewSensitivity, %s: accepted", name)
 		}
 	}
 
@@ -281,7 +295,7 @@ func TestCalibrationComputesSensitivities(t *testing.T) {
 		return res
 	}
 	calibrated := run(WithCalibration(cx, cy), WithEvalBatch(64))
-	injected := run(WithSensitivity(w.hess, w.weights))
+	injected := run(WithSensitivity(w.sens))
 	for i := range injected.Points {
 		if calibrated.Points[i].Accuracy.Mean() != injected.Points[i].Accuracy.Mean() {
 			t.Fatalf("point %d: calibrated %.6f != injected %.6f", i,

@@ -56,9 +56,10 @@ func dropKey(res *Result) string {
 	return b.String()
 }
 
-// A marked selector is ranked once per Run — not once per trial, and not
-// once per Pipeline — at any worker count, and its Results equal those of
-// the same selector ranked per trial, bit for bit.
+// A marked selector is ranked once per Sensitivity value and policy value —
+// not once per trial, run or pipeline — at any worker count, and its
+// Results equal those of the same selector ranked per trial, bit for bit.
+// Another policy value, or another Sensitivity value, ranks its own order.
 func TestFixedOrderRankedOncePerRun(t *testing.T) {
 	w := workload(t)
 	const trials = 4
@@ -81,17 +82,19 @@ func TestFixedOrderRankedOncePerRun(t *testing.T) {
 					}
 					return res
 				}
-				pipeline := func(fixed bool, calls *atomic.Int64) *Pipeline {
+				sens := mustSensitivity(t, w)
+				pipeline := func(pol Policy, s *Sensitivity) *Pipeline {
 					t.Helper()
-					p, err := New(w.net, countingPolicy(fixed, calls), bc.b, append(w.options(),
+					p, err := New(w.net, pol, bc.b, append(w.options(), WithSensitivity(s),
 						WithTrials(trials), WithSeed(11), WithWorkers(workers), WithGranularity(0.1))...)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return p
 				}
-				var fixedCalls, plainCalls atomic.Int64
-				fixed := pipeline(true, &fixedCalls)
+				var fixedCalls, adHocCalls, plainCalls atomic.Int64
+				fixedPol := countingPolicy(true, &fixedCalls)
+				fixed := pipeline(fixedPol, sens)
 				fixedRes := run(fixed)
 				if n := fixedCalls.Load(); n != 1 {
 					t.Fatalf("marked selector ranked %d times in one run, want 1", n)
@@ -99,10 +102,23 @@ func TestFixedOrderRankedOncePerRun(t *testing.T) {
 				if again := run(fixed); bc.key(again) != bc.key(fixedRes) {
 					t.Fatal("second run of one pipeline diverged")
 				}
-				if n := fixedCalls.Load(); n != 2 {
-					t.Fatalf("marked selector ranked %d times in two runs, want 2", n)
+				if other := run(pipeline(fixedPol, sens)); bc.key(other) != bc.key(fixedRes) {
+					t.Fatal("a second pipeline on the same Sensitivity diverged")
 				}
-				plainRes := run(pipeline(false, &plainCalls))
+				if n := fixedCalls.Load(); n != 1 {
+					t.Fatalf("marked selector ranked %d times over one Sensitivity in three runs of two pipelines, want 1", n)
+				}
+				if adHoc := run(pipeline(countingPolicy(true, &adHocCalls), sens)); bc.key(adHoc) != bc.key(fixedRes) {
+					t.Fatal("another policy value with the same selector diverged")
+				}
+				if n := adHocCalls.Load(); n != 1 {
+					t.Fatalf("another policy value over the same Sensitivity ranked %d times, want its own 1", n)
+				}
+				run(pipeline(fixedPol, mustSensitivity(t, w)))
+				if n := fixedCalls.Load(); n != 2 {
+					t.Fatalf("marked selector ranked %d times over two Sensitivity values, want 2", n)
+				}
+				plainRes := run(pipeline(countingPolicy(false, &plainCalls), sens))
 				if n := plainCalls.Load(); n != trials {
 					t.Fatalf("unmarked selector ranked %d times, want one per trial (%d)", n, trials)
 				}
@@ -111,6 +127,59 @@ func TestFixedOrderRankedOncePerRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// mustSensitivity returns a fresh Sensitivity over w's inputs, whose
+// ranking counts start at zero.
+func mustSensitivity(t *testing.T, w *testWorkload) *Sensitivity {
+	t.Helper()
+	s, err := NewSensitivity(w.hess, w.weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// Pipelines on one Sensitivity that run at the same time share one order:
+// the marked selector ranks once, and every run returns the same bits.
+func TestFixedOrderSharedAcrossConcurrentPipelines(t *testing.T) {
+	w := workload(t)
+	sens := mustSensitivity(t, w)
+	var calls atomic.Int64
+	pol := countingPolicy(true, &calls)
+	const pipelines = 4
+	keys := make([]string, pipelines)
+	errs := make([]error, pipelines)
+	var wg sync.WaitGroup
+	for i := range pipelines {
+		p, err := New(w.net, pol, GridBudget(0.1, 0.3), append(w.options(), WithSensitivity(sens),
+			WithTrials(3), WithSeed(13), WithWorkers(2))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Run(context.Background())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			keys[i] = resultKey(res)
+		}()
+	}
+	wg.Wait()
+	for i := range pipelines {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if keys[i] != keys[0] {
+			t.Fatalf("pipeline %d diverged:\n%s\n%s", i, keys[i], keys[0])
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d concurrent pipelines on one Sensitivity ranked %d times, want 1", pipelines, n)
 	}
 }
 

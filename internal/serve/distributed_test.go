@@ -50,7 +50,10 @@ func healthz(t *testing.T, url string) map[string]any {
 }
 
 // The distributed acceptance bar: a job sharded across two workers merges
-// into the exact bytes the single-node (and CLI) path produces.
+// into the exact bytes the single-node (and CLI) path produces. The same
+// warm coordinator and workers then serve a job that differs only in seed
+// and one that differs only in σ, which must not reuse the first job's
+// cycle table or anything else keyed on it.
 func TestCoordinatorByteIdentity(t *testing.T) {
 	w1, w2 := newWorker(t), newWorker(t)
 	_, coord := newTestServer(t, Config{
@@ -61,23 +64,32 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 
 	req := testRequest(301, "stuckat:p=0.05")
 	req.Cost = "rram" // the cost axis must survive the shard round trip too
-	want := referenceEnvelope(t, req)
-	rec, code := submit(t, coord, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit code %d", code)
-	}
-	done := await(t, coord, rec.ID)
-	if done.Status != serialize.JobDone {
-		t.Fatalf("coordinator job: %s (%s)", done.Status, done.Error)
-	}
-	if got := fetchResult(t, coord, rec.ID); !bytes.Equal(got, want) {
-		t.Errorf("merged result differs from single-node:\ncoord: %s\ncli:   %s", got, want)
+	reseeded := *req
+	reseeded.Seed++
+	resigma := *req
+	resigma.Sigmas = []float64{0.5}
+	for _, tc := range []struct {
+		name string
+		req  *serialize.RequestRecord
+	}{{"first job", req}, {"another seed", &reseeded}, {"another sigma", &resigma}} {
+		want := referenceEnvelope(t, tc.req)
+		rec, code := submit(t, coord, tc.req)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit code %d", tc.name, code)
+		}
+		done := await(t, coord, rec.ID)
+		if done.Status != serialize.JobDone {
+			t.Fatalf("%s: coordinator job: %s (%s)", tc.name, done.Status, done.Error)
+		}
+		if got := fetchResult(t, coord, rec.ID); !bytes.Equal(got, want) {
+			t.Errorf("%s: merged result differs from single-node:\ncoord: %s\ncli:   %s", tc.name, got, want)
+		}
 	}
 
-	// 5 trials at 2 per shard = 3 shards, all computed by the pool.
+	// 5 trials at 2 per shard = 3 shards per job, all computed by the pool.
 	total := healthz(t, w1.URL)["shards_executed"].(float64) + healthz(t, w2.URL)["shards_executed"].(float64)
-	if total != 3 {
-		t.Errorf("pool computed %v shards, want 3", total)
+	if total != 9 {
+		t.Errorf("pool computed %v shards for three jobs, want 9", total)
 	}
 	if mode := healthz(t, coord.URL)["mode"]; mode != "coordinator" {
 		t.Errorf("coordinator healthz mode = %v", mode)

@@ -134,9 +134,16 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) []byte {
 
 // referenceEnvelope computes the request the way the CLI path does —
 // sequentially, one worker, no gate — and serializes it, byte-for-byte as
-// the daemon's result endpoint would.
+// the daemon's result endpoint would. It runs on a fresh copy of the test
+// workload, so nothing a server derived and kept on the shared one (cycle
+// tables, rankings) can feed the reference.
 func referenceEnvelope(t *testing.T, req *serialize.RequestRecord) []byte {
 	t.Helper()
+	tw := tinyWorkload()
+	fresh := &experiments.Workload{
+		Name: tw.Name, Net: tw.Net, DS: tw.DS, WeightBits: tw.WeightBits,
+		CleanAcc: tw.CleanAcc, Hess: tw.Hess, Weights: tw.Weights,
+	}
 	scenarios, err := experiments.ParseScenarios(req.Scenarios)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +155,7 @@ func referenceEnvelope(t *testing.T, req *serialize.RequestRecord) []byte {
 	}
 	env := &serialize.ResultEnvelope{}
 	for _, sigma := range req.Sigmas {
-		results, err := experiments.ScenarioResults(context.Background(), tinyWorkload(), sigma, scenarios, cfg,
+		results, err := experiments.ScenarioResults(context.Background(), fresh, sigma, scenarios, cfg,
 			program.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)

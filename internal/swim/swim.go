@@ -75,8 +75,8 @@ type Selector interface {
 
 // FixedOrder marks a Selector whose Order ignores its rng, so one order
 // serves every Monte-Carlo trial: the program pipeline ranks such a
-// selector once per run and shares the result read-only across trials
-// instead of re-sorting per trial. Callers computing a shared order pass a
+// selector once per program.Sensitivity and shares the result read-only
+// across trials, runs and pipelines instead of re-sorting per trial. Callers computing a shared order pass a
 // nil rng, so a selector that claims the mark but draws from its stream
 // panics instead of silently reusing one draw. SWIMSelector (which
 // NewFisherSelector also returns) and MagnitudeSelector carry it;

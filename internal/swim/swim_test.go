@@ -1,6 +1,7 @@
 package swim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +190,56 @@ func TestAlgorithm1GranularityValidation(t *testing.T) {
 		}
 	}()
 	Algorithm1(mp, NewSWIMSelector(hess, weights), 0, 99, 1, ds.TestX, ds.TestY, 64, rng.New(3))
+}
+
+// A clone starts with zeroed accumulators whatever its source's hold, and
+// gives the sensitivity and in-situ-step bits of a clone of a clean copy:
+// no reader depends on what a clone used to copy into them.
+func TestCloneZeroesAccumulators(t *testing.T) {
+	net, ds, _, _ := smallWorkload(t)
+	dirty := net.Clone()
+	for i, p := range dirty.Params() {
+		for j := range p.Grad.Data {
+			p.Grad.Data[j] = float64(i+j) + 0.5
+			p.Hess.Data[j] = math.NaN()
+		}
+	}
+	for _, p := range dirty.Clone().Params() {
+		for j := range p.Grad.Data {
+			if p.Grad.Data[j] != 0 || p.Hess.Data[j] != 0 {
+				t.Fatalf("%s[%d]: clone accumulators hold %v / %v, want 0", p.Name, j, p.Grad.Data[j], p.Hess.Data[j])
+			}
+		}
+	}
+	cx, cy := data.Subset(ds.TrainX, ds.TrainY, 64)
+	sameBits(t, "sensitivity", Sensitivity(dirty.Clone(), cx, cy, 32), Sensitivity(net.Clone(), cx, cy, 32))
+
+	dm := device.Default(4, 0.5)
+	table := dm.CycleTable(50, rng.New(8))
+	step := func(src *nn.Network) []float64 {
+		r := rng.New(7)
+		mp := mustMap(t, src, dm, table, r)
+		InSituStep(mp, ds.TrainX, ds.TrainY, 0, DefaultInSitu(), r)
+		var out []float64
+		for _, p := range mp.Net.Params() {
+			out = append(out, p.Data.Data...)
+		}
+		return out
+	}
+	sameBits(t, "in-situ step", step(dirty), step(net))
+}
+
+// sameBits fails unless got and want hold the same float64 bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
 }
 
 func TestInSituStepBillsOneWritePerMappedWeight(t *testing.T) {

@@ -13,6 +13,10 @@
 # computed draw). With the squeeze the ratio is about 5; a build that
 # computes every draw reads about 10.5.
 #
+# SWIM_DEVICE_BENCH_JSON names the output file (default
+# BENCH_device.json), so a verification run can leave the committed one
+# alone.
+#
 # Only ratios measured inside a single `go test -bench` process are
 # compared: absolute ns/op on shared runners swing by 1.5x between runs,
 # within-run ratios stay stable.
@@ -22,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 count=5
 max_ratio=7.5
-out_json="BENCH_device.json"
+out_json="${SWIM_DEVICE_BENCH_JSON:-BENCH_device.json}"
 
 echo "== device simulation (-count ${count}) =="
 raw="$(go test -p 1 -run '^$' \

@@ -13,6 +13,10 @@
 # and ratios to BENCH_group.json, and fails when swim+noverify takes more
 # than max_ratio times swim.
 #
+# SWIM_GROUP_BENCH_JSON names the output file (default
+# BENCH_group.json), so a verification run can leave the committed one
+# alone.
+#
 # Only ratios measured inside a single `go test -bench` process are
 # compared: absolute ns/op on shared runners swing by 1.5x between runs,
 # within-run ratios stay stable.
@@ -23,7 +27,7 @@ cd "$(dirname "$0")/.."
 count=5
 benchtime=40x
 max_ratio=1.2
-out_json="BENCH_group.json"
+out_json="${SWIM_GROUP_BENCH_JSON:-BENCH_group.json}"
 
 echo "== cell groups and ranking (-count ${count}, -benchtime ${benchtime}) =="
 raw="$(go test -run '^$' -bench '^Benchmark(ScenarioShard|Rank)$' \

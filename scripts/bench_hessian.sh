@@ -9,6 +9,10 @@
 # caller scratch, so memory is held to 0 allocs/op, which is stricter than
 # a bytes ratio (both read 0 B/op, a ratio of nothing).
 #
+# SWIM_HESSIAN_BENCH_JSON names the output file (default
+# BENCH_hessian.json), so a verification run can leave the committed one
+# alone.
+#
 # Only ratios measured inside a single `go test -bench` process are
 # compared: absolute ns/op on shared runners swing by 1.5x between runs,
 # within-run ratios stay stable.
@@ -18,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 count=5
 max_ratio=1.5
-out_json="BENCH_hessian.json"
+out_json="${SWIM_HESSIAN_BENCH_JSON:-BENCH_hessian.json}"
 
 echo "== gradient vs Hessian pass (-count ${count}) =="
 raw="$(go test -run '^$' -bench '^Benchmark(Gradient|Hessian)Pass$' -benchmem -count "$count" .)"
